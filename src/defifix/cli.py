@@ -95,6 +95,13 @@ def _parse_elements(K: FieldDescriptor, text: str) -> list[FieldElement]:
     return [K.element(p) for p in parts]
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {text!r}") from None
+
+
 def _cap(args, default: int) -> int:
     value = args.cap
     if value is None:
@@ -232,7 +239,7 @@ def _cmd_nbhd_certify(args):
 
 def _cmd_nbhd_rational(args):
     K = make_field(args.field)
-    A = nbhd_rational(Fraction(args.q), K)
+    A = nbhd_rational(_rational(args.q), K)
     certified = certify_by_propagation(A)
     payload = {
         "q": args.q,

@@ -394,6 +394,100 @@ def enumerate_elements(field: FieldDescriptor) -> list[FieldElement]:
     return out
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class IntField:
+    """A finite field with its elements as ints, for search loops.
+
+    Element i is `enumerate_elements(K)[i]`, so 0 is zero, 1 is one and
+    the prime subfield is 0..p-1. Arithmetic goes through tables of
+    O(q) entries built from a primitive element g: `exp[n] = g^n` (two
+    periods, so log sums need no reduction), `log[a]` for a != 0, and the
+    Zech logarithms `zech[n] = log(1 + g^n)`, -1 where 1 + g^n = 0. Then
+    a*b = exp[log a + log b] and a+b = a*(1 + b/a) = exp[log a +
+    zech[log b - log a]]; a negative index into `zech` (length q-1) or
+    `exp` wraps round by one period, which is the reduction mod q-1.
+    """
+
+    def __init__(self, K: FieldDescriptor):
+        if not K.is_finite:
+            raise InfiniteFieldError("integer arithmetic needs a finite field")
+        self.elements = tuple(enumerate_elements(K))
+        self.p = p = K.p
+        self.q = q = K.order
+        m = q - 1
+        factors = _prime_factors(m)
+        one = K.one()
+        g = next(
+            a for a in self.elements[1:] if all(a ** (m // r) != one for r in factors)
+        )
+        exp = []
+        log = [-1] * q
+        a = one
+        for n in range(m):
+            i = self.index(a)
+            exp.append(i)
+            log[i] = n
+            a = a * g
+        # adding 1 raises the lowest base-p digit of the index by one
+        self.zech = tuple(log[i - i % p + (i + 1) % p] for i in exp)
+        self.exp = tuple(exp + exp)
+        self.log = tuple(log)
+        self.neg = tuple(self.index(-a) for a in self.elements)
+
+    def index(self, a: FieldElement) -> int:
+        n = 0
+        for c in reversed(a.value):
+            n = n * self.p + c
+        return n
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]
+        return 0 if z < 0 else self.exp[la + z]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg[b])
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
+        if a == 0:
+            return 0
+        return self.exp[self.log[a] - self.log[b]]
+
+
+_INT_FIELDS: dict[FieldDescriptor, IntField] = {}
+
+
+def int_field(K: FieldDescriptor) -> IntField:
+    """The integer tables of a finite field, built on first use and kept."""
+    T = _INT_FIELDS.get(K)
+    if T is None:
+        T = _INT_FIELDS[K] = IntField(K)
+    return T
+
+
 def frobenius(a: FieldElement) -> FieldElement:
     """The map x -> x^p on a finite field."""
     if not a.field.is_finite:
@@ -428,8 +522,10 @@ def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
             )
         return field.element(coeffs)
     if "/" in text:
-        num, den = text.split("/", 1)
-        frac = Fraction(int(num), int(den))
+        num, den = (int(t) for t in text.split("/", 1))
+        if den == 0:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        frac = Fraction(num, den)
         if field.is_finite and frac.denominator % field.p == 0:
             raise ZeroDivisionError(f"denominator {frac.denominator} vanishes in {field.spec()}")
         return field.element(frac)

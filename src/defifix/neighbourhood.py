@@ -5,20 +5,25 @@ f(1)=1 if 1 is in A, f(a+b)=f(a)+f(b) whenever a, b, a+b all lie in A,
 and f(a*b)=f(a)*f(b) likewise. A is an arithmetic neighbourhood of r in A
 when every arithmetic map on A fixes r.
 
-Over a finite field the decision is exact: all arithmetic maps are
-enumerated by backtracking over A's order with forward propagation of the
-relation triples holding inside A. Over any field (the infinite-field
-path) a one-sided certificate is available: iterate the forced-value
-closure and report Certified only when f(r)=r is pinned.
+Over a finite field the decision is exact. The relation triples holding
+inside A (`facts`) are written as a constraint system with one variable
+per element (`fact_system`); its solutions are exactly the arithmetic
+maps, so the maps are enumerated by the same search that solves
+normalized formulas (`normalize.ConstraintSearch`), over the field's
+integer tables. Over any field (the infinite-field path) a one-sided
+certificate is available: iterate the forced-value closure and report
+Certified only when f(r)=r is pinned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, element_str, enumerate_elements
+from .fields import FieldDescriptor, FieldElement, IntField, element_str, enumerate_elements
+from .normalize import ConstraintSearch, ConstraintSystem, One, Plus, Times
 
 DEFAULT_MAP_CAP = 10**6
 
@@ -118,98 +123,45 @@ class ArithmeticMap:
         return [[element_str(a), element_str(v)] for a, v in zip(self.domain, self.values)]
 
 
-def _map_search(A: Neighbourhood, cap: int):
-    """Yield the value tuples of all total arithmetic maps on A, in
-    backtracking order (A's order, field enumeration order per slot)."""
+def fact_system(A: Neighbourhood) -> ConstraintSystem:
+    """A's facts as a constraint system with one variable per element of A
+    (named by its element string): its solutions are the arithmetic maps
+    on A, and its free variable is the distinguished element."""
+    fs = facts(A)
+    atoms = (
+        [One(i) for i in sorted(fs.ones)]
+        + [Plus(*t) for t in sorted(fs.sums)]
+        + [Times(*t) for t in sorted(fs.products)]
+    )
+    names = tuple(element_str(a) for a in A.elements)
+    return ConstraintSystem(names, tuple(atoms), A.target_index)
+
+
+def _map_search(A: Neighbourhood, cap: int) -> tuple[IntField, Iterator[tuple[int, ...]]]:
+    """The integer kernel of A's field, and a generator of the value tuples
+    of all total arithmetic maps on A as ints, in lexicographic order (A's
+    order, field enumeration order per slot)."""
     if not A.field.is_finite:
         raise InfiniteFieldError("map enumeration needs a finite field")
-    fs = facts(A)
-    elems = enumerate_elements(A.field)
-    one = A.field.one()
-    zero = A.field.zero()
-    n = len(A.elements)
-    vals: list[FieldElement | None] = [None] * n
-    incidence: list[list[tuple[str, tuple[int, int, int]]]] = [[] for _ in range(n)]
-    for t in fs.sums:
-        for i in set(t):
-            incidence[i].append(("sum", t))
-    for t in fs.products:
-        for i in set(t):
-            incidence[i].append(("prod", t))
-    trail: list[int] = []
-    queue: list[int] = []
+    search = ConstraintSearch(fact_system(A), A.field)
 
-    def assign(i: int, v: FieldElement) -> bool:
-        if vals[i] is not None:
-            return vals[i] == v
-        vals[i] = v
-        trail.append(i)
-        queue.append(i)
-        return True
+    def maps():
+        for count, vals in enumerate(search.solutions(), 1):
+            if count > cap:
+                raise CapExceededError(f"more than {cap} arithmetic maps")
+            yield vals
 
-    def check(kind: str, t: tuple[int, int, int]) -> bool:
-        i, j, k = t
-        vi, vj, vk = vals[i], vals[j], vals[k]
-        if kind == "sum":
-            if vi is not None and vj is not None:
-                return assign(k, vi + vj)
-            if vi is not None and vk is not None:
-                return assign(j, vk - vi)
-            if vj is not None and vk is not None:
-                return assign(i, vk - vj)
-            return True
-        if vi is not None and vj is not None:
-            return assign(k, vi * vj)
-        if vi is not None and vk is not None:
-            if vi == zero:
-                return vk == zero
-            return assign(j, vk / vi)
-        if vj is not None and vk is not None:
-            if vj == zero:
-                return vk == zero
-            return assign(i, vk / vj)
-        return True
+    return search.kernel, maps()
 
-    def propagate() -> bool:
-        while queue:
-            i = queue.pop()
-            for kind, t in incidence[i]:
-                if not check(kind, t):
-                    return False
-        return True
 
-    def undo(mark: int):
-        while len(trail) > mark:
-            vals[trail.pop()] = None
-        queue.clear()
-
-    count = 0
-
-    def search():
-        nonlocal count
-        for i in range(n):
-            if vals[i] is None:
-                for v in elems:
-                    mark = len(trail)
-                    if assign(i, v) and propagate():
-                        yield from search()
-                    undo(mark)
-                return
-        count += 1
-        if count > cap:
-            raise CapExceededError(f"more than {cap} arithmetic maps")
-        yield tuple(vals)
-
-    mark0 = len(trail)
-    ok = all(assign(i, one) for i in fs.ones)
-    if ok and propagate():
-        yield from search()
-    undo(mark0)
+def _arithmetic_map(A: Neighbourhood, T: IntField, vals: tuple[int, ...]) -> ArithmeticMap:
+    return ArithmeticMap(A.elements, tuple(T.elements[v] for v in vals))
 
 
 def enumerate_arithmetic_maps(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> list[ArithmeticMap]:
     """All total arithmetic maps on A, deterministically ordered."""
-    return [ArithmeticMap(A.elements, vals) for vals in _map_search(A, cap)]
+    T, maps = _map_search(A, cap)
+    return [_arithmetic_map(A, T, vals) for vals in maps]
 
 
 @dataclass(frozen=True)
@@ -225,11 +177,12 @@ def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
     """Exact decision over a finite field: Yes iff every arithmetic map on
     A fixes the distinguished element; otherwise No with the first
     violating map as witness."""
-    r = A.r
+    T, maps = _map_search(A, cap)
     ri = A.target_index
-    for vals in _map_search(A, cap):
+    r = T.index(A.r)
+    for vals in maps:
         if vals[ri] != r:
-            return Decision(False, ArithmeticMap(A.elements, vals))
+            return Decision(False, _arithmetic_map(A, T, vals))
     return Decision(True)
 
 

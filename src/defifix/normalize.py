@@ -11,15 +11,21 @@ Atomization walks each equation's monomial summands in ascending degree
 order, accumulating a running sum; constants expand as 1+1+...+1 chains
 and monomials as left-folded products, with already-built values reused
 within a system. Only integer coefficients are accepted.
+
+`ConstraintSearch` solves a system over a finite field by propagation and
+backtracking on the integer form of the field (`fields.IntField`). It
+enumerates every solution (`solve_system`, and the arithmetic-map search
+of the neighbourhood module) or, per value of the free variable, stops at
+the first witness (`normalized_definable_set`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import CapExceededError, InfiniteFieldError, NormalizationError
-from .fields import FieldDescriptor, FieldElement, enumerate_elements
+from .fields import FieldDescriptor, FieldElement, int_field
 from .formulas import (
     And,
     Equal,
@@ -552,103 +558,171 @@ def normalize_with_stats(
     return NormalizedFormula(tuple(systems), free_var), negations
 
 
-# -- brute-force system solving -------------------------------------------------------
+# -- constraint search -----------------------------------------------------------------
+
+
+class ConstraintSearch:
+    """The one search over a system of three-address atoms in a finite field.
+
+    Elements are ints in `IntField` order. The root state holds what the
+    atoms force alone: x = 1 for a One atom, and 0 for the variable an atom
+    with a repeated place pins (x + y = x gives y = 0, x + y = y gives
+    x = 0). From there Plus and Times atoms propagate: once two of an
+    atom's three places are known the third is computed or checked (a
+    product with a known zero factor forces nothing on the other factor).
+    Branching takes the first unassigned variable of the table and tries
+    its values in enumeration order, so solutions come out in
+    lexicographic order of their value tuples whatever the propagation
+    pins early.
+    """
+
+    def __init__(self, s: ConstraintSystem, K: FieldDescriptor):
+        if not K.is_finite:
+            raise InfiniteFieldError("system solving needs a finite field")
+        self.system = s
+        self.kernel = int_field(K)
+        n = len(s.variables)
+        # per variable, the atoms it occurs in, as (is_product, i, j, k)
+        self.incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in range(n)]
+        forced = []
+        for a in s.atoms:
+            if isinstance(a, One):
+                forced.append((a.i, 1))
+                continue
+            if isinstance(a, Plus) and a.k in (a.i, a.j):
+                forced.append((a.j if a.k == a.i else a.i, 0))
+            entry = (isinstance(a, Times), a.i, a.j, a.k)
+            for i in {a.i, a.j, a.k}:
+                self.incidence[i].append(entry)
+        root: list[int] | None = [-1] * n
+        for var, v in forced:
+            if not self._assign(root, [], var, v):
+                root = None
+                break
+        self.root = root
+
+    def _assign(self, vals: list[int], trail: list[int], var: int, v: int) -> bool:
+        """Set var to v and propagate, recording each new value on the
+        trail; False on a conflict."""
+        if vals[var] >= 0:
+            return vals[var] == v
+        T = self.kernel
+        exp, log, zech, neg = T.exp, T.log, T.zech, T.neg
+        incidence = self.incidence
+        vals[var] = v
+        trail.append(var)
+        queue = [var]
+        while queue:
+            for is_product, i, j, k in incidence[queue.pop()]:
+                a, b, c = vals[i], vals[j], vals[k]
+                if a >= 0 and b >= 0:
+                    if is_product:
+                        r = 0 if a == 0 or b == 0 else exp[log[a] + log[b]]
+                    elif a == 0:
+                        r = b
+                    elif b == 0:
+                        r = a
+                    else:
+                        z = zech[log[b] - log[a]]
+                        r = 0 if z < 0 else exp[log[a] + z]
+                    if c >= 0:
+                        if c != r:
+                            return False
+                        continue
+                    dest = k
+                elif c >= 0 and (a >= 0 or b >= 0):
+                    # solve for the unknown place, given the other two
+                    if a >= 0:
+                        known, dest = a, j
+                    else:
+                        known, dest = b, i
+                    if is_product:
+                        if known == 0:
+                            if c != 0:
+                                return False
+                            continue
+                        r = 0 if c == 0 else exp[log[c] - log[known]]
+                    else:
+                        known = neg[known]
+                        if c == 0:
+                            r = known
+                        elif known == 0:
+                            r = c
+                        else:
+                            z = zech[log[known] - log[c]]
+                            r = 0 if z < 0 else exp[log[c] + z]
+                else:
+                    continue
+                vals[dest] = r
+                trail.append(dest)
+                queue.append(dest)
+        return True
+
+    def solutions(self, pins: Iterable[tuple[int, int]] = ()) -> Iterator[tuple[int, ...]]:
+        """Every solution that also gives each pinned variable its value,
+        as a tuple of ints in variable-table order."""
+        if self.root is None:
+            return
+        vals = list(self.root)
+        trail: list[int] = []
+        assign = self._assign
+        for var, v in pins:
+            if not assign(vals, trail, var, v):
+                return
+        q = self.kernel.q
+        n = len(vals)
+        # depth-first, one frame per branching variable: [var, next value, trail mark]
+        frames: list[list[int]] = []
+        var = 0
+        while True:
+            while var < n and vals[var] >= 0:
+                var += 1
+            if var == n:
+                yield tuple(vals)
+            else:
+                frames.append([var, 0, len(trail)])
+            while frames:
+                frame = frames[-1]
+                var, v, mark = frame
+                for x in trail[mark:]:
+                    vals[x] = -1
+                del trail[mark:]
+                if v == q:
+                    frames.pop()
+                    continue
+                frame[1] = v + 1
+                if assign(vals, trail, var, v):
+                    break
+            else:
+                return
+
+    def projection(self, known: set[int] = frozenset()) -> set[int]:
+        """The values of the free variable that extend to a solution, apart
+        from those in `known`: each value is pinned in turn and its search
+        stops at the first witness."""
+        free = self.system.free_index
+        return {
+            v
+            for v in range(self.kernel.q)
+            if v not in known and next(self.solutions([(free, v)]), None) is not None
+        }
 
 
 def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, FieldElement]]:
-    """All satisfying assignments, by backtracking over the variable table
-    in order with forward propagation of forced values. Deterministic."""
-    if not K.is_finite:
-        raise InfiniteFieldError("system solving needs a finite field")
-    elems = enumerate_elements(K)
-    one = K.one()
-    zero = K.zero()
-    n = len(s.variables)
-    vals: list[FieldElement | None] = [None] * n
-    incidence: list[list[ThreeAddressAtom]] = [[] for _ in range(n)]
-    for a in s.atoms:
-        for i in set(_atom_indices(a)):
-            incidence[i].append(a)
-    trail: list[int] = []
-    solutions: list[dict[str, FieldElement]] = []
-
-    def assign(i: int, v: FieldElement) -> bool:
-        if vals[i] is not None:
-            return vals[i] == v
-        vals[i] = v
-        trail.append(i)
-        queue.append(i)
-        return True
-
-    def check_atom(a: ThreeAddressAtom) -> bool:
-        if isinstance(a, One):
-            return assign(a.i, one)
-        vi, vj, vk = vals[a.i], vals[a.j], vals[a.k]
-        if isinstance(a, Plus):
-            if vi is not None and vj is not None:
-                return assign(a.k, vi + vj)
-            if vi is not None and vk is not None:
-                return assign(a.j, vk - vi)
-            if vj is not None and vk is not None:
-                return assign(a.i, vk - vj)
-            return True
-        # Times
-        if vi is not None and vj is not None:
-            return assign(a.k, vi * vj)
-        if vi is not None and vk is not None:
-            if vi == zero:
-                return vk == zero  # 0 * j = 0 leaves j free
-            return assign(a.j, vk / vi)
-        if vj is not None and vk is not None:
-            if vj == zero:
-                return vk == zero
-            return assign(a.i, vk / vj)
-        return True
-
-    queue: list[int] = []
-
-    def propagate() -> bool:
-        while queue:
-            i = queue.pop()
-            for a in incidence[i]:
-                if not check_atom(a):
-                    return False
-        return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            vals[trail.pop()] = None
-        queue.clear()
-
-    def search():
-        for i in range(n):
-            if vals[i] is None:
-                for v in elems:
-                    mark = len(trail)
-                    if assign(i, v) and propagate():
-                        search()
-                    undo(mark)
-                return
-        solutions.append({s.variables[i]: vals[i] for i in range(n)})
-
-    # initial propagation from One atoms and anything already forced
-    mark0 = len(trail)
-    ok = True
-    for a in s.atoms:
-        if not check_atom(a):
-            ok = False
-            break
-    if ok and propagate():
-        search()
-    undo(mark0)
-    return solutions
+    """All satisfying assignments, in lexicographic order of their values
+    (variable-table order, field enumeration order per variable)."""
+    search = ConstraintSearch(s, K)
+    elems = search.kernel.elements
+    return [
+        {name: elems[v] for name, v in zip(s.variables, sol)} for sol in search.solutions()
+    ]
 
 
 def normalized_definable_set(nf: NormalizedFormula, K: FieldDescriptor) -> set[FieldElement]:
-    """Union over disjuncts of the projection of solve_system to the free
-    variable."""
-    out: set[FieldElement] = set()
+    """Union over disjuncts of the projection of each system's solutions
+    onto the free variable."""
+    found: set[int] = set()
     for s in nf.systems:
-        for assignment in solve_system(s, K):
-            out.add(assignment[nf.free_var])
-    return out
+        found |= ConstraintSearch(s, K).projection(found)
+    elems = int_field(K).elements
+    return {elems[v] for v in found}

@@ -136,9 +136,13 @@ class Term:
     def __pow__(self, n: int) -> "Term":
         if n < 0:
             raise ValueError("negative exponent")
-        out = Term.constant(1)
-        for _ in range(n):
-            out = out * self
+        out, base = Term.constant(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- semantics ---------------------------------------------------------

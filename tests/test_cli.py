@@ -111,6 +111,21 @@ def test_nbhd_rational_vanishing_denominator_exit_2():
     assert data["error"]["code"] == "input"
 
 
+def test_nbhd_rational_zero_denominator_is_named():
+    for field in ("Q", "F7"):
+        code, data = payload("nbhd", "rational", "--q", "1/0", "--field", field)
+        assert code == 2
+        assert data["error"] == {"code": "input", "message": "zero denominator in '1/0'"}
+
+
+def test_element_zero_denominator_is_named():
+    for field in ("Q", "F7"):
+        code, data = payload("nbhd", "check", "--field", field,
+                             "--elements", "1,1/0", "--target", "1")
+        assert code == 2
+        assert data["error"] == {"code": "input", "message": "zero denominator in '1/0'"}
+
+
 def test_compile_to_formula():
     code, data = payload("compile", "to-formula", "--field", "F7",
                          "--elements", "1,2", "--target", "2")

@@ -10,6 +10,7 @@ from defifix.fields import (
     element_str,
     enumerate_elements,
     frobenius,
+    int_field,
     make_field,
     parse_element,
 )
@@ -196,3 +197,33 @@ def test_pow_and_arith_dispatch():
     assert arith("neg", a) == K.element(4)
     with pytest.raises(ValueError):
         arith("xor", a, a)
+
+
+KERNEL_SPECS = ["F2", "F3", "F5", "F7", "F13", "F2^2", "F2^3", "F2^4", "F3^2", "F3^3", "F5^2"]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_int_field_agrees_with_field_elements(spec):
+    K = make_field(spec)
+    T = int_field(K)
+    elems = enumerate_elements(K)
+    assert list(T.elements) == elems
+    assert [T.index(a) for a in elems] == list(range(K.order))
+    assert T.elements[0] == K.zero() and T.elements[1] == K.one()
+    for i, a in enumerate(elems):
+        assert elems[T.neg[i]] == -a
+        for j, b in enumerate(elems):
+            assert elems[T.add(i, j)] == a + b
+            assert elems[T.sub(i, j)] == a - b
+            assert elems[T.mul(i, j)] == a * b
+            if j:
+                assert elems[T.div(i, j)] == a / b
+    with pytest.raises(ZeroDivisionError):
+        T.div(1, 0)
+
+
+def test_int_field_is_built_once_and_only_for_finite_fields():
+    K = make_field("F3^2")
+    assert int_field(K) is int_field(make_field("F3^2"))
+    with pytest.raises(InfiniteFieldError):
+        int_field(RATIONALS)

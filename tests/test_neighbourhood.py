@@ -109,6 +109,47 @@ def test_oracle_equivalence_small():
             assert got == set(naive_maps(A))
 
 
+def _random_subsets(rng, K, max_size, count):
+    elems = enumerate_elements(K)
+    for _ in range(count):
+        chosen = rng.sample(elems, rng.randint(1, max_size))
+        yield Neighbourhood(K, tuple(chosen), rng.randrange(len(chosen)))
+
+
+# (field, largest subset): the naive oracle walks |K|^|A| maps
+EXTENSION_SAMPLES = [("F2^2", 4), ("F2^3", 4), ("F3^2", 4), ("F5^2", 3)]
+
+
+def test_maps_match_naive_oracle_in_order_over_extensions():
+    rng = random.Random(412)
+    for spec, max_size in EXTENSION_SAMPLES:
+        for A in _random_subsets(rng, make_field(spec), max_size, 12):
+            got = [m.values for m in enumerate_arithmetic_maps(A)]
+            assert got == naive_maps(A), A.to_json()
+
+
+def test_decision_and_caps_match_naive_oracle_over_extensions():
+    # the first witness is the first moving map in product order, and a cap
+    # counts complete maps: it trips exactly when the search needs more
+    rng = random.Random(413)
+    for spec, max_size in EXTENSION_SAMPLES:
+        for A in _random_subsets(rng, make_field(spec), max_size, 12):
+            maps = naive_maps(A)
+            moving = [pos for pos, vals in enumerate(maps, 1) if vals[A.target_index] != A.r]
+            needed = moving[0] if moving else len(maps)
+            verdict = is_neighbourhood(A, cap=needed)
+            assert verdict.yes == (not moving)
+            if moving:
+                assert verdict.witness.values == maps[needed - 1]
+            assert len(enumerate_arithmetic_maps(A, cap=len(maps))) == len(maps)
+            if needed > 1:
+                with pytest.raises(CapExceededError):
+                    is_neighbourhood(A, cap=needed - 1)
+            if len(maps) > 1:
+                with pytest.raises(CapExceededError):
+                    enumerate_arithmetic_maps(A, cap=len(maps) - 1)
+
+
 def test_is_neighbourhood_f4_generator_refuted_by_frobenius():
     elems = tuple(enumerate_elements(F4))
     gen = F4.element([0, 1])

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from _gen import random_existential_formula
 from defifix.errors import CapExceededError, InfiniteFieldError, NormalizationError
-from defifix.fields import make_field
+from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import (
     And,
     Equal,
@@ -30,6 +31,7 @@ from defifix.normalize import (
 from defifix.terms import Term
 
 F2, F3, F5 = make_field("F2"), make_field("F3"), make_field("F5")
+F7, F4, F9 = make_field("F7"), make_field("F2^2"), make_field("F3^2")
 
 a_eq = parse("x = 1")
 b_eq = parse("y = 1")
@@ -266,6 +268,40 @@ def test_solve_system_requires_finite_field():
         solve_system(s, make_field("Q"))
 
 
+def _product_order_solutions(s, K):
+    """Every assignment of the variable table, in itertools.product order,
+    filtered by the atoms."""
+    elems = enumerate_elements(K)
+    out = []
+    for vals in itertools.product(elems, repeat=len(s.variables)):
+        ok = all(
+            vals[a.i].is_one if isinstance(a, One)
+            else vals[a.i] + vals[a.j] == vals[a.k] if isinstance(a, Plus)
+            else vals[a.i] * vals[a.j] == vals[a.k]
+            for a in s.atoms
+        )
+        if ok:
+            out.append(dict(zip(s.variables, vals)))
+    return out
+
+
+def test_solve_system_matches_product_order_oracle():
+    # random small systems, repeated places included (x + y = x pins y = 0)
+    rng = random.Random(411)
+    for K in (F3, F4, F5):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            atoms = []
+            for _ in range(rng.randint(0, 4)):
+                kind = rng.choice([One, Plus, Plus, Times, Times])
+                if kind is One:
+                    atoms.append(One(rng.randrange(n)))
+                else:
+                    atoms.append(kind(*(rng.randrange(n) for _ in range(3))))
+            s = ConstraintSystem(tuple(f"v{i}" for i in range(n)), tuple(atoms), 0)
+            assert solve_system(s, K) == _product_order_solutions(s, K), s.to_text()
+
+
 def test_normalized_formula_validation():
     with pytest.raises(NormalizationError):
         NormalizedFormula((), "x")
@@ -278,7 +314,7 @@ def test_end_to_end_preservation_sample():
     for _ in range(60):
         f = random_existential_formula(rng)
         nf = normalize(f)
-        for K in (F2, F3, F5):
+        for K in (F2, F3, F5, F7, F4, F9):
             assert normalized_definable_set(nf, K) == definable_set(f, K, "x"), (
                 f"mismatch over {K.spec()} for {f}"
             )

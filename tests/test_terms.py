@@ -5,6 +5,7 @@ import pytest
 
 from defifix.errors import EvaluationError
 from defifix.fields import enumerate_elements, make_field
+from defifix.formulas import parse
 from defifix.terms import Term
 
 x, y, z = Term.variable("x"), Term.variable("y"), Term.variable("z")
@@ -109,3 +110,18 @@ def test_degree_and_pow():
     assert x**0 == Term.constant(1)
     with pytest.raises(ValueError):
         x ** (-1)
+
+
+def test_pow_matches_repeated_multiplication():
+    for t in (x, x + 1, 2 * x * y - y + 3, Fraction(1, 2) * x - z, Term.zero()):
+        product = Term.constant(1)
+        for n in range(8):
+            assert t**n == product, (t, n)
+            product = product * t
+
+
+def test_pow_huge_exponent_of_a_variable():
+    # square-and-multiply: about log2(n) products, not n
+    f = parse("x^100000000 = 1")
+    assert f.lhs == Term((((("x", 100000000),), 1),))
+    assert (x * y) ** 10**9 == Term((((("x", 10**9), ("y", 10**9)), 1),))

@@ -34,7 +34,7 @@ from .errors import (
     NotSingletonError,
 )
 from .fields import FieldDescriptor, FieldElement, element_str, enumerate_elements, make_field
-from .formulas import definable_set, evaluate, free_variables, parse, parse_term, print_formula
+from .formulas import evaluate, free_variables, parse, parse_term, print_formula
 from .neighbourhood import (
     DEFAULT_MAP_CAP,
     Neighbourhood,
@@ -116,10 +116,6 @@ def _ordered(K: FieldDescriptor, elements) -> list[str]:
     """Element strings in field enumeration order (finite fields only)."""
     chosen = set(elements)
     return [element_str(a) for a in enumerate_elements(K) if a in chosen]
-
-
-def _nbhd_payload(A: Neighbourhood) -> dict:
-    return A.to_json()
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -269,11 +265,11 @@ def _cmd_compile_to_formula(args):
 def _cmd_compile_from_formula(args):
     K = make_field(args.field)
     f = parse(_read_formula_text(args))
-    A = formula_to_neighbourhood(f, K)
+    A = formula_to_neighbourhood(f, K, _cap(args, DEFAULT_DNF_CAP))
     return 0, {
         "field": K.spec(),
         "formula": print_formula(f),
-        "neighbourhood": _nbhd_payload(A),
+        "neighbourhood": A.to_json(),
     }
 
 

@@ -2,7 +2,8 @@
 
 A neighbourhood's internal addition/multiplication facts written out as a
 conjunction pin its distinguished element; conversely a defining formula's
-witness values assemble back into a neighbourhood.  The single-equation
+witness values, found by the constraint search of `normalize` on its
+normal form, assemble back into a neighbourhood.  The single-equation
 encoder folds the emitted equation system into one polynomial through a
 two-variable form that vanishes only at the origin.
 """
@@ -19,9 +20,14 @@ from .errors import (
     NotSingletonError,
 )
 from .fields import FieldDescriptor, enumerate_elements
-from .formulas import Equal, Exists, Formula, conj, definable_set, free_variables
+from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, facts
-from .normalize import normalize, solve_system
+from .normalize import (
+    DEFAULT_DNF_CAP,
+    ConstraintSearch,
+    normalize,
+    normalized_definable_set,
+)
 from .terms import Term
 
 
@@ -106,40 +112,38 @@ def neighbourhood_to_formula(A: Neighbourhood) -> Formula:
     return _close_existentially(conj(parts), "x1")
 
 
-def formula_to_neighbourhood(f: Formula, K: FieldDescriptor) -> Neighbourhood:
+def formula_to_neighbourhood(
+    f: Formula, K: FieldDescriptor, cap: int = DEFAULT_DNF_CAP
+) -> Neighbourhood:
     """Recover a neighbourhood of the element a defining formula pins down.
 
-    The formula must define a singleton {r} over finite K.  Its normal form
-    is searched disjunct by disjunct; the first satisfiable system's first
-    solution supplies the witness values, and {1, r} plus those values is
-    the answer.
+    The formula must define a singleton {r} over finite K.  It is normalized
+    once (`cap` bounds the disjunctive normal form) and everything after
+    runs on the constraint search: the definable set is the union of the
+    systems' projections, each value's search stopping at its first
+    witness; the first solution of the first satisfiable system supplies
+    the witness values, and {1, r} plus those values is the answer.
     """
     if not K.is_finite:
         raise InfiniteFieldError("recovering a neighbourhood needs a finite field")
     fv = free_variables(f)
     if len(fv) != 1:
         raise NotSingletonError(f"expected one free variable, found {sorted(fv)}")
-    (free,) = fv
-    target = definable_set(f, K, free)
+    nf = normalize(f, cap)
+    target = normalized_definable_set(nf, K)
     if len(target) != 1:
         raise NotSingletonError(
             f"definable set has {len(target)} elements", definable=target
         )
     (r,) = target
-    for system in normalize(f).systems:
-        solutions = solve_system(system, K)
-        if not solutions:
+    for system in nf.systems:
+        search = ConstraintSearch(system, K)
+        witness = next(search.solutions(), None)
+        if witness is None:
             continue
-        # a satisfiable disjunct can only project onto the singleton
-        projection = {s[system.free_var] for s in solutions}
-        if projection != {r}:
-            raise NoSatisfiableDisjunctError(
-                "disjunct projection disagrees with the definable set"
-            )
-        witness = solutions[0]
-        ordered = [K.one(), r] + [witness[name] for name in system.variables]
+        elems = search.kernel.elements
         elements = []
-        for a in ordered:
+        for a in [K.one(), r] + [elems[v] for v in witness]:
             if a not in elements:
                 elements.append(a)
         return Neighbourhood(K, tuple(elements), elements.index(r))

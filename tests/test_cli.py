@@ -158,6 +158,25 @@ def test_compile_from_formula_not_singleton_lists_set():
     assert data["definable"] == ["[0]", "[1]", "[4]"]
 
 
+def test_compile_from_formula_honours_cap():
+    argv = ("compile", "from-formula", "--field", "F5", "--formula", "x = 1 | x = 2")
+    code, data = payload(*argv, "--cap", "1")
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+    code, data = payload(*argv)
+    assert code == 1
+    assert data["error"]["code"] == "not-singleton"
+
+
+def test_compile_from_formula_outside_fragment_exit_2():
+    # normalization comes before the singleton check, for any definable set
+    for text in ("forall y. x = x", "P(x)"):
+        code, data = payload("compile", "from-formula", "--field", "F5", "--formula", text)
+        assert code == 2
+        assert data["error"]["code"] == "normalization"
+        assert "definable" not in data
+
+
 def test_compile_single_eq_prefer_linear():
     code, data = payload("compile", "single-eq", "--field", "F7",
                          "--elements", "0,1,2", "--target", "2",

@@ -1,8 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from _gen import random_existential_formula
+from defifix import formulas
 from defifix.compiler import (
     RootlessPolynomial,
     combine_equations,
@@ -20,7 +23,8 @@ from defifix.errors import (
 )
 from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import definable_set, free_variables, parse, print_formula
-from defifix.neighbourhood import is_neighbourhood, nbhd_rational, neighbourhood
+from defifix.neighbourhood import Neighbourhood, is_neighbourhood, nbhd_rational, neighbourhood
+from defifix.normalize import normalize, solve_system
 from defifix.terms import Term
 
 Q = make_field("Q")
@@ -90,6 +94,72 @@ def test_round_trip_f5():
         B = formula_to_neighbourhood(f, F5)
         assert B.r == F5.element(c)
         assert is_neighbourhood(B).yes
+
+
+def _reference_recovery(f, K):
+    """Brute-force definable set, then the first solution of the first
+    satisfiable disjunct: ("ok", elements, target_index) or
+    ("not-singleton", definable)."""
+    (free,) = free_variables(f)
+    target = definable_set(f, K, free)
+    if len(target) != 1:
+        return "not-singleton", target
+    (r,) = target
+    for system in normalize(f).systems:
+        solutions = solve_system(system, K)
+        if solutions:
+            ordered = [K.one(), r] + [solutions[0][name] for name in system.variables]
+            elements = list(dict.fromkeys(ordered))
+            return "ok", tuple(elements), elements.index(r)
+    raise AssertionError("a singleton with no satisfiable disjunct")
+
+
+def test_recovery_matches_brute_force_reference():
+    rng = random.Random(4099)
+    outcomes = set()
+    for K in (F5, F7, F4, F9):
+        for _ in range(50):
+            f = random_existential_formula(rng)
+            want = _reference_recovery(f, K)
+            outcomes.add(want[0])
+            if want[0] == "ok":
+                A = formula_to_neighbourhood(f, K)
+                assert (A.elements, A.target_index) == want[1:], print_formula(f)
+            else:
+                with pytest.raises(NotSingletonError) as e:
+                    formula_to_neighbourhood(f, K)
+                assert e.value.definable == want[1], print_formula(f)
+    assert outcomes == {"ok", "not-singleton"}
+
+
+def test_round_trip_extension_fields():
+    rng = random.Random(8191)
+    for K in (F4, F9):
+        elems = list(enumerate_elements(K))
+        accepted = 0
+        while accepted < 12:
+            chosen = rng.sample(elems, rng.randint(1, 4))
+            A = Neighbourhood(K, tuple(chosen), rng.randrange(len(chosen)))
+            if not is_neighbourhood(A).yes:
+                continue
+            accepted += 1
+            B = formula_to_neighbourhood(neighbourhood_to_formula(A), K)
+            assert B.r == A.r
+            assert is_neighbourhood(B).yes
+
+
+def test_recovery_does_not_evaluate(monkeypatch):
+    A = nbhd_rational(Fraction(123, 7), make_field("F13"))
+    f = neighbourhood_to_formula(A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force evaluation on the recovery path")
+
+    monkeypatch.setattr(formulas, "evaluate", refuse)
+    monkeypatch.setattr(Term, "evaluate", refuse)
+    B = formula_to_neighbourhood(f, A.field)
+    assert B.r == A.r == A.field.element(12)
+    assert is_neighbourhood(B).yes
 
 
 def test_find_rootless_goldens():

@@ -65,26 +65,23 @@ def _kept_facts(A: Neighbourhood):
     return ones, sums, products
 
 
-def _names(A: Neighbourhood, free_name: str) -> dict[int, str]:
-    # distinguished element first, the rest numbered from x2 in stored order
-    out = {}
-    counter = 2
-    for idx in range(len(A.elements)):
-        if idx == A.target_index:
-            out[idx] = free_name
-        else:
-            out[idx] = f"x{counter}"
-            counter += 1
-    return out
-
-
-def _mentioned(ones, sums, products) -> set[int]:
-    seen = set(ones)
-    for tri in sums:
-        seen.update(tri)
-    for tri in products:
-        seen.update(tri)
-    return seen
+def _fact_equations(A: Neighbourhood, free_name: str) -> list[tuple[Term, Term]]:
+    """The kept facts as (lhs, rhs) term pairs: A.r is named `free_name`,
+    the other elements x2, x3, ... in stored order."""
+    ones, sums, products = _kept_facts(A)
+    if A.target_index not in set(ones).union(*sums, *products):
+        raise NotDefiningError(
+            "the distinguished element participates in no fact; "
+            "any map moving it alone is arithmetic"
+        )
+    others = (i for i in range(len(A.elements)) if i != A.target_index)
+    v = {i: Term.variable(f"x{n}") for n, i in enumerate(others, 2)}
+    v[A.target_index] = Term.variable(free_name)
+    return (
+        [(v[i], Term.constant(1)) for i in ones]
+        + [(v[i] + v[j], v[k]) for i, j, k in sums]
+        + [(v[i] * v[j], v[k]) for i, j, k in products]
+    )
 
 
 def _close_existentially(body: Formula, free_name: str) -> Formula:
@@ -98,17 +95,7 @@ def _close_existentially(body: Formula, free_name: str) -> Formula:
 def neighbourhood_to_formula(A: Neighbourhood) -> Formula:
     """Existential formula with free variable x1 whose sole solution is A.r,
     provided A really is a neighbourhood of it."""
-    ones, sums, products = _kept_facts(A)
-    if A.target_index not in _mentioned(ones, sums, products):
-        raise NotDefiningError(
-            "the distinguished element participates in no fact; "
-            "any map moving it alone is arithmetic"
-        )
-    names = _names(A, "x1")
-    v = {i: Term.variable(names[i]) for i in range(len(A.elements))}
-    parts = [Equal(v[i], Term.constant(1)) for i in ones]
-    parts += [Equal(v[i] + v[j], v[k]) for i, j, k in sums]
-    parts += [Equal(v[i] * v[j], v[k]) for i, j, k in products]
+    parts = [Equal(lhs, rhs) for lhs, rhs in _fact_equations(A, "x1")]
     return _close_existentially(conj(parts), "x1")
 
 
@@ -295,27 +282,7 @@ def compile_singleton(A: Neighbourhood, prefer_linear: bool = False) -> Formula:
         linear = _linear_equation(A)
         if linear is not None:
             return linear
-    ones, sums, products = _kept_facts(A)
-    if A.target_index not in _mentioned(ones, sums, products):
-        raise NotDefiningError(
-            "the distinguished element participates in no fact; "
-            "any map moving it alone is arithmetic"
-        )
-    names = _names(A, "x")
-    v = {i: Term.variable(names[i]) for i in range(len(A.elements))}
-    eqs = [v[i] - 1 for i in ones]
-    eqs += [v[i] + v[j] - v[k] for i, j, k in sums]
-    eqs += [v[i] * v[j] - v[k] for i, j, k in products]
+    eqs = [lhs - rhs for lhs, rhs in _fact_equations(A, "x")]
     T = combine_equations(eqs, homogenize(find_rootless(A.field)))
     return _close_existentially(Equal(T, Term.zero()), "x")
 
-
-def term_to_json(t: Term) -> dict:
-    """Sparse-monomial rendering with coefficients as strings."""
-    return {
-        "variables": sorted(t.free_variables()),
-        "monomials": [
-            {"coefficient": str(c), "powers": {v: e for v, e in m}}
-            for m, c in t.coeffs
-        ],
-    }

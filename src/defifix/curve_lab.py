@@ -24,8 +24,9 @@ from .terms import Term
 DEFAULT_CLOSURE_CAP = 10**6
 
 
-def abscissa_set(g: Term, K: FieldDescriptor) -> list[FieldElement]:
-    """{u : some s has g(u,s)=0}, in field enumeration order."""
+def _first_partners(g: Term, K: FieldDescriptor) -> list[tuple[FieldElement, FieldElement]]:
+    """(u, s) with s the first partner of u in enumeration order, for every
+    abscissa u of g = 0 in enumeration order."""
     if not K.is_finite:
         raise InfiniteFieldError("abscissa scan needs a finite field")
     elems = enumerate_elements(K)
@@ -33,9 +34,14 @@ def abscissa_set(g: Term, K: FieldDescriptor) -> list[FieldElement]:
     for u in elems:
         for s in elems:
             if g.evaluate({"x": u, "y": s}, K).is_zero:
-                out.append(u)
+                out.append((u, s))
                 break
     return out
+
+
+def abscissa_set(g: Term, K: FieldDescriptor) -> list[FieldElement]:
+    """{u : some s has g(u,s)=0}, in field enumeration order."""
+    return [u for u, _ in _first_partners(g, K)]
 
 
 def coefficient_table(g: Term) -> tuple[int, dict]:
@@ -117,16 +123,11 @@ class CurveData:
         m, h = coefficient_table(g)
         if K.characteristic <= m:
             raise ValueError(f"need characteristic > {m}")
-        abscissas = abscissa_set(g, K)
-        if not abscissas:
+        points = _first_partners(g, K)
+        if not points:
             raise ValueError("the curve has no points over this field")
-        witnesses = []
-        for u in abscissas:
-            for s in enumerate_elements(K):
-                if g.evaluate({"x": u, "y": s}, K).is_zero:
-                    witnesses.append(s)
-                    break
-        return cls(g, K, m, h, tuple(abscissas), tuple(witnesses))
+        abscissas, witnesses = zip(*points)
+        return cls(g, K, m, h, abscissas, witnesses)
 
     @property
     def n(self) -> int:
@@ -157,7 +158,6 @@ class ClosureRecipe:
     w_image: tuple[FieldElement, ...]
     scaled_monomials: tuple[FieldElement, ...]
     products: tuple[tuple[FieldElement, ...], ...]
-    sum_closure: tuple[FieldElement, ...]
     differences: tuple[FieldElement, ...]
 
     def neighbourhood(self, k: int) -> Neighbourhood:
@@ -176,14 +176,6 @@ class ClosureRecipe:
             "elements": [element_str(a) for a in self.elements],
             "targets": [element_str(t) for t in self.targets],
         }
-
-
-def _dedup(items) -> list:
-    out = []
-    for a in items:
-        if a not in out:
-            out.append(a)
-    return out
 
 
 def build_closure(
@@ -205,16 +197,16 @@ def build_closure(
     z = c.witnesses
     n = c.n
     grid = w_set(c.m)
-    w_image = _dedup(K.element(q) for q in grid)
+    w_image = list(dict.fromkeys(K.element(q) for q in grid))
 
-    scaled = []
-    for kk in range(n):
-        for i in range(c.m + 1):
-            for j in range(c.m + 1):
-                power = u[kk] ** i * z[kk] ** j
-                for b in grid:
-                    scaled.append(K.element(b) * power)
-    scaled = _dedup(scaled)
+    # u_k^i * z_k^j by point, then i, then j
+    powers = [
+        [[u[kk] ** i * z[kk] ** j for j in range(c.m + 1)] for i in range(c.m + 1)]
+        for kk in range(n)
+    ]
+    scaled = list(
+        dict.fromkeys(b * pw for point in powers for row in point for pw in row for b in w_image)
+    )
 
     products = tuple(
         tuple(
@@ -224,7 +216,7 @@ def build_closure(
         for kk in range(n)
     )
 
-    block = _dedup(scaled + [a for row in products for a in row])
+    block = list(dict.fromkeys(scaled + [a for row in products for a in row]))
     if mode == "paper":
         if 2 ** len(block) - 1 > cap:
             raise CapExceededError(
@@ -247,7 +239,7 @@ def build_closure(
                     coeff = c.h[(i, j)]
                     if coeff == 0:
                         continue
-                    term = K.element(coeff) * u[kk] ** i * z[kk] ** j
+                    term = K.element(coeff) * powers[kk][i][j]
                     running = term if running is None else running + term
                     closure.append(running)
         for row in products:
@@ -264,11 +256,9 @@ def build_closure(
     differences += [d.inverse() for d in differences]
 
     if mode == "paper":
-        assembled = _dedup(closure + differences)
+        assembled = list(dict.fromkeys(closure + differences))
     else:
-        assembled = _dedup(
-            w_image + scaled + [a for row in products for a in row] + closure + differences
-        )
+        assembled = list(dict.fromkeys(w_image + block + closure + differences))
     if len(assembled) > cap:
         raise CapExceededError(f"closure size {len(assembled)} exceeds cap {cap}")
 
@@ -280,7 +270,6 @@ def build_closure(
         w_image=tuple(w_image),
         scaled_monomials=tuple(scaled),
         products=products,
-        sum_closure=tuple(closure),
         differences=tuple(differences),
     )
 

@@ -363,21 +363,6 @@ def make_field(spec: str) -> FieldDescriptor:
     return FieldDescriptor(p, modulus)
 
 
-def arith(op: str, a: FieldElement, b: FieldElement | None = None) -> FieldElement:
-    """Apply a named field operation; `inv` and `neg` take one operand."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def enumerate_elements(field: FieldDescriptor) -> list[FieldElement]:
     """All elements of a finite field, in base-p counting order of the
     coefficient vector (so the prime subfield comes first as 0, 1, ..., p-1)."""

@@ -386,7 +386,7 @@ def print_formula(f: Formula) -> str:
 # -- structural helpers --------------------------------------------------------
 
 
-def free_variables(f: Formula) -> set[str]:
+def _variables(f: Formula, keep_bound: bool) -> set[str]:
     if isinstance(f, Equal):
         return f.lhs.free_variables() | f.rhs.free_variables()
     if isinstance(f, PredicateApp):
@@ -395,40 +395,27 @@ def free_variables(f: Formula) -> set[str]:
             out |= a.free_variables()
         return out
     if isinstance(f, Not):
-        return free_variables(f.body)
+        return _variables(f.body, keep_bound)
     if isinstance(f, (And, Or)):
         out = set()
         for p in f.parts:
-            out |= free_variables(p)
+            out |= _variables(p, keep_bound)
         return out
     if isinstance(f, (Implies, Iff)):
-        return free_variables(f.lhs) | free_variables(f.rhs)
+        return _variables(f.lhs, keep_bound) | _variables(f.rhs, keep_bound)
     if isinstance(f, (Exists, ForAll)):
-        return free_variables(f.body) - {f.var}
+        body = _variables(f.body, keep_bound)
+        return body | {f.var} if keep_bound else body - {f.var}
     raise TypeError(f"not a formula: {f!r}")
+
+
+def free_variables(f: Formula) -> set[str]:
+    return _variables(f, keep_bound=False)
 
 
 def all_variables(f: Formula) -> set[str]:
     """Free and bound variable names together."""
-    if isinstance(f, Equal):
-        return f.lhs.free_variables() | f.rhs.free_variables()
-    if isinstance(f, PredicateApp):
-        out: set[str] = set()
-        for a in f.args:
-            out |= a.free_variables()
-        return out
-    if isinstance(f, Not):
-        return all_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= all_variables(p)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return all_variables(f.lhs) | all_variables(f.rhs)
-    if isinstance(f, (Exists, ForAll)):
-        return all_variables(f.body) | {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return _variables(f, keep_bound=True)
 
 
 def desugar(f: Formula) -> Formula:

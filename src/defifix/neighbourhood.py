@@ -11,8 +11,10 @@ per element (`fact_system`); its solutions are exactly the arithmetic
 maps, so the maps are enumerated by the same search that solves
 normalized formulas (`normalize.ConstraintSearch`), over the field's
 integer tables. Over any field (the infinite-field path) a one-sided
-certificate is available: iterate the forced-value closure and report
-Certified only when f(r)=r is pinned.
+certificate is available: close the set of forced elements under the
+facts and report Certified only when r is among them. The identity on A
+is always an arithmetic map, so a forced value can only be the element
+itself, and the closure needs no field arithmetic.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class FactSet:
     ones: frozenset[int]
     sums: frozenset[tuple[int, int, int]]
     products: frozenset[tuple[int, int, int]]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.ones or self.sums or self.products)
 
 
 def facts(A: Neighbourhood) -> FactSet:
@@ -189,45 +187,35 @@ def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
 def certify_by_propagation(A: Neighbourhood) -> bool:
     """Sound one-sided check valid over any field: True (Certified) only
     when the forced-value closure pins f(r)=r. False means Unknown, not
-    refuted. Forcing rules: f(1)=1; a+a=a forces f(a)=0; a sum triple with
-    two values known forces the third; a product triple likewise, dividing
-    only by known nonzero values."""
+    refuted.
+
+    The identity on A is an arithmetic map, so every value the facts force
+    is the element itself, and the closure only tracks which indices are
+    forced, with no field arithmetic. Forcing rules: f(1)=1; a+b=a forces
+    f(b)=0; a sum or product triple with exactly one unforced place forces
+    it, a product solving for a factor only when the other factor is
+    nonzero. Over a finite field this is the root propagation of
+    `normalize.ConstraintSearch` on `fact_system(A)`."""
     fs = facts(A)
-    known: dict[int, FieldElement] = {}
-    one = A.field.one()
     zero = A.field.zero()
-    for i in fs.ones:
-        known[i] = one
-    for (i, j, k) in fs.sums:
-        if i == j == k:
-            known[i] = zero
-    changed = True
-    while changed:
-        changed = False
-
-        def learn(i: int, v: FieldElement) -> bool:
-            if i in known:
-                if known[i] != v:
-                    raise AssertionError("forced values conflict on a satisfiable fact set")
-                return False
-            known[i] = v
-            return True
-
-        for (i, j, k) in fs.sums:
-            if i in known and j in known and k not in known:
-                changed |= learn(k, known[i] + known[j])
-            elif i in known and k in known and j not in known:
-                changed |= learn(j, known[k] - known[i])
-            elif j in known and k in known and i not in known:
-                changed |= learn(i, known[k] - known[j])
-        for (i, j, k) in fs.products:
-            if i in known and j in known and k not in known:
-                changed |= learn(k, known[i] * known[j])
-            elif i in known and k in known and j not in known and known[i] != zero:
-                changed |= learn(j, known[k] / known[i])
-            elif j in known and k in known and i not in known and known[j] != zero:
-                changed |= learn(i, known[k] / known[j])
-    return known.get(A.target_index) == A.r
+    incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in A.elements]
+    for is_product, triples in ((False, fs.sums), (True, fs.products)):
+        for t in triples:
+            for i in set(t):
+                incidence[i].append((is_product, *t))
+    known = set(fs.ones) | {j for i, j, k in fs.sums if k == i}
+    queue = list(known)
+    while queue:
+        for is_product, i, j, k in incidence[queue.pop()]:
+            unknown = [x for x in (i, j, k) if x not in known]
+            if len(unknown) != 1:
+                continue
+            (x,) = unknown
+            if is_product and x != k and A.elements[j if x == i else i] == zero:
+                continue
+            known.add(x)
+            queue.append(x)
+    return A.target_index in known
 
 
 # -- combinators -----------------------------------------------------------------

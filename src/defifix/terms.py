@@ -90,10 +90,6 @@ class Term:
     def free_variables(self) -> set[str]:
         return {v for m, _ in self.coeffs for v, _ in m}
 
-    def terms(self) -> list["Term"]:
-        """Monomial summands as single-term polynomials, in print order."""
-        return [Term((mc,)) for mc in self.coeffs]
-
     def as_dict(self) -> dict[Monomial, Coefficient]:
         return dict(self.coeffs)
 

@@ -14,7 +14,6 @@ from defifix.compiler import (
     formula_to_neighbourhood,
     homogenize,
     neighbourhood_to_formula,
-    term_to_json,
 )
 from defifix.errors import (
     InfiniteFieldError,
@@ -300,14 +299,3 @@ def test_linear_shortcut_falls_back_outside_prime_subfield():
     assert free_variables(g) == {"x"}
     assert print_formula(g).startswith("exists x2. ")
 
-
-def test_term_json():
-    t = 5 * x**2 - x * Term.variable("y") + 3
-    assert term_to_json(t) == {
-        "variables": ["x", "y"],
-        "monomials": [
-            {"coefficient": "5", "powers": {"x": 2}},
-            {"coefficient": "-1", "powers": {"x": 1, "y": 1}},
-            {"coefficient": "3", "powers": {}},
-        ],
-    }

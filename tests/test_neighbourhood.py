@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
-from defifix.fields import enumerate_elements, frobenius, make_field
+from defifix.fields import FieldElement, enumerate_elements, frobenius, make_field
 from defifix.neighbourhood import (
     Decision,
     Neighbourhood,
     certify_by_propagation,
     combine,
     enumerate_arithmetic_maps,
+    fact_system,
     facts,
     fixed_subfield,
     is_neighbourhood,
     nbhd_rational,
     neighbourhood,
 )
+from defifix.normalize import ConstraintSearch
 
 Q = make_field("Q")
 F3 = make_field("F3")
@@ -190,6 +193,37 @@ def test_certify_chain():
 def test_certify_unrelated_is_unknown():
     A = neighbourhood(Q, [1, Fraction(5, 3)], Fraction(5, 3))
     assert certify_by_propagation(A) is False
+
+
+def test_certify_stays_unknown_without_a_single_unknown_place():
+    # 0 * 5/3 = 0 does not solve for 5/3, since its other factor is zero
+    A = neighbourhood(Q, [1, 0, Fraction(5, 3)], Fraction(5, 3))
+    assert certify_by_propagation(A) is False
+    # 1/2 + 1/2 = 1 and (-1) * (-1) = 1 each leave one element in two places
+    assert certify_by_propagation(neighbourhood(Q, [1, Fraction(1, 2)], Fraction(1, 2))) is False
+    assert certify_by_propagation(neighbourhood(Q, [1, -1], -1)) is False
+
+
+def test_certify_does_no_field_arithmetic(monkeypatch):
+    A = nbhd_rational(Fraction(5, 3), Q)
+    fs = facts(A)
+    monkeypatch.setattr(importlib.import_module("defifix.neighbourhood"), "facts", lambda B: fs)
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic during certification")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(FieldElement, op, refuse)
+    assert certify_by_propagation(A) is True
+
+
+def test_certify_matches_engine_root_propagation():
+    # over a finite field, certification is exactly the engine's root state
+    rng = random.Random(414)
+    for spec, max_size in [("F5", 5), ("F7", 6), ("F11", 7), ("F2^2", 4), ("F2^3", 6), ("F3^2", 7)]:
+        for A in _random_subsets(rng, make_field(spec), max_size, 60):
+            root = ConstraintSearch(fact_system(A), A.field).root
+            assert certify_by_propagation(A) == (root[A.target_index] >= 0), A.to_json()
 
 
 def test_certify_rational_construction():

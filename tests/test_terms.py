@@ -50,11 +50,6 @@ def test_print_order_descending_degree():
     assert str(-(x**2) - 3) == "-x^2 - 3"
 
 
-def test_terms_listing_matches_print_order():
-    t = 1 + x + y**2
-    assert [str(s) for s in t.terms()] == ["y^2", "x", "1"]
-
-
 def test_substitute():
     t = x**2 + y
     assert t.substitute({"x": y}) == y**2 + y

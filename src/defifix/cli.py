@@ -294,10 +294,9 @@ def _cmd_curve_lab(args):
     K = make_field(args.field)
     g = parse_term(args.poly)
     data = curve_lab.CurveData.build(g, K)
-    recipe = curve_lab.build_closure(
-        data, mode=args.mode, cap=_cap(args, curve_lab.DEFAULT_CLOSURE_CAP)
-    )
-    report = curve_lab.verify_closure(data, recipe)
+    cap = _cap(args, curve_lab.DEFAULT_CLOSURE_CAP)
+    recipe = curve_lab.build_closure(data, mode=args.mode, cap=cap)
+    report = curve_lab.verify_closure(data, recipe, cap)
     payload = {
         "curve": data.to_json(),
         "closure": recipe.to_json(),
@@ -392,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = nsub.add_parser("rational", help="build and certify a neighbourhood of a rational")
     sp.add_argument("--q", required=True, help="rational number, e.g. 5/3")
     sp.add_argument("--field", default="Q")
-    sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
 
     comp = sub.add_parser("compile", help="between neighbourhoods and defining formulas")

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fields import FieldDescriptor, enumerate_elements
 from .formulas import Equal, Exists, Formula, conj, free_variables
-from .neighbourhood import Neighbourhood, facts
+from .neighbourhood import Neighbourhood, facts, neighbourhood
 from .normalize import (
     DEFAULT_DNF_CAP,
     ConstraintSearch,
@@ -129,11 +129,7 @@ def formula_to_neighbourhood(
         if witness is None:
             continue
         elems = search.kernel.elements
-        elements = []
-        for a in [K.one(), r] + [elems[v] for v in witness]:
-            if a not in elements:
-                elements.append(a)
-        return Neighbourhood(K, tuple(elements), elements.index(r))
+        return neighbourhood(K, [K.one(), r, *(elems[v] for v in witness)], r)
     raise NoSatisfiableDisjunctError("no disjunct is satisfiable")
 
 

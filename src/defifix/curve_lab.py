@@ -188,14 +188,18 @@ def build_closure(
     log2(cap)).  mode="prefix" keeps only the prefix sums of each point's
     monomial sequence and of each product list M_k — linear-size, and still
     forcing: each prefix chain pins the next partial sum by induction, and
-    any superset of a neighbourhood is one.
+    any superset of a neighbourhood is one.  Both modes take the 2^n - 1
+    products of distinct abscissas, so n must stay within log2(cap) too;
+    that is checked before any product is built.
     """
     if mode not in ("paper", "prefix"):
         raise ValueError(f"unknown mode {mode!r}")
+    n = c.n
+    if 2**n - 1 > cap:
+        raise CapExceededError(f"{n} abscissas give more than {cap} products")
     K = c.field
     u = c.abscissas
     z = c.witnesses
-    n = c.n
     grid = w_set(c.m)
     w_image = list(dict.fromkeys(K.element(q) for q in grid))
 

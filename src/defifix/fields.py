@@ -45,16 +45,6 @@ def _poly_trim(c):
     return c[:n]
 
 
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _poly_trim(out)
-
-
 def _poly_sub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -436,30 +426,6 @@ class IntField:
         for c in reversed(a.value):
             n = n * self.p + c
         return n
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la = self.log[a]
-        z = self.zech[self.log[b] - la]
-        return 0 if z < 0 else self.exp[la + z]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg[b])
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self.exp[self.log[a] - self.log[b]]
 
 
 _INT_FIELDS: dict[FieldDescriptor, IntField] = {}

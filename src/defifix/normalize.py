@@ -8,9 +8,12 @@ three-address atoms over fresh temporaries). Fresh variables are named
 "_t<n>" from a single counter per run, so output is reproducible.
 
 Atomization walks each equation's monomial summands in ascending degree
-order, accumulating a running sum; constants expand as 1+1+...+1 chains
-and monomials as left-folded products, with already-built values reused
-within a system. Only integer coefficients are accepted.
+order, accumulating a running sum. A constant c is c*1, a summand c*m is
+c times the value of m, and a monomial is the left-folded product of its
+variables' powers; multiples n*w and powers w^n are built by doubling
+along the bits of n (as `nbhd_rational` builds integers), so each takes
+O(log n) atoms. Already-built values are reused within a system. Only
+integer coefficients are accepted.
 
 `ConstraintSearch` solves a system over a finite field by propagation and
 backtracking on the integer form of the field (`fields.IntField`). It
@@ -286,16 +289,18 @@ def _times_shape(t: Term) -> tuple[str, str] | None:
 
 
 class _Builder:
-    """Accumulates one ConstraintSystem: variable table, atoms, caches."""
+    """Accumulates one ConstraintSystem: variable table, atoms, and one
+    cache of built values, keyed (Plus, w, n) for n*w, (Times, w, n) for
+    w^n and (Times, m) for a whole monomial m."""
 
     def __init__(self, fresh: _FreshNames, free_var: str | None):
         self.names: list[str] = []
         self.index: dict[str, int] = {}
         self.atoms: list[ThreeAddressAtom] = []
         self.fresh = fresh
-        self.const_cache: dict[int, int] = {}
-        self.mono_cache: dict[Monomial, int] = {}
+        self.cache: dict[tuple, int] = {}
         self.zero_idx: int | None = None
+        self.one_idx: int | None = None
         if free_var is not None:
             self.ensure(free_var)
 
@@ -319,70 +324,65 @@ class _Builder:
         return self.zero_idx
 
     def one_var(self) -> int:
-        if 1 not in self.const_cache:
+        if self.one_idx is None:
             v = self.temp()
             self.emit(One(v))
-            self.const_cache[1] = v
-        return self.const_cache[1]
+            self.one_idx = v
+        return self.one_idx
 
     def equate(self, i: int, j: int):
         if i != j:
             self.emit(Plus(i, self.zero_var(), j))
 
-    def const_value(self, c: int, target: int | None = None) -> int:
-        # value c >= 1, built as a 1+1+...+1 chain with cached prefixes
-        if c == 1:
+    def repeat(self, kind: type, w: int, n: int, target: int | None = None) -> int:
+        # w combined with itself n >= 1 times: n*w under Plus, w^n under
+        # Times. Doubling along the bits of n from the top takes the prefix
+        # k to 2k (kw + kw) and, on a set bit, to 2k+1 (2kw + w); prefixes
+        # are cached, and the last step writes into `target` when given.
+        if n == 1:
             if target is None:
-                return self.one_var()
-            self.emit(One(target))
+                return w
+            self.equate(w, target)
             return target
-        one = self.one_var()
-        cur = one
-        for i in range(2, c + 1):
-            if i in self.const_cache and not (target is not None and i == c):
-                cur = self.const_cache[i]
-                continue
-            dest = target if (target is not None and i == c) else self.temp()
-            self.emit(Plus(cur, one, dest))
-            if target is None or i < c:
-                self.const_cache.setdefault(i, dest)
-            cur = dest
+        cur, k = w, 1
+        for bit in bin(n)[3:]:
+            steps = [(cur, 2 * k), (w, 2 * k + 1)] if bit == "1" else [(cur, 2 * k)]
+            for other, k in steps:
+                if k == n and target is not None:
+                    self.emit(kind(cur, other, target))
+                    return target
+                key = (kind, w, k)
+                if key not in self.cache:
+                    self.cache[key] = self.temp()
+                    self.emit(kind(cur, other, self.cache[key]))
+                cur = self.cache[key]
         return cur
 
     def mono_value(self, m: Monomial, target: int | None = None) -> int:
-        # product of the monomial's variable factors, left-folded
-        if target is None and m in self.mono_cache:
-            return self.mono_cache[m]
-        factors = [v for v, e in m for _ in range(e)]
-        if len(factors) == 1:
-            idx = self.ensure(factors[0])
-            if target is not None:
-                self.equate(idx, target)
-                return target
-            return idx
-        cur = self.ensure(factors[0])
-        for pos, name in enumerate(factors[1:], start=2):
-            last = pos == len(factors)
-            dest = target if (target is not None and last) else self.temp()
-            self.emit(Times(cur, self.ensure(name), dest))
+        # left fold of the variables' powers; each step allocates its
+        # destination before building the next power
+        if target is None and (Times, m) in self.cache:
+            return self.cache[(Times, m)]
+        (v, e), *rest = m
+        cur = self.repeat(Times, self.ensure(v), e, None if rest else target)
+        for pos, (v, e) in enumerate(rest, start=1):
+            dest = target if (target is not None and pos == len(rest)) else self.temp()
+            self.emit(Times(cur, self.repeat(Times, self.ensure(v), e), dest))
             cur = dest
         if target is None:
-            self.mono_cache[m] = cur
+            self.cache[(Times, m)] = cur
         return cur
 
     def term_value(self, m: Monomial, c: int, target: int | None = None) -> int:
-        # value of the summand c * m, c >= 1
+        # value of the summand c * m, c >= 1; a constant is c * 1
         if m == ():
-            return self.const_value(c, target)
+            if c == 1 and target is not None:
+                self.emit(One(target))
+                return target
+            return self.repeat(Plus, self.one_var(), c, target)
         if c == 1:
             return self.mono_value(m, target)
-        w = self.mono_value(m)
-        cur = w
-        for i in range(2, c + 1):
-            dest = target if (target is not None and i == c) else self.temp()
-            self.emit(Plus(cur, w, dest))
-            cur = dest
-        return cur
+        return self.repeat(Plus, self.mono_value(m), c, target)
 
     def side_value(self, terms: list[tuple[Monomial, int]], target: int | None = None) -> int:
         # running sum over the summands, in the order given

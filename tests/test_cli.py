@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import time
 
+from defifix import curve_lab
 from defifix.cli import OUTPUT_SCHEMA_VERSION, build_parser, main, render, run
 
 
@@ -48,6 +50,26 @@ def test_normalize_counts():
     assert data["fresh_variables"] == 1
     assert data["free_variable"] == "x"
     assert len(data["systems"]) == 1
+
+
+def test_normalize_example_atoms():
+    code, data = payload("normalize", "--formula", "exists y. ~(y=0) & x*y=1")
+    assert code == 0
+    assert data["systems"] == [
+        {
+            "variables": ["x", "_t1", "_t2", "y", "_t3"],
+            "free_index": 0,
+            "atoms": ["_t1 * y = _t2", "_t2 = 1", "x * y = _t3", "_t3 = 1"],
+        }
+    ]
+
+
+def test_normalize_huge_exponent_is_quick():
+    start = time.perf_counter()
+    code, data = payload("normalize", "--formula", "x^100000000 = 1")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    assert len(data["systems"][0]["atoms"]) <= 2 * (10**8).bit_length()
 
 
 def test_parse_reports_free_variables():
@@ -103,6 +125,12 @@ def test_nbhd_rational_defaults_to_q():
     assert data["field"] == "Q"
     assert data["target"] == "5/3"
     assert data["certified"] is True
+
+
+def test_nbhd_rational_takes_no_cap():
+    # the doubling construction does no search, so there is nothing to cap
+    code, _ = invoke("nbhd", "rational", "--q", "5/3", "--cap", "1")
+    assert code == 2
 
 
 def test_nbhd_rational_vanishing_denominator_exit_2():
@@ -192,6 +220,28 @@ def test_curve_lab_all_claims_hold():
     rep = data["report"]
     assert rep["identity_on_w_image"] is True
     assert all(row["is_neighbourhood"] for row in rep["per_k"])
+
+
+def test_curve_lab_cap_bounds_abscissa_products():
+    # three abscissas over F5 give seven products
+    code, data = payload("curve-lab", "--field", "F5",
+                         "--poly", "y^2 - x^3 - x", "--cap", "6")
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+
+
+def test_curve_lab_cap_reaches_map_enumeration(monkeypatch):
+    caps = []
+    verify = curve_lab.verify_closure
+
+    def spy(data, recipe, cap):
+        caps.append(cap)
+        return verify(data, recipe, cap)
+
+    monkeypatch.setattr(curve_lab, "verify_closure", spy)
+    code, _ = invoke("curve-lab", "--field", "F5", "--poly", "y^2 - x^3 - x", "--cap", "50")
+    assert code == 0
+    assert caps == [50]
 
 
 def test_schema_emit_with_polynomials():

@@ -150,6 +150,14 @@ def test_closure_caps_and_modes():
         build_closure(c, mode="subsets")
 
 
+def test_closure_cap_bounds_abscissa_products():
+    # y = x has 13 abscissas over F13: the 8191 products are refused unbuilt
+    c = CurveData.build(y - x, make_field("F13"))
+    assert c.n == 13
+    with pytest.raises(CapExceededError, match="13 abscissas"):
+        build_closure(c, cap=100)
+
+
 def test_symmetric_formula_degenerate():
     f = symmetric_value_formula(CURVE, 1, 1)
     assert print_formula(f) == (

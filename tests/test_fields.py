@@ -13,6 +13,7 @@ from defifix.fields import (
     make_field,
     parse_element,
 )
+from defifix.normalize import ConstraintSearch, ConstraintSystem, Plus, Times
 
 
 def test_make_field_rationals():
@@ -201,22 +202,32 @@ KERNEL_SPECS = ["F2", "F3", "F5", "F7", "F13", "F2^2", "F2^3", "F2^4", "F3^2", "
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS)
 def test_int_field_agrees_with_field_elements(spec):
+    # the integer arithmetic, as the engine does it, on one-atom systems:
+    # pin two places of x+y=z or x*y=z and read the third
     K = make_field(spec)
     T = int_field(K)
     elems = enumerate_elements(K)
     assert list(T.elements) == elems
     assert [T.index(a) for a in elems] == list(range(K.order))
     assert T.elements[0] == K.zero() and T.elements[1] == K.one()
+    xyz = ("x", "y", "z")
+    plus = ConstraintSearch(ConstraintSystem(xyz, (Plus(0, 1, 2),), 0), K)
+    times = ConstraintSearch(ConstraintSystem(xyz, (Times(0, 1, 2),), 0), K)
+
+    def read(search, pins, var):
+        (solution,) = search.solutions(pins)
+        return elems[solution[var]]
+
     for i, a in enumerate(elems):
         assert elems[T.neg[i]] == -a
         for j, b in enumerate(elems):
-            assert elems[T.add(i, j)] == a + b
-            assert elems[T.sub(i, j)] == a - b
-            assert elems[T.mul(i, j)] == a * b
-            if j:
-                assert elems[T.div(i, j)] == a / b
-    with pytest.raises(ZeroDivisionError):
-        T.div(1, 0)
+            assert read(plus, [(0, i), (1, j)], 2) == a + b
+            assert read(plus, [(1, i), (2, j)], 0) == b - a
+            assert read(plus, [(0, i), (2, j)], 1) == b - a
+            assert read(times, [(0, i), (1, j)], 2) == a * b
+            if i:
+                assert read(times, [(1, i), (2, j)], 0) == b / a
+                assert read(times, [(0, i), (2, j)], 1) == b / a
 
 
 def test_int_field_is_built_once_and_only_for_finite_fields():

@@ -184,6 +184,54 @@ def test_atomize_constant_chain_reuse():
     assert len(ones) == 1
 
 
+@pytest.mark.parametrize("text", ["x^100000 = 1", "x = 100000"])
+def test_atomize_large_exponent_and_constant_by_doubling(text):
+    # 100000 has 17 bits, six of them set: 16 doublings and 5 increments
+    (system,) = normalize(parse(text)).systems
+    assert len(system.atoms) <= 36
+
+
+def test_atomize_thousand_digit_exponent():
+    e = 10**999 + 7
+    (system,) = normalize(parse(f"x^{e} = 1")).systems
+    assert len(system.atoms) <= 2 * e.bit_length()
+    nf = NormalizedFormula((system,), "x")
+    assert normalized_definable_set(nf, F5) == {
+        F5.element(v) for v in range(5) if pow(v, e, 5) == 1
+    }
+
+
+def test_atomize_reuses_a_repeated_multiple():
+    # x*y and 5*x*y are built once; the second equation reuses both
+    system = atomize([parse("5*x*y = 1"), parse("5*x*y + 5 = y")], free_var="x")
+    (product,) = [a for a in system.atoms if isinstance(a, Times)]
+    w = product.k
+    assert sum(a == Plus(w, w, a.k) for a in system.atoms if isinstance(a, Plus)) == 1
+
+
+def _doubling_formulas(n: int) -> list[str]:
+    return [
+        f"x^{n} = {n}",
+        f"{n}*x = 1",
+        f"exists y. x*y^{n} = 1",
+        f"exists y. ({n}*x^{n}*y = 1 & y^2 = {n}*x + y)",
+        f"exists y. ({n}*x*y = 1 & {n}*x*y + {n} = y)",
+        f"exists y. exists z. (x*y^{n} + {n}*z = 1 & z^{n}*y = {n}*x)",
+    ]
+
+
+@pytest.mark.parametrize("spec", ["F5", "F7", "F2^2", "F3^2"])
+def test_doubling_atomization_matches_brute_force(spec):
+    # constants, coefficients and exponents 1..40, alone and in mixed monomials
+    K = make_field(spec)
+    for n in range(1, 41):
+        for text in _doubling_formulas(n):
+            f = parse(text)
+            assert normalized_definable_set(normalize(f), K) == definable_set(f, K, "x"), (
+                f"mismatch over {K.spec()} for {text}"
+            )
+
+
 def test_normalize_single_one_atom():
     nf = normalize(parse("x = 1"))
     assert len(nf.systems) == 1

@@ -4,8 +4,11 @@ A neighbourhood's internal addition/multiplication facts written out as a
 conjunction pin its distinguished element; conversely a defining formula's
 witness values, found by the constraint search of `normalize` on its
 normal form, assemble back into a neighbourhood.  The single-equation
-encoder folds the emitted equation system into one polynomial through a
-two-variable form that vanishes only at the origin.
+encoder turns the emitted equation system into one polynomial that
+vanishes exactly where every equation does: over Q the sum of their
+squares, over a finite field a balanced fold through a two-variable form
+that vanishes only at the origin, so k equations cost a nesting depth of
+ceil(log2 k) rather than k - 1.
 """
 
 from dataclasses import dataclass
@@ -239,16 +242,33 @@ def homogenize(p: RootlessPolynomial) -> Term:
     return out
 
 
+_ROOTLESS_FORMS: dict[FieldDescriptor, Term] = {}
+
+
+def _rootless_form(K: FieldDescriptor) -> Term:
+    """homogenize(find_rootless(K)), found on first use and kept."""
+    B = _ROOTLESS_FORMS.get(K)
+    if B is None:
+        B = _ROOTLESS_FORMS[K] = homogenize(find_rootless(K))
+    return B
+
+
 def combine_equations(eqs, B: Term) -> Term:
-    """Left fold of B over the equations' left-hand sides: the result is
-    zero exactly where every input is."""
+    """Balanced fold of B over the equations' left-hand sides: the first
+    len - len//2 equations and the rest are folded recursively and become
+    B's x and y.  The result is zero exactly where every input is, and for
+    up to three equations it is the left fold B(B(e1, e2), e3).  With k
+    equations its degree is at most deg(B)^ceil(log2 k) times the largest
+    input degree."""
     eqs = list(eqs)
     if not eqs:
         raise ValueError("need at least one equation")
-    T = eqs[0]
-    for e in eqs[1:]:
-        T = B.substitute({"x": T, "y": e})
-    return T
+    if len(eqs) == 1:
+        return eqs[0]
+    half = len(eqs) - len(eqs) // 2
+    left = combine_equations(eqs[:half], B)
+    right = combine_equations(eqs[half:], B)
+    return B.substitute({"x": left, "y": right})
 
 
 def _linear_equation(A: Neighbourhood):
@@ -269,16 +289,22 @@ def _linear_equation(A: Neighbourhood):
 def compile_singleton(A: Neighbourhood, prefer_linear: bool = False) -> Formula:
     """One-equation defining formula: exists x2 ... xm (T(x, x2, ..., xm) = 0).
 
-    The facts of A become polynomials (xi + xj - xk, xi*xj - xk, xi - 1)
-    and are folded into a single T by combine_equations.  With
-    prefer_linear=True an element of the prime-field image short-circuits
-    to w1*x + w0 = 0 with no bound variables.
+    The facts of A become polynomials e_i (xi + xj - xk, xi*xj - xk,
+    xi - 1); a lone one is T itself.  Over Q, T is the sum of the e_i^2,
+    which in an ordered field is zero only when every e_i is.  A finite
+    field has no such flat combiner: by Chevalley-Warning every form in
+    more variables than its degree has a nontrivial zero there, so T is
+    the balanced fold of `combine_equations` through the field's rootless
+    form.  With prefer_linear=True an element of the prime-field image
+    short-circuits to w1*x + w0 = 0 with no bound variables.
     """
     if prefer_linear:
         linear = _linear_equation(A)
         if linear is not None:
             return linear
     eqs = [lhs - rhs for lhs, rhs in _fact_equations(A, "x")]
-    T = combine_equations(eqs, homogenize(find_rootless(A.field)))
+    if A.field.is_finite or len(eqs) == 1:
+        T = combine_equations(eqs, _rootless_form(A.field))
+    else:
+        T = sum((e * e for e in eqs), Term.zero())
     return _close_existentially(Equal(T, Term.zero()), "x")
-

@@ -14,7 +14,9 @@ integer tables. Over any field (the infinite-field path) a one-sided
 certificate is available: close the set of forced elements under the
 facts and report Certified only when r is among them. The identity on A
 is always an arithmetic map, so a forced value can only be the element
-itself, and the closure needs no field arithmetic.
+itself, and the closure needs no field arithmetic. Over Q, `facts`
+narrows the pairs it tests by their residues modulo a prime, so a large
+set costs one C-level pass per element, not Fraction arithmetic per pair.
 """
 
 from __future__ import annotations
@@ -88,20 +90,61 @@ class FactSet:
     products: frozenset[tuple[int, int, int]]
 
 
+# residues of rationals modulo this prime pick the pairs worth testing over
+# Q; the largest prime below 2^30, so a residue is a one-digit Python int
+_RESIDUE_PRIME = (1 << 30) - 35
+
+
+def _pair_candidates(A: Neighbourhood):
+    """For each index i in turn, the indices j >= i to test as a_i + a_j and
+    as a_i * a_j (both commute, so (j, i) gives the same triple): every
+    one over a finite field.  Over Q only the j whose residue modulo a
+    30-bit prime makes the sum or product land on some element's residue,
+    found by C-level map and set intersection over the rest of the row of
+    residues; a collision only costs one exact test.  An element whose
+    denominator the prime divides sends Q to the full scan."""
+    n = len(A.elements)
+    P = _RESIDUE_PRIME
+    if A.field.is_finite or any(a.value.denominator % P == 0 for a in A.elements):
+        for i in range(n):
+            yield range(i, n), range(i, n)
+        return
+    res = [a.value.numerator * pow(a.value.denominator, -1, P) % P for a in A.elements]
+    by_res: dict[int, list[int]] = {}
+    for j, r in enumerate(res):
+        by_res.setdefault(r, []).append(j)
+    landing = set(by_res)
+    sum_landing = landing | {r + P for r in landing}  # a sum of residues is below 2P
+    for i, ri in enumerate(res):
+        row = res[i:]
+        sums = sum_landing.intersection(map(ri.__add__, row))
+        sum_js = [j for s in sums for j in by_res[(s - ri) % P] if j >= i]
+        if not ri:
+            yield sum_js, range(i, n)
+            continue
+        inv = pow(ri, -1, P)
+        products = landing.intersection(map(P.__rmod__, map(ri.__mul__, row)))
+        yield sum_js, [j for h in products for j in by_res[h * inv % P] if j >= i]
+
+
 def facts(A: Neighbourhood) -> FactSet:
-    index = {a: i for i, a in enumerate(A.elements)}
+    """Every sum and product triple inside A, each tested exactly on the
+    pairs `_pair_candidates` offers."""
+    elems = A.elements
+    index = {a: i for i, a in enumerate(elems)}
     one = A.field.one()
-    ones = frozenset(i for i, a in enumerate(A.elements) if a == one)
+    ones = frozenset(i for i, a in enumerate(elems) if a == one)
     sums = set()
     products = set()
-    for i, a in enumerate(A.elements):
-        for j, b in enumerate(A.elements):
-            k = index.get(a + b)
+    for (i, a), (sum_js, product_js) in zip(enumerate(elems), _pair_candidates(A)):
+        for j in sum_js:
+            k = index.get(a + elems[j])
             if k is not None:
-                sums.add((i, j, k))
-            k = index.get(a * b)
+                sums.update(((i, j, k), (j, i, k)))
+        for j in product_js:
+            k = index.get(a * elems[j])
             if k is not None:
-                products.add((i, j, k))
+                products.update(((i, j, k), (j, i, k)))
     return FactSet(ones, frozenset(sums), frozenset(products))
 
 
@@ -256,8 +299,9 @@ def combine(kind: str, *inputs: Neighbourhood, field: FieldDescriptor | None = N
 
 def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     """A neighbourhood of the image of the rational q in K, built from the
-    closure combinators with binary doubling (O(log) size). In
-    characteristic p the denominator must be invertible."""
+    closure combinators with binary doubling (O(log) size), the doubling
+    chains of the integers done in one pass each. In characteristic p the
+    denominator must be invertible."""
     q = Fraction(q)
     c, d = q.numerator, q.denominator
     if K.is_finite and d % K.p == 0:
@@ -266,13 +310,16 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
         return combine("zero", field=K)
 
     def ints(n: int) -> Neighbourhood:
-        # n >= 1, by doubling: A(2m) = add(A(m), A(m)), A(2m+1) = add(A(2m), A(1))
-        if n == 1:
-            return combine("one", field=K)
-        if n % 2 == 0:
-            half = ints(n // 2)
-            return combine("add", half, half)
-        return combine("add", ints(n - 1), combine("one", field=K))
+        # n >= 1 by doubling along the bits of n from the top: k -> 2k, then
+        # 2k + 1 on a set bit.  Each step of add(A(k), A(k)) and
+        # add(A(2k), A(1)) puts its new value first, so the set is the
+        # produced values newest first, first occurrence winning.
+        values = [1]
+        for bit in bin(n)[3:]:
+            values.append(2 * values[-1])
+            if bit == "1":
+                values.append(values[-1] + 1)
+        return neighbourhood(K, reversed(values), values[-1])
 
     if c == 1 and d > 1:
         return combine("inv", ints(d))

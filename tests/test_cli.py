@@ -127,6 +127,16 @@ def test_nbhd_rational_defaults_to_q():
     assert data["certified"] is True
 
 
+def test_nbhd_rational_huge_integer():
+    q = str(10**400)
+    start = time.process_time()
+    code, data = payload("nbhd", "rational", "--field", "Q", "--q", q)
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert data["target"] == q
+    assert data["certified"] is True
+
+
 def test_nbhd_rational_takes_no_cap():
     # the doubling construction does no search, so there is nothing to cap
     code, _ = invoke("nbhd", "rational", "--q", "5/3", "--cap", "1")

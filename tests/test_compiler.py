@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from defifix.errors import (
     NotSingletonError,
 )
 from defifix.fields import enumerate_elements, make_field
-from defifix.formulas import definable_set, free_variables, parse, print_formula
+from defifix.formulas import And, Exists, definable_set, free_variables, parse, print_formula
 from defifix.neighbourhood import Neighbourhood, is_neighbourhood, nbhd_rational, neighbourhood
 from defifix.normalize import normalize, solve_system
 from defifix.terms import Term
@@ -264,9 +265,11 @@ def test_compile_doubling_pair():
 
 
 def test_compile_matches_conjunction_form():
-    # small targets only: the fold squares the degree per fact
-    for K in (F5, F7):
-        for c in range(3):
+    # the brute-force oracle runs over every assignment of the bound
+    # variables, so the targets stop where a few seconds do (F7 4 is in
+    # test_compile_definable_sets_match_conjunction below)
+    for K, top in ((F5, 5), (F7, 4)):
+        for c in range(top):
             A = nbhd_rational(c, K)
             folded = definable_set(compile_singleton(A), K, "x")
             joined = definable_set(neighbourhood_to_formula(A), K, "x1")
@@ -299,3 +302,111 @@ def test_linear_shortcut_falls_back_outside_prime_subfield():
     assert free_variables(g) == {"x"}
     assert print_formula(g).startswith("exists x2. ")
 
+
+
+def _equation(f):
+    """The polynomial of a single-equation formula, under its quantifiers."""
+    while isinstance(f, Exists):
+        f = f.body
+    return f.lhs - f.rhs
+
+
+def _conjunction_polys(A):
+    """The fact polynomials of A's conjunction form, its target named x
+    as in the single equation."""
+    body = neighbourhood_to_formula(A)
+    while isinstance(body, Exists):
+        body = body.body
+    parts = body.parts if isinstance(body, And) else (body,)
+    x1 = {"x1": Term.variable("x")}
+    return [eq.lhs.substitute(x1) - eq.rhs.substitute(x1) for eq in parts]
+
+
+def _left_fold(eqs, B):
+    T = eqs[0]
+    for e in eqs[1:]:
+        T = B.substitute({"x": T, "y": e})
+    return T
+
+
+def test_compile_definable_sets_match_conjunction():
+    gen4 = F4.element([0, 1])
+    cases = [
+        nbhd_rational(-1, F5),
+        nbhd_rational(4, F7),
+        nbhd_rational(4, make_field("F11")),
+        neighbourhood(F4, [0, 1, gen4], 0),
+        nbhd_rational(2, F9),
+        neighbourhood(F9, [1, 2], 1),
+    ]
+    counts = set()
+    for A in cases:
+        K = A.field
+        counts.add(len(_conjunction_polys(A)))
+        folded = definable_set(compile_singleton(A), K, "x")
+        joined = definable_set(neighbourhood_to_formula(A), K, "x1")
+        assert folded == joined == {A.r}, (K.spec(), A.elements)
+    assert min(counts) == 4 and max(counts) == 7
+    # the degree-2 extensions fold through a cubic form
+    assert homogenize(find_rootless(F4)).degree() == homogenize(find_rootless(F9)).degree() == 3
+
+
+def test_sum_of_squares_over_q():
+    rng = random.Random(2718)
+    seen = 0
+    while seen < 25:
+        q = Fraction(rng.randint(-60, 60), rng.randint(1, 15))
+        A = nbhd_rational(q, Q)
+        eqs = _conjunction_polys(A)
+        if len(eqs) < 3:
+            continue
+        seen += 1
+        T = _equation(compile_singleton(A))
+        assert T == sum((e * e for e in eqs), Term.zero())
+        others = (a for i, a in enumerate(A.elements) if i != A.target_index)
+        witness = {"x": A.r, **{f"x{n}": a for n, a in enumerate(others, 2)}}
+        witness = {v: witness[v] for v in T.free_variables()}
+        assert T.evaluate(witness, Q).is_zero
+        for v in witness:
+            # a denominator no element has keeps (a + d)^2 = a^2 out of reach
+            d = Q.element(Fraction(rng.randint(1, 1000), 1009))
+            moved = dict(witness, **{v: witness[v] + d})
+            assert not T.evaluate(moved, Q).is_zero, (q, v)
+
+
+def test_combine_equations_small_counts_are_the_left_fold():
+    u, v, w, z = (Term.variable(n) for n in "uvwz")
+    eqs = [u * v - w, u + 1, v * v - 2 * w, z - u]
+    for K in (F2, F3, F5, F7, F4, F8, F9):
+        B = homogenize(find_rootless(K))
+        for k in (1, 2, 3):
+            assert combine_equations(eqs[:k], B) == _left_fold(eqs[:k], B)
+        pair = B.substitute({"x": eqs[0], "y": eqs[1]})
+        tail = B.substitute({"x": eqs[2], "y": eqs[3]})
+        assert combine_equations(eqs, B) == B.substitute({"x": pair, "y": tail})
+
+
+def test_compiled_degree_follows_the_fold_depth():
+    cases = [(K, c) for K in (F5, F7, make_field("F11"), make_field("F13"), Q)
+             for c in (2, 3, 4, -2, Fraction(1, 2))]
+    cases += [(Q, c) for c in (Fraction(5, 3), Fraction(-7, 12), 100, 10**30)]
+    depths = set()
+    for K, c in cases:
+        A = nbhd_rational(c, K)
+        eqs = _conjunction_polys(A)
+        k = len(eqs)
+        b = homogenize(find_rootless(K)).degree()
+        depth = (k - 1).bit_length()  # ceil(log2 k)
+        depths.add(depth)
+        T = _equation(compile_singleton(A))
+        assert T.degree() <= b**depth * max(e.degree() for e in eqs), (K.spec(), c)
+    assert max(depths) >= 3
+
+
+def test_compile_stays_small_on_seven_or_more_facts():
+    for A in (nbhd_rational(4, F7), nbhd_rational(Fraction(5, 3), Q)):
+        assert len(_conjunction_polys(A)) >= 7
+        start = time.process_time()
+        text = print_formula(compile_singleton(A))
+        assert time.process_time() - start < 1.0
+        assert len(text) < 10_000

@@ -301,6 +301,80 @@ def test_nbhd_rational_negative():
     assert certify_by_propagation(A) is True
 
 
+def _recursive_rational(q, K):
+    """nbhd_rational as a recursion over the combinators: A(2m) is
+    add(A(m), A(m)) and A(2m+1) is add(A(2m), A(1))."""
+    c, d = q.numerator, q.denominator
+    if c == 0:
+        return combine("zero", field=K)
+
+    def ints(n):
+        if n == 1:
+            return combine("one", field=K)
+        if n % 2 == 0:
+            half = ints(n // 2)
+            return combine("add", half, half)
+        return combine("add", ints(n - 1), combine("one", field=K))
+
+    if c == 1 and d > 1:
+        return combine("inv", ints(d))
+    num = ints(abs(c))
+    if c < 0:
+        num = combine("neg", num)
+    if d == 1:
+        return num
+    return combine("mul", num, combine("inv", ints(d)))
+
+
+def test_nbhd_rational_matches_recursive_reference():
+    for K in (Q, F7, make_field("F3^2")):
+        for c in range(-45, 46):
+            for d in range(1, 25):
+                q = Fraction(c, d)
+                if K.is_finite and q.denominator % K.p == 0:
+                    continue
+                want = _recursive_rational(q, K)
+                got = nbhd_rational(q, K)
+                assert (got.elements, got.target_index) == (want.elements, want.target_index), (K.spec(), q)
+
+
+def test_nbhd_rational_huge_integer():
+    A = nbhd_rational(10**400, Q)
+    assert A.r == Q.element(10**400)
+    assert A.elements[-1] == Q.one()
+    assert len(A.elements) <= 2 * 1330  # at most two values per bit
+
+
+def _full_scan_facts(A):
+    index = {a: i for i, a in enumerate(A.elements)}
+    sums, products = set(), set()
+    for (i, a), (j, b) in itertools.product(enumerate(A.elements), repeat=2):
+        if a + b in index:
+            sums.add((i, j, index[a + b]))
+        if a * b in index:
+            products.add((i, j, index[a * b]))
+    return sums, products
+
+
+def test_facts_match_full_scan():
+    rng = random.Random(1931)
+    P = 2**30 - 35  # the residue prime: these values collide modulo it
+    pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(10)]
+    pool += [0, 1, -1, P, P + 1, 2 * P, P * P, Fraction(P + 2, 3), Fraction(2, P + 2)]
+    cases = [Neighbourhood(Q, tuple(Q.element(v) for v in dict.fromkeys(rng.sample(pool, 8))), 0)
+             for _ in range(300)]
+    # a denominator the prime divides takes the full scan
+    cases.append(neighbourhood(Q, [1, 2, Fraction(1, P), Fraction(2, P)], 1))
+    cases += [nbhd_rational(Fraction(c, d), Q) for c, d in ((5, 3), (-7, 12), (1000001, 999))]
+    for K in (F5, F7, F4, make_field("F3^2")):
+        elems = list(enumerate_elements(K))
+        cases += [Neighbourhood(K, tuple(rng.sample(elems, rng.randint(1, len(elems)))), 0)
+                  for _ in range(40)]
+    for A in cases:
+        fs = facts(A)
+        assert (set(fs.sums), set(fs.products)) == _full_scan_facts(A), A.elements
+
+
 def test_fixed_subfield_prime_field_is_everything():
     assert fixed_subfield(F5) == set(enumerate_elements(F5))
 

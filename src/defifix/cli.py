@@ -25,7 +25,12 @@ import sys
 from fractions import Fraction
 
 from . import curve_lab, schemas
-from .compiler import compile_singleton, formula_to_neighbourhood, neighbourhood_to_formula
+from .compiler import (
+    DEFAULT_TERM_CAP,
+    compile_singleton,
+    formula_to_neighbourhood,
+    neighbourhood_to_formula,
+)
 from .errors import (
     CapExceededError,
     DefifixError,
@@ -275,7 +280,7 @@ def _cmd_compile_from_formula(args):
 
 def _cmd_compile_single_eq(args):
     K, A = _make_neighbourhood(args)
-    f = compile_singleton(A, prefer_linear=args.prefer_linear)
+    f = compile_singleton(A, args.prefer_linear, _cap(args, DEFAULT_TERM_CAP))
     return 0, {
         "field": K.spec(),
         "elements": [element_str(a) for a in A.elements],
@@ -351,7 +356,6 @@ def _add_nbhd_args(sp, with_target=True):
     sp.add_argument("--elements", required=True, help="comma-separated element list")
     if with_target:
         sp.add_argument("--target", required=True)
-    sp.add_argument("--cap", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,9 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = nbhd.add_subparsers(dest="subcommand", required=True)
     sp = nsub.add_parser("check", help="decide whether the set pins the target")
     _add_nbhd_args(sp)
+    sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("maps", help="list all arithmetic maps on the set")
     _add_nbhd_args(sp, with_target=False)
+    sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("certify", help="one-sided certification by value propagation")
     _add_nbhd_args(sp)
@@ -406,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = csub.add_parser("single-eq", help="fold the facts into one equation")
     _add_nbhd_args(sp)
     sp.add_argument("--prefer-linear", action="store_true")
+    sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("fixed-field", help="arithmetically fixed elements of a finite field")

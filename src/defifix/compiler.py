@@ -14,15 +14,17 @@ ceil(log2 k) rather than k - 1.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 from .errors import (
+    CapExceededError,
     FieldSpecError,
     InfiniteFieldError,
     NoSatisfiableDisjunctError,
     NotDefiningError,
     NotSingletonError,
 )
-from .fields import FieldDescriptor, enumerate_elements
+from .fields import FieldDescriptor, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, facts, neighbourhood
 from .normalize import (
@@ -32,6 +34,9 @@ from .normalize import (
     normalized_definable_set,
 )
 from .terms import Term
+
+# bound on the monomials a single-equation fold may expand to
+DEFAULT_TERM_CAP = 10**6
 
 
 # -- fact emission ---------------------------------------------------------
@@ -131,8 +136,8 @@ def formula_to_neighbourhood(
         witness = next(search.solutions(), None)
         if witness is None:
             continue
-        elems = search.kernel.elements
-        return neighbourhood(K, [K.one(), r, *(elems[v] for v in witness)], r)
+        element = search.kernel.element
+        return neighbourhood(K, [K.one(), r, *map(element, witness)], r)
     raise NoSatisfiableDisjunctError("no disjunct is satisfiable")
 
 
@@ -146,10 +151,10 @@ def _divisors(n: int) -> list[int]:
 
 def _find_root(poly: Term, var: str, field: FieldDescriptor):
     if field.is_finite:
-        for a in enumerate_elements(field):
-            if poly.evaluate({var: a}, field).is_zero:
-                return a
-        return None
+        T = int_field(field)
+        at = poly.compile(T)
+        root = next((a for a in range(T.q) if at({var: a}) == 0), None)
+        return None if root is None else T.element(root)
     # over Q every root of an integer polynomial is +-(divisor of the
     # constant term)/(divisor of the leading term)
     by_degree = {}
@@ -253,21 +258,31 @@ def _rootless_form(K: FieldDescriptor) -> Term:
     return B
 
 
-def combine_equations(eqs, B: Term) -> Term:
+def combine_equations(eqs, B: Term, cap: int = DEFAULT_TERM_CAP) -> Term:
     """Balanced fold of B over the equations' left-hand sides: the first
     len - len//2 equations and the rest are folded recursively and become
     B's x and y.  The result is zero exactly where every input is, and for
     up to three equations it is the left fold B(B(e1, e2), e3).  With k
     equations its degree is at most deg(B)^ceil(log2 k) times the largest
-    input degree."""
+    input degree.
+
+    Before each substitution the monomial count of its expansion is
+    bounded from above by the sum, over B's monomials x^i y^j, of
+    |left|^i * |right|^j; CapExceededError when that exceeds `cap`."""
     eqs = list(eqs)
     if not eqs:
         raise ValueError("need at least one equation")
     if len(eqs) == 1:
         return eqs[0]
     half = len(eqs) - len(eqs) // 2
-    left = combine_equations(eqs[:half], B)
-    right = combine_equations(eqs[half:], B)
+    left = combine_equations(eqs[:half], B, cap)
+    right = combine_equations(eqs[half:], B, cap)
+    sizes = {"x": len(left.coeffs), "y": len(right.coeffs)}
+    estimate = sum(prod(sizes[v] ** e for v, e in mono) for mono, _ in B.coeffs)
+    if estimate > cap:
+        raise CapExceededError(
+            f"folding {len(eqs)} equations expands to up to {estimate} monomials, over the cap {cap}"
+        )
     return B.substitute({"x": left, "y": right})
 
 
@@ -286,7 +301,9 @@ def _linear_equation(A: Neighbourhood):
     return Equal(q.denominator * x - q.numerator, Term.zero())
 
 
-def compile_singleton(A: Neighbourhood, prefer_linear: bool = False) -> Formula:
+def compile_singleton(
+    A: Neighbourhood, prefer_linear: bool = False, cap: int = DEFAULT_TERM_CAP
+) -> Formula:
     """One-equation defining formula: exists x2 ... xm (T(x, x2, ..., xm) = 0).
 
     The facts of A become polynomials e_i (xi + xj - xk, xi*xj - xk,
@@ -295,8 +312,9 @@ def compile_singleton(A: Neighbourhood, prefer_linear: bool = False) -> Formula:
     field has no such flat combiner: by Chevalley-Warning every form in
     more variables than its degree has a nontrivial zero there, so T is
     the balanced fold of `combine_equations` through the field's rootless
-    form.  With prefer_linear=True an element of the prime-field image
-    short-circuits to w1*x + w0 = 0 with no bound variables.
+    form, whose expansion `cap` bounds.  With prefer_linear=True an element
+    of the prime-field image short-circuits to w1*x + w0 = 0 with no bound
+    variables.
     """
     if prefer_linear:
         linear = _linear_equation(A)
@@ -304,7 +322,7 @@ def compile_singleton(A: Neighbourhood, prefer_linear: bool = False) -> Formula:
             return linear
     eqs = [lhs - rhs for lhs, rhs in _fact_equations(A, "x")]
     if A.field.is_finite or len(eqs) == 1:
-        T = combine_equations(eqs, _rootless_form(A.field))
+        T = combine_equations(eqs, _rootless_form(A.field), cap)
     else:
         T = sum((e * e for e in eqs), Term.zero())
     return _close_existentially(Equal(T, Term.zero()), "x")

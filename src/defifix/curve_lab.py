@@ -9,14 +9,24 @@ k-fold products of distinct abscissas form M_k, and a sum closure over these
 plus the abscissa differences and their inverses assembles the candidate
 set.  Every arithmetic map on the result is then pinned on W(m), sends
 abscissas to abscissas injectively, and so fixes each t_k.
+
+The abscissa scan, the on-curve check and the whole closure construction
+run on the element indices of the field's integer kernel
+(`fields.int_field`), with g compiled once (`Term.compile`); only points
+given by hand in a field whose tables are not built are checked on
+FieldElements, so as not to tabulate a large field for them. Points,
+closure elements, targets and the grid image become FieldElements only
+in `CurveData` and `ClosureRecipe`.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .errors import CapExceededError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, element_str, enumerate_elements
+from .fields import FieldDescriptor, FieldElement, element_str, int_field, int_field_within
 from .formulas import Equal, Exists, Formula, Not, conj
 from .neighbourhood import DEFAULT_MAP_CAP, Neighbourhood, enumerate_arithmetic_maps
 from .terms import Term
@@ -24,16 +34,18 @@ from .terms import Term
 DEFAULT_CLOSURE_CAP = 10**6
 
 
-def _first_partners(g: Term, K: FieldDescriptor) -> list[tuple[FieldElement, FieldElement]]:
-    """(u, s) with s the first partner of u in enumeration order, for every
-    abscissa u of g = 0 in enumeration order."""
+def _first_partners(g: Term, K: FieldDescriptor) -> list[tuple[int, int]]:
+    """(u, s) as element indices of `int_field(K)`, s the first partner of u
+    in enumeration order, for every abscissa u of g = 0 in enumeration
+    order."""
     if not K.is_finite:
         raise InfiniteFieldError("abscissa scan needs a finite field")
-    elems = enumerate_elements(K)
+    T = int_field(K)
+    g_at = g.compile(T)
     out = []
-    for u in elems:
-        for s in elems:
-            if g.evaluate({"x": u, "y": s}, K).is_zero:
+    for u in range(T.q):
+        for s in range(T.q):
+            if g_at({"x": u, "y": s}) == 0:
                 out.append((u, s))
                 break
     return out
@@ -41,7 +53,9 @@ def _first_partners(g: Term, K: FieldDescriptor) -> list[tuple[FieldElement, Fie
 
 def abscissa_set(g: Term, K: FieldDescriptor) -> list[FieldElement]:
     """{u : some s has g(u,s)=0}, in field enumeration order."""
-    return [u for u, _ in _first_partners(g, K)]
+    points = _first_partners(g, K)
+    element = int_field(K).element
+    return [element(u) for u, _ in points]
 
 
 def coefficient_table(g: Term) -> tuple[int, dict]:
@@ -83,11 +97,17 @@ def elementary_symmetric(k: int, values) -> FieldElement:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     K = values[0].field
-    e = [K.one()] + [K.zero()] * k
+    return _symmetric_values(values, operator.add, operator.mul, K.zero(), K.one())[k - 1]
+
+
+def _symmetric_values(values, add, mul, zero, one) -> list:
+    """[t_1, ..., t_n] of the values under the given ring operations, by
+    the product recurrence."""
+    e = [one] + [zero] * len(values)
     for v in values:
-        for i in range(k, 0, -1):
-            e[i] = e[i] + e[i - 1] * v
-    return e[k]
+        for i in range(len(values), 0, -1):
+            e[i] = add(e[i], mul(e[i - 1], v))
+    return e[1:]
 
 
 @dataclass(frozen=True)
@@ -112,8 +132,16 @@ class CurveData:
             raise ValueError("abscissas must be pairwise distinct")
         if len(self.witnesses) != len(self.abscissas):
             raise ValueError("one witness per abscissa")
+        # `build` has made the tables already; a few points given by hand
+        # in a large field are checked on FieldElements instead
+        T = int_field_within(self.field, self.n)
+        if T is None:
+            on_curve = lambda u, z: self.g.evaluate({"x": u, "y": z}, self.field).is_zero
+        else:
+            g_at = self.g.compile(T)
+            on_curve = lambda u, z: g_at({"x": T.index(u), "y": T.index(z)}) == 0
         for u, z in zip(self.abscissas, self.witnesses):
-            if not self.g.evaluate({"x": u, "y": z}, self.field).is_zero:
+            if not on_curve(u, z):
                 raise ValueError(f"({element_str(u)}, {element_str(z)}) is not on the curve")
 
     @classmethod
@@ -126,7 +154,8 @@ class CurveData:
         points = _first_partners(g, K)
         if not points:
             raise ValueError("the curve has no points over this field")
-        abscissas, witnesses = zip(*points)
+        element = int_field(K).element
+        abscissas, witnesses = (tuple(map(element, col)) for col in zip(*points))
         return cls(g, K, m, h, abscissas, witnesses)
 
     @property
@@ -150,15 +179,12 @@ class CurveData:
 
 @dataclass(frozen=True)
 class ClosureRecipe:
-    """The assembled candidate set with its building blocks and targets."""
+    """The assembled candidate set with its targets and the image of W(m)."""
 
     mode: str
     elements: tuple[FieldElement, ...]
     targets: tuple[FieldElement, ...]
     w_image: tuple[FieldElement, ...]
-    scaled_monomials: tuple[FieldElement, ...]
-    products: tuple[tuple[FieldElement, ...], ...]
-    differences: tuple[FieldElement, ...]
 
     def neighbourhood(self, k: int) -> Neighbourhood:
         """The candidate set distinguished at t_k."""
@@ -190,99 +216,81 @@ def build_closure(
     forcing: each prefix chain pins the next partial sum by induction, and
     any superset of a neighbourhood is one.  Both modes take the 2^n - 1
     products of distinct abscissas, so n must stay within log2(cap) too;
-    that is checked before any product is built.
+    that is checked before any product is built.  All of it runs on the
+    element indices of `int_field`; only the recipe's elements, targets and
+    grid image are made FieldElements.
     """
     if mode not in ("paper", "prefix"):
         raise ValueError(f"unknown mode {mode!r}")
     n = c.n
     if 2**n - 1 > cap:
         raise CapExceededError(f"{n} abscissas give more than {cap} products")
-    K = c.field
-    u = c.abscissas
-    z = c.witnesses
-    grid = w_set(c.m)
-    w_image = list(dict.fromkeys(K.element(q) for q in grid))
+    T = int_field(c.field)
+    add, mul, power = T.add, T.mul, T.pow
+    u = [T.index(a) for a in c.abscissas]
+    z = [T.index(a) for a in c.witnesses]
+    w_image = list(dict.fromkeys(map(T.coeff, w_set(c.m))))
 
     # u_k^i * z_k^j by point, then i, then j
     powers = [
-        [[u[kk] ** i * z[kk] ** j for j in range(c.m + 1)] for i in range(c.m + 1)]
+        [[mul(power(u[kk], i), power(z[kk], j)) for j in range(c.m + 1)] for i in range(c.m + 1)]
         for kk in range(n)
     ]
-    scaled = list(
-        dict.fromkeys(b * pw for point in powers for row in point for pw in row for b in w_image)
+    scaled = dict.fromkeys(
+        mul(b, pw) for point in powers for row in point for pw in row for b in w_image
     )
-
-    products = tuple(
-        tuple(
-            _product(K, [u[i] for i in combo])
-            for combo in combinations(range(n), kk + 1)
-        )
+    # M_1, ..., M_n: the products of k distinct abscissas
+    products = [
+        [reduce(mul, (u[i] for i in combo), 1) for combo in combinations(range(n), kk + 1)]
         for kk in range(n)
-    )
+    ]
 
-    block = list(dict.fromkeys(scaled + [a for row in products for a in row]))
+    block = list(dict.fromkeys([*scaled, *(a for row in products for a in row)]))
     if mode == "paper":
         if 2 ** len(block) - 1 > cap:
             raise CapExceededError(
                 f"{len(block)} block values give more than {cap} subset sums"
             )
-        sums = [None] * (1 << len(block))
-        closure = []
-        for mask in range(1, 1 << len(block)):
+        # the sum over a mask is its lowest block value plus the sum over the rest
+        sums = [0] * (1 << len(block))
+        for mask in range(1, len(sums)):
             low = mask & -mask
-            rest = mask ^ low
-            part = block[low.bit_length() - 1]
-            sums[mask] = part if rest == 0 else sums[rest] + part
-            closure.append(sums[mask])
+            sums[mask] = add(sums[mask ^ low], block[low.bit_length() - 1])
+        closure = sums[1:]
     else:
         closure = []
         for kk in range(n):
-            running = None
+            running = 0
             for i in range(c.m + 1):
                 for j in range(c.m + 1):
                     coeff = c.h[(i, j)]
                     if coeff == 0:
                         continue
-                    term = K.element(coeff) * powers[kk][i][j]
-                    running = term if running is None else running + term
+                    running = add(running, mul(T.coeff(coeff), powers[kk][i][j]))
                     closure.append(running)
         for row in products:
-            running = None
+            running = 0
             for a in row:
-                running = a if running is None else running + a
+                running = add(running, a)
                 closure.append(running)
 
-    differences = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                differences.append(u[i] - u[j])
-    differences += [d.inverse() for d in differences]
+    differences = [add(u[i], T.neg[u[j]]) for i in range(n) for j in range(n) if i != j]
+    differences += [T.inv(d) for d in differences]
 
     if mode == "paper":
-        assembled = list(dict.fromkeys(closure + differences))
+        assembled = dict.fromkeys(closure + differences)
     else:
-        assembled = list(dict.fromkeys(w_image + block + closure + differences))
+        assembled = dict.fromkeys(w_image + block + closure + differences)
     if len(assembled) > cap:
         raise CapExceededError(f"closure size {len(assembled)} exceeds cap {cap}")
 
-    targets = tuple(elementary_symmetric(k, u) for k in range(1, n + 1))
+    element = T.element
     return ClosureRecipe(
         mode=mode,
-        elements=tuple(assembled),
-        targets=targets,
-        w_image=tuple(w_image),
-        scaled_monomials=tuple(scaled),
-        products=products,
-        differences=tuple(differences),
+        elements=tuple(map(element, assembled)),
+        targets=tuple(map(element, _symmetric_values(u, add, mul, 0, 1))),
+        w_image=tuple(map(element, w_image)),
     )
-
-
-def _product(K: FieldDescriptor, values) -> FieldElement:
-    out = K.one()
-    for v in values:
-        out = out * v
-    return out
 
 
 def verify_closure(

@@ -5,6 +5,17 @@ canonical form, finite-field elements are coefficient vectors of length k
 (entries reduced mod p) with respect to a fixed monic irreducible modulus.
 Everything here is pure; elements and descriptors hash and compare
 structurally.
+
+`IntField` is the integer kernel of a finite field: elements as their
+index in enumeration order, with table-driven `add`, `mul`, `neg`, `inv`,
+`pow` and coefficient images. The hot loops over finite fields run on it:
+the constraint search, `neighbourhood.facts`, compiled terms
+(`Term.compile`), the brute-force oracle in `formulas`, and the curve
+closures in `curve_lab`. `FieldElement`s are made only at their edges.
+Building it costs O(q), so work that is smaller than the field
+(`facts` of a few elements, one quantifier-free evaluation) asks for it
+through `int_field_within` or not at all, and stays on `FieldElement`s
+in a large field whose tables are not built.
 """
 
 from __future__ import annotations
@@ -385,47 +396,138 @@ def _prime_factors(n: int) -> list[int]:
 class IntField:
     """A finite field with its elements as ints, for search loops.
 
-    Element i is `enumerate_elements(K)[i]`, so 0 is zero, 1 is one and
-    the prime subfield is 0..p-1. Arithmetic goes through tables of
-    O(q) entries built from a primitive element g: `exp[n] = g^n` (two
-    periods, so log sums need no reduction), `log[a]` for a != 0, and the
-    Zech logarithms `zech[n] = log(1 + g^n)`, -1 where 1 + g^n = 0. Then
-    a*b = exp[log a + log b] and a+b = a*(1 + b/a) = exp[log a +
+    Element i is the one whose coefficient vector holds the base-p digits
+    of i, constant term least significant: `enumerate_elements(K)[i]`, so
+    0 is zero, 1 is one and the prime subfield is 0..p-1. `index` and
+    `element` convert at the edges; everything between runs on ints.
+
+    Arithmetic goes through tables of O(q) entries built from the first
+    primitive element g in that order: `exp[n] = g^n` (two periods, so log
+    sums need no reduction), `log[a]` for a != 0 (-1 for 0), `neg[a] = -a`,
+    and the Zech logarithms `zech[n] = log(1 + g^n)`, -1 where 1 + g^n = 0.
+    Then a*b = exp[log a + log b] and a+b = a*(1 + b/a) = exp[log a +
     zech[log b - log a]]; a negative index into `zech` (length q-1) or
-    `exp` wraps round by one period, which is the reduction mod q-1.
+    `exp` wraps round by one period, which is the reduction mod q-1. The
+    tables come from ints alone: multiplication mod p for a prime field,
+    one polynomial product on base-p digit vectors per power otherwise.
+
+    The index operations are `add`, `mul`, `inv`, `pow`, the table `neg`
+    and `coeff`, the image of an int or Fraction coefficient.
     """
 
     def __init__(self, K: FieldDescriptor):
         if not K.is_finite:
             raise InfiniteFieldError("integer arithmetic needs a finite field")
-        self.elements = tuple(enumerate_elements(K))
+        self.field = K
         self.p = p = K.p
         self.q = q = K.order
-        m = q - 1
-        factors = _prime_factors(m)
-        one = K.one()
-        g = next(
-            a for a in self.elements[1:] if all(a ** (m // r) != one for r in factors)
-        )
-        exp = []
+        self.m = m = q - 1
+        exp = _powers_of_first_generator(K)
         log = [-1] * q
-        a = one
-        for n in range(m):
-            i = self.index(a)
-            exp.append(i)
+        for n, i in enumerate(exp):
             log[i] = n
-            a = a * g
         # adding 1 raises the lowest base-p digit of the index by one
         self.zech = tuple(log[i - i % p + (i + 1) % p] for i in exp)
         self.exp = tuple(exp + exp)
         self.log = tuple(log)
-        self.neg = tuple(self.index(-a) for a in self.elements)
+        # negation is digit by digit: the low digit varies fastest
+        digit = [0, *range(p - 1, 0, -1)]
+        neg = digit
+        for _ in range(K.degree - 1):
+            neg = [a + p * b for b in neg for a in digit]
+        self.neg = tuple(neg)
 
     def index(self, a: FieldElement) -> int:
         n = 0
         for c in reversed(a.value):
             n = n * self.p + c
         return n
+
+    def element(self, i: int) -> FieldElement:
+        vec = []
+        for _ in range(self.field.degree):
+            i, c = divmod(i, self.p)
+            vec.append(c)
+        return FieldElement(self.field, tuple(vec))
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self.log
+        z = self.zech[log[b] - log[a]]
+        return 0 if z < 0 else self.exp[log[a] + z]
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero")
+        return self.exp[self.m - self.log[a]]
+
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        if n == 0:
+            return 1
+        return 0 if a == 0 else self.exp[self.log[a] * n % self.m]
+
+    def coeff(self, c: int | Fraction) -> int:
+        """The image of an integer or rational; ZeroDivisionError when the
+        denominator vanishes in the field."""
+        if isinstance(c, Fraction):
+            return self.mul(c.numerator % self.p, self.inv(c.denominator % self.p))
+        return c % self.p
+
+
+def _powers_of_first_generator(K: FieldDescriptor) -> list[int]:
+    """[g^0, ..., g^(q-2)] as element indices, g the first primitive element
+    in index order: the first g with g^((q-1)/r) != 1 for every prime r
+    dividing q-1."""
+    p, q, k = K.p, K.order, K.degree
+    m = q - 1
+    factors = _prime_factors(m)
+    if k == 1:
+        g = next(a for a in range(1, p) if all(pow(a, m // r, p) != 1 for r in factors))
+        out, a = [], 1
+        for _ in range(m):
+            out.append(a)
+            a = a * g % p
+        return out
+    modulus = list(K.modulus)
+
+    def times(a, b):
+        return _poly_mod(_poly_mul(a, b, p), modulus, p)
+
+    def power(a, n):
+        out = [1]
+        while n:
+            if n & 1:
+                out = times(out, a)
+            a = times(a, a)
+            n >>= 1
+        return out
+
+    def digits(i):
+        vec = []
+        while i:
+            i, c = divmod(i, p)
+            vec.append(c)
+        return vec
+
+    g = next(
+        v for v in map(digits, range(1, q)) if all(power(v, m // r) != [1] for r in factors)
+    )
+    weights = [p**d for d in range(k)]
+    out, a = [], [1]
+    for _ in range(m):
+        out.append(sum(c * w for c, w in zip(a, weights)))
+        a = times(a, g)
+    return out
 
 
 _INT_FIELDS: dict[FieldDescriptor, IntField] = {}
@@ -436,6 +538,16 @@ def int_field(K: FieldDescriptor) -> IntField:
     T = _INT_FIELDS.get(K)
     if T is None:
         T = _INT_FIELDS[K] = IntField(K)
+    return T
+
+
+def int_field_within(K: FieldDescriptor, budget: int) -> IntField | None:
+    """`int_field(K)` when its tables are already built or K has at most
+    `budget` elements, else None: for a caller whose own work, done on
+    FieldElements, costs less than the O(q) tables of a large field."""
+    T = _INT_FIELDS.get(K)
+    if T is None and K.order <= budget:
+        T = int_field(K)
     return T
 
 

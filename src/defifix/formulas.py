@@ -1,5 +1,5 @@
 """First-order formulas over the language of rings: AST, parser, printer,
-and brute-force evaluation over finite fields.
+and brute-force evaluation over finite fields, on the integer kernel.
 
 Grammar (precedence from loosest to tightest):
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import EvaluationError, FormulaSyntaxError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, enumerate_elements
+from .fields import FieldDescriptor, FieldElement, IntField, int_field
 from .terms import Term
 
 Formula = Union[
@@ -472,6 +472,106 @@ def substitute_terms(f: Formula, mapping: dict[str, Term]) -> Formula:
 Interpretation = dict[str, set]
 
 
+def _index_table(table: set, K: FieldDescriptor, T: IntField) -> set:
+    """A predicate table with every element of K replaced by its index; an
+    entry holding anything else could never match and is dropped."""
+    out = set()
+    for entry in table:
+        parts = entry if isinstance(entry, tuple) else (entry,)
+        if all(isinstance(a, FieldElement) and a.field == K for a in parts):
+            key = tuple(T.index(a) for a in parts)
+            out.add(key if isinstance(entry, tuple) else key[0])
+    return out
+
+
+def _quantified(f: Formula) -> bool:
+    if isinstance(f, (Exists, ForAll)):
+        return True
+    if isinstance(f, Not):
+        return _quantified(f.body)
+    if isinstance(f, (And, Or)):
+        return any(map(_quantified, f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return _quantified(f.lhs) or _quantified(f.rhs)
+    return False
+
+
+def _truth(f: Formula, K: FieldDescriptor, interp: Interpretation, on_kernel: bool):
+    """f as a function of an assignment dict. With `on_kernel` (finite
+    fields only) the assignment holds element indices of `int_field(K)`,
+    terms run compiled on its tables and quantifiers range over range(q).
+    Otherwise it holds FieldElements, terms use `Term.evaluate`, and a
+    quantifier is an error when reached: the path for Q, and for a single
+    evaluation of a quantifier-free formula, which would not repay the
+    O(q) kernel build."""
+    if on_kernel:
+        T = int_field(K)
+        term = lambda t: t.compile(T)
+        domain = range(T.q)
+        tables = {name: _index_table(table, K, T) for name, table in interp.items()}
+    else:
+        term = lambda t: lambda env: t.evaluate(env, K)
+        domain = None
+        tables = interp
+
+    def build(f: Formula):
+        if isinstance(f, Equal):
+            lhs, rhs = term(f.lhs), term(f.rhs)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(f, PredicateApp):
+            name, args = f.name, [term(a) for a in f.args]
+
+            def apply(env):
+                if name not in tables:
+                    raise EvaluationError(f"predicate {name!r} has no interpretation")
+                values = tuple(a(env) for a in args)
+                table = tables[name]
+                if len(values) == 1:
+                    return values[0] in table or values in table
+                return values in table
+
+            return apply
+        if isinstance(f, Not):
+            body = build(f.body)
+            return lambda env: not body(env)
+        if isinstance(f, And):
+            parts = [build(p) for p in f.parts]
+            return lambda env: all(p(env) for p in parts)
+        if isinstance(f, Or):
+            parts = [build(p) for p in f.parts]
+            return lambda env: any(p(env) for p in parts)
+        if isinstance(f, Implies):
+            lhs, rhs = build(f.lhs), build(f.rhs)
+            return lambda env: (not lhs(env)) or rhs(env)
+        if isinstance(f, Iff):
+            lhs, rhs = build(f.lhs), build(f.rhs)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(f, (Exists, ForAll)):
+            var, body, found = f.var, build(f.body), isinstance(f, Exists)
+
+            def quantify(env):
+                # Exists stops at the first true body, ForAll at the first false
+                if domain is None:
+                    raise InfiniteFieldError("quantifier evaluation needs a finite field")
+                had, shadowed = var in env, env.get(var)
+                try:
+                    for a in domain:
+                        env[var] = a
+                        if body(env) == found:
+                            return found
+                    return not found
+                finally:
+                    if had:
+                        env[var] = shadowed
+                    else:
+                        env.pop(var, None)
+
+            return quantify
+        raise TypeError(f"not a formula: {f!r}")
+
+    return build(f)
+
+
 def evaluate(
     f: Formula,
     K: FieldDescriptor,
@@ -481,52 +581,15 @@ def evaluate(
     """Truth value under an assignment; quantifiers range over all of K
     (finite fields only). Predicate symbols are looked up in `interp` as
     sets of elements (unary) or of element tuples."""
-    assignment = dict(assignment or {})
-    interp = interp or {}
-
-    def run(f: Formula) -> bool:
-        if isinstance(f, Equal):
-            return f.lhs.evaluate(assignment, K) == f.rhs.evaluate(assignment, K)
-        if isinstance(f, PredicateApp):
-            if f.name not in interp:
-                raise EvaluationError(f"predicate {f.name!r} has no interpretation")
-            values = tuple(a.evaluate(assignment, K) for a in f.args)
-            table = interp[f.name]
-            if len(values) == 1:
-                return values[0] in table or values in table
-            return values in table
-        if isinstance(f, Not):
-            return not run(f.body)
-        if isinstance(f, And):
-            return all(run(p) for p in f.parts)
-        if isinstance(f, Or):
-            return any(run(p) for p in f.parts)
-        if isinstance(f, Implies):
-            return (not run(f.lhs)) or run(f.rhs)
-        if isinstance(f, Iff):
-            return run(f.lhs) == run(f.rhs)
-        if isinstance(f, (Exists, ForAll)):
-            if not K.is_finite:
-                raise InfiniteFieldError("quantifier evaluation needs a finite field")
-            shadowed = assignment.get(f.var)
-            had = f.var in assignment
-            try:
-                for a in enumerate_elements(K):
-                    assignment[f.var] = a
-                    if run(f.body):
-                        if isinstance(f, Exists):
-                            return True
-                    elif isinstance(f, ForAll):
-                        return False
-                return isinstance(f, ForAll)
-            finally:
-                if had:
-                    assignment[f.var] = shadowed
-                else:
-                    assignment.pop(f.var, None)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return run(f)
+    on_kernel = K.is_finite and _quantified(f)
+    truth = _truth(f, K, interp or {}, on_kernel)
+    assignment = assignment or {}
+    if on_kernel:
+        T = int_field(K)
+        # only the free variables are read; other entries stay unconverted
+        used = free_variables(f).intersection(assignment)
+        return truth({v: T.index(K.element(assignment[v])) for v in used})
+    return truth(dict(assignment))
 
 
 def definable_set(
@@ -535,7 +598,8 @@ def definable_set(
     free_var: str,
     interp: Interpretation | None = None,
 ) -> set[FieldElement]:
-    """{a in K : f holds at free_var=a}, by brute force."""
+    """{a in K : f holds at free_var=a}, by brute force over the indices of
+    `int_field(K)`; only the members are made FieldElements."""
     fv = free_variables(f)
     if fv != {free_var}:
         raise EvaluationError(
@@ -543,8 +607,6 @@ def definable_set(
         )
     if not K.is_finite:
         raise InfiniteFieldError("definable_set needs a finite field")
-    out = set()
-    for a in enumerate_elements(K):
-        if evaluate(f, K, {free_var: a}, interp):
-            out.add(a)
-    return out
+    truth = _truth(f, K, interp or {}, on_kernel=True)
+    T = int_field(K)
+    return {T.element(a) for a in range(T.q) if truth({free_var: a})}

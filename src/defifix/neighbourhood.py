@@ -6,27 +6,43 @@ and f(a*b)=f(a)*f(b) likewise. A is an arithmetic neighbourhood of r in A
 when every arithmetic map on A fixes r.
 
 Over a finite field the decision is exact. The relation triples holding
-inside A (`facts`) are written as a constraint system with one variable
-per element (`fact_system`); its solutions are exactly the arithmetic
-maps, so the maps are enumerated by the same search that solves
-normalized formulas (`normalize.ConstraintSearch`), over the field's
-integer tables. Over any field (the infinite-field path) a one-sided
-certificate is available: close the set of forced elements under the
-facts and report Certified only when r is among them. The identity on A
-is always an arithmetic map, so a forced value can only be the element
-itself, and the closure needs no field arithmetic. Over Q, `facts`
-narrows the pairs it tests by their residues modulo a prime, so a large
-set costs one C-level pass per element, not Fraction arithmetic per pair.
+inside A (`facts`) are found on the element indices of the field's
+integer kernel (`fields.IntField`): A is converted once and every pair is
+tested with the kernel's `add` and `mul`. The decision builds the kernel
+first, since its search needs it; a caller that only reads the facts of a
+small set in a large field (certification, compilation) tests the pairs
+on FieldElements instead of building O(q) tables. The facts are written as a
+constraint system with one variable per element (`fact_system`); its
+solutions are exactly the arithmetic maps, so the maps are enumerated by
+the same search that solves normalized formulas
+(`normalize.ConstraintSearch`) on the same kernel, and only the maps
+reported are turned back into FieldElements. Over any field (the
+infinite-field path) a one-sided certificate is available: close the set
+of forced elements under the facts and report Certified only when r is
+among them. The identity on A is always an arithmetic map, so a forced
+value can only be the element itself, and the closure needs no field
+arithmetic. Over Q, `facts` works on the Fraction values and narrows the
+pairs it tests by their residues modulo a prime, so a large set costs one
+C-level pass per element, not Fraction arithmetic per pair.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, IntField, element_str, enumerate_elements
+from .fields import (
+    FieldDescriptor,
+    FieldElement,
+    IntField,
+    element_str,
+    enumerate_elements,
+    int_field,
+    int_field_within,
+)
 from .normalize import ConstraintSearch, ConstraintSystem, One, Plus, Times
 
 DEFAULT_MAP_CAP = 10**6
@@ -129,20 +145,33 @@ def _pair_candidates(A: Neighbourhood):
 
 def facts(A: Neighbourhood) -> FactSet:
     """Every sum and product triple inside A, each tested exactly on the
-    pairs `_pair_candidates` offers."""
-    elems = A.elements
-    index = {a: i for i, a in enumerate(elems)}
-    one = A.field.one()
-    ones = frozenset(i for i, a in enumerate(elems) if a == one)
+    pairs `_pair_candidates` offers. Over a finite field this runs on the
+    element indices of `int_field`, with its `add` and `mul`, when those
+    tables are built or cost no more than the |A|^2 pairs (q <= |A|^2);
+    otherwise, as over Q, on the element values themselves, so a small set
+    in a large field never pays for the whole field's tables."""
+    K = A.field
+    T = int_field_within(K, len(A.elements) ** 2) if K.is_finite else None
+    if T is not None:
+        values = [T.index(a) for a in A.elements]
+        add, mul, one = T.add, T.mul, 1
+    elif K.is_finite:
+        values = list(A.elements)
+        add, mul, one = operator.add, operator.mul, K.one()
+    else:
+        values = [a.value for a in A.elements]
+        add, mul, one = operator.add, operator.mul, 1
+    index = {a: i for i, a in enumerate(values)}
+    ones = frozenset(i for i, a in enumerate(values) if a == one)
     sums = set()
     products = set()
-    for (i, a), (sum_js, product_js) in zip(enumerate(elems), _pair_candidates(A)):
+    for (i, a), (sum_js, product_js) in zip(enumerate(values), _pair_candidates(A)):
         for j in sum_js:
-            k = index.get(a + elems[j])
+            k = index.get(add(a, values[j]))
             if k is not None:
                 sums.update(((i, j, k), (j, i, k)))
         for j in product_js:
-            k = index.get(a * elems[j])
+            k = index.get(mul(a, values[j]))
             if k is not None:
                 products.update(((i, j, k), (j, i, k)))
     return FactSet(ones, frozenset(sums), frozenset(products))
@@ -184,6 +213,7 @@ def _map_search(A: Neighbourhood, cap: int) -> tuple[IntField, Iterator[tuple[in
     order, field enumeration order per slot)."""
     if not A.field.is_finite:
         raise InfiniteFieldError("map enumeration needs a finite field")
+    int_field(A.field)  # the search needs the tables, so facts may use them
     search = ConstraintSearch(fact_system(A), A.field)
 
     def maps():
@@ -196,7 +226,7 @@ def _map_search(A: Neighbourhood, cap: int) -> tuple[IntField, Iterator[tuple[in
 
 
 def _arithmetic_map(A: Neighbourhood, T: IntField, vals: tuple[int, ...]) -> ArithmeticMap:
-    return ArithmeticMap(A.elements, tuple(T.elements[v] for v in vals))
+    return ArithmeticMap(A.elements, tuple(T.element(v) for v in vals))
 
 
 def enumerate_arithmetic_maps(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> list[ArithmeticMap]:

@@ -712,9 +712,9 @@ def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, Fiel
     """All satisfying assignments, in lexicographic order of their values
     (variable-table order, field enumeration order per variable)."""
     search = ConstraintSearch(s, K)
-    elems = search.kernel.elements
+    element = search.kernel.element
     return [
-        {name: elems[v] for name, v in zip(s.variables, sol)} for sol in search.solutions()
+        {name: element(v) for name, v in zip(s.variables, sol)} for sol in search.solutions()
     ]
 
 
@@ -724,5 +724,5 @@ def normalized_definable_set(nf: NormalizedFormula, K: FieldDescriptor) -> set[F
     found: set[int] = set()
     for s in nf.systems:
         found |= ConstraintSearch(s, K).projection(found)
-    elems = int_field(K).elements
-    return {elems[v] for v in found}
+    element = int_field(K).element
+    return {element(v) for v in found}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable
 
 from .errors import EvaluationError
 
@@ -172,6 +173,46 @@ class Term:
                 part = part * assignment[v] ** e
             total = total + part
         return total
+
+    def compile(self, T) -> Callable[[dict[str, int]], int]:
+        """The term as a function from an assignment of element indices of
+        the finite field `T` (a `fields.IntField`) to an index, with the
+        same values and errors as `evaluate`.
+
+        Coefficients are reduced once. A monomial c * v1^e1 * ... is then
+        g^(log c + e1 log v1 + ...) through T's tables, zero when c or a
+        variable is; the monomials are summed with `T.add`.
+        """
+        exp, log, add, m = T.exp, T.log, T.add, T.m
+        spec = T.field.spec()
+        monomials = []
+        for mono, c in self.coeffs:
+            try:
+                image = T.coeff(c)
+            except ZeroDivisionError:
+                image = None
+            monomials.append((c, image, tuple((v, e % m) for v, e in mono)))
+
+        def value(env: dict[str, int]) -> int:
+            total = 0
+            for c, image, pairs in monomials:
+                if image is None:
+                    raise EvaluationError(f"coefficient {c} undefined in {spec}")
+                n = log[image]
+                zero = image == 0
+                for v, e in pairs:
+                    a = env.get(v)
+                    if a is None:
+                        raise EvaluationError(f"variable {v!r} has no value")
+                    if a == 0:
+                        zero = True
+                    else:
+                        n += log[a] * e
+                if not zero:
+                    total = add(total, exp[n % m])
+            return total
+
+        return value
 
     def clear_denominators(self) -> tuple["Term", int]:
         """Scale by the least common denominator of the coefficients.

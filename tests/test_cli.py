@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from defifix import curve_lab
+from defifix import curve_lab, fields
 from defifix.cli import OUTPUT_SCHEMA_VERSION, build_parser, main, render, run
 
 
@@ -31,6 +31,20 @@ def test_nbhd_check_yes():
     assert code == 0
     assert data["neighbourhood"] is True
     assert data["elements"] == ["[1]", "[2]"]
+
+
+def test_nbhd_check_large_prime_field_is_quick():
+    # root propagation decides {1, 2}; the kernel of F1000003 is built from
+    # ints, not from a million FieldElements
+    start = time.process_time()
+    try:
+        code, data = payload("nbhd", "check", "--field", "F1000003",
+                             "--elements", "1,2", "--target", "2")
+    finally:
+        fields._INT_FIELDS.pop(fields.make_field("F1000003"), None)
+    assert time.process_time() - start < 3.0
+    assert code == 0
+    assert data["neighbourhood"] is True
 
 
 def test_nbhd_check_no_carries_witness():
@@ -221,6 +235,40 @@ def test_compile_single_eq_prefer_linear():
                          "--prefer-linear")
     assert code == 0
     assert data["formula"] == "x + 5 = 0"
+
+
+def test_compile_single_eq_cap_exceeded():
+    # nbhd_rational(10, F7): 19 kept facts, whose fold would expand to
+    # about 5 * 10^7 monomials; the default cap stops it before the last step
+    start = time.process_time()
+    code, data = payload("compile", "single-eq", "--field", "F7",
+                         "--elements", "3,5,4,2,1", "--target", "3")
+    assert time.process_time() - start < 2.0
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+
+
+def test_compile_single_eq_honours_cap(monkeypatch):
+    argv = ("compile", "single-eq", "--field", "F7", "--elements", "1,2", "--target", "2")
+    code, data = payload(*argv, "--cap", "5")
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+    monkeypatch.setenv("DEFIFIX_CAP", "5")
+    code, data = payload(*argv)
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+    code, data = payload(*argv, "--cap", "1000")
+    assert code == 0
+    assert data["formula"] == "exists x2. x^2 - 4*x*x2 + 5*x2^2 - 2*x2 + 1 = 0"
+
+
+def test_certify_and_to_formula_take_no_cap():
+    # neither runs a search, so there is nothing to cap
+    for sub in (("nbhd", "certify"), ("compile", "to-formula")):
+        code, _ = invoke(*sub, "--field", "F7", "--elements", "1,2", "--target", "2", "--cap", "5")
+        assert code == 2
+        code, _ = invoke(*sub, "--field", "F7", "--elements", "1,2", "--target", "2")
+        assert code == 0
 
 
 def test_curve_lab_all_claims_hold():

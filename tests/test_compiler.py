@@ -17,6 +17,7 @@ from defifix.compiler import (
     neighbourhood_to_formula,
 )
 from defifix.errors import (
+    CapExceededError,
     InfiniteFieldError,
     NotDefiningError,
     NotSingletonError,
@@ -410,3 +411,24 @@ def test_compile_stays_small_on_seven_or_more_facts():
         text = print_formula(compile_singleton(A))
         assert time.process_time() - start < 1.0
         assert len(text) < 10_000
+
+
+def test_combine_equations_cap_bounds_the_expansion():
+    u, v, w = (Term.variable(n) for n in "uvw")
+    B = homogenize(find_rootless(F7))  # x^2 + y^2
+    eqs = [u * v - w, u + v + 1]
+    # sum over B's monomials x^i y^j of |left|^i * |right|^j: 2^2 + 3^2
+    assert combine_equations(eqs, B, cap=13) == B.substitute({"x": eqs[0], "y": eqs[1]})
+    with pytest.raises(CapExceededError, match="up to 13 monomials, over the cap 12"):
+        combine_equations(eqs, B, cap=12)
+    # nbhd_rational(10, F7) keeps 19 facts; the default cap refuses the fold
+    # at its last step, whose estimate is about 5 * 10^7, before expanding it
+    A = nbhd_rational(10, F7)
+    start = time.process_time()
+    with pytest.raises(CapExceededError):
+        compile_singleton(A)
+    assert time.process_time() - start < 2.0
+    f = compile_singleton(nbhd_rational(4, F7))
+    with pytest.raises(CapExceededError):
+        compile_singleton(nbhd_rational(4, F7), cap=100)
+    assert definable_set(f, F7, "x") == {F7.element(4)}

@@ -1,7 +1,11 @@
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, combinations, permutations
 
 import pytest
 
+from defifix import fields
 from defifix.curve_lab import (
     ClosureRecipe,
     CurveData,
@@ -14,8 +18,8 @@ from defifix.curve_lab import (
     w_set,
 )
 from defifix.errors import CapExceededError, InfiniteFieldError
-from defifix.fields import enumerate_elements, make_field
-from defifix.formulas import definable_set, free_variables, print_formula
+from defifix.fields import FieldElement, enumerate_elements, make_field
+from defifix.formulas import definable_set, free_variables, parse_term, print_formula
 from defifix.neighbourhood import is_neighbourhood
 from defifix.terms import Term
 
@@ -110,16 +114,30 @@ def test_closure_covers_field_and_verifies():
 
 
 def test_closure_blocks_inside_assembly():
-    c = CurveData.build(CURVE, F5)
-    recipe = build_closure(c)
-    elements = set(recipe.elements)
-    for row in recipe.products:
-        assert set(row) <= elements
-    assert set(recipe.w_image) <= elements
-    assert set(recipe.scaled_monomials) <= elements
-    for k, t in enumerate(recipe.targets, start=1):
-        assert t == elementary_symmetric(k, c.abscissas)
-        assert t in elements
+    # the building blocks, recomputed here with FieldElements, all lie in
+    # the assembled set: the grid image, the grid-scaled monomials of each
+    # point, the products of distinct abscissas, their differences and the
+    # inverses of those, and the targets
+    for spec in ("F5", "F7", "F13"):
+        K = make_field(spec)
+        c = CurveData.build(CURVE, K)
+        recipe = build_closure(c)
+        elements = set(recipe.elements)
+        assert set(recipe.w_image) == {K.element(q) for q in w_set(c.m)}
+        assert set(recipe.w_image) <= elements
+        for u, z in zip(c.abscissas, c.witnesses):
+            for i in range(c.m + 1):
+                for j in range(c.m + 1):
+                    assert {b * u**i * z**j for b in recipe.w_image} <= elements
+        for k in range(1, c.n + 1):
+            for combo in combinations(c.abscissas, k):
+                assert reduce(operator.mul, combo) in elements
+        for a, b in permutations(c.abscissas, 2):
+            assert a - b in elements
+            assert (a - b).inverse() in elements
+        for k, t in enumerate(recipe.targets, start=1):
+            assert t == elementary_symmetric(k, c.abscissas)
+            assert t in elements
 
 
 def test_prefix_closure_within_paper_closure():
@@ -134,7 +152,8 @@ def test_single_abscissa_degenerate():
     c = CurveData.build(x, F5)
     assert c.abscissas == (F5.element(0),)
     recipe = build_closure(c)
-    assert recipe.differences == ()
+    # no differences, and the closure adds nothing beyond W(1)'s image
+    assert recipe.elements == recipe.w_image
     assert recipe.targets == (F5.element(0),)
     report = verify_closure(c, recipe)
     assert report["per_k"] == [
@@ -180,3 +199,120 @@ def test_symmetric_formula_distinctness_matters():
     # over F_3 the line y=x has all three abscissas; t_1 = 0+1+2
     f = symmetric_value_formula(y - x, 3, 1)
     assert definable_set(f, F3, "v") == {F3.element(0)}
+
+
+# -- the kernel construction against a FieldElement reference ----------------
+
+
+def _reference_curve(g, K):
+    """(abscissas, witnesses): the first partner of each abscissa, by
+    FieldElement evaluation over the enumeration."""
+    elems = enumerate_elements(K)
+    points = []
+    for u in elems:
+        for s in elems:
+            if g.evaluate({"x": u, "y": s}, K).is_zero:
+                points.append((u, s))
+                break
+    return tuple(u for u, _ in points), tuple(s for _, s in points)
+
+
+def _reference_closure(c, mode, cap):
+    """build_closure's construction in FieldElement arithmetic: (elements,
+    targets, w_image), or CapExceededError where build_closure raises it."""
+    K, n, m = c.field, c.n, c.m
+    u, z = c.abscissas, c.witnesses
+    if 2**n - 1 > cap:
+        raise CapExceededError("abscissa products")
+    w_image = list(dict.fromkeys(K.element(q) for q in w_set(m)))
+    powers = [[[u[kk] ** i * z[kk] ** j for j in range(m + 1)] for i in range(m + 1)] for kk in range(n)]
+    scaled = [b * pw for point in powers for row in point for pw in row for b in w_image]
+    products = [
+        [reduce(operator.mul, (u[i] for i in combo), K.one()) for combo in combinations(range(n), kk + 1)]
+        for kk in range(n)
+    ]
+    block = list(dict.fromkeys(scaled + [a for row in products for a in row]))
+    closure = []
+    if mode == "paper":
+        if 2 ** len(block) - 1 > cap:
+            raise CapExceededError("subset sums")
+        # the sum over mask is at index mask: bit i stands for block[i]
+        sums = [K.zero()]
+        for b in block:
+            sums += [s + b for s in sums]
+        closure = sums[1:]
+    else:
+        for kk in range(n):
+            closure += accumulate(K.element(c.h[(i, j)]) * powers[kk][i][j]
+                                  for i in range(m + 1) for j in range(m + 1) if c.h[(i, j)] != 0)
+        for row in products:
+            closure += accumulate(row)
+    differences = [a - b for a, b in permutations(u, 2)]
+    differences += [d.inverse() for d in differences]
+    head = [] if mode == "paper" else w_image + block
+    elements = tuple(dict.fromkeys(head + closure + differences))
+    if len(elements) > cap:
+        raise CapExceededError("closure size")
+    targets = tuple(elementary_symmetric(k, u) for k in range(1, n + 1))
+    return elements, targets, tuple(w_image)
+
+
+def test_kernel_closure_matches_field_element_reference():
+    polys = ["y^2 - x^3 - x", "y - x^2", "2*x - y + 1", "x^2 + y^2 - 1", "1/2*x - y^2",
+             "x^2 - 2", "x^3 - 2*x", "x^2 + 1 - y^4"]
+    cap = 2**12
+    for spec in ("F5", "F7", "F11", "F13", "F17", "F3^2", "F5^2"):
+        K = make_field(spec)
+        for text in polys:
+            g = parse_term(text)
+            try:
+                c = CurveData.build(g, K)
+            except ValueError:
+                assert K.characteristic <= coefficient_table(g)[0] or not _reference_curve(g, K)[0]
+                continue
+            assert (c.abscissas, c.witnesses) == _reference_curve(g, K)
+            for mode in ("prefix", "paper"):
+                try:
+                    want = _reference_closure(c, mode, cap)
+                except CapExceededError:
+                    with pytest.raises(CapExceededError):
+                        build_closure(c, mode=mode, cap=cap)
+                    continue
+                recipe = build_closure(c, mode=mode, cap=cap)
+                assert (recipe.elements, recipe.targets, recipe.w_image) == want, (spec, text, mode)
+                if len(recipe.elements) <= 60:
+                    reference = ClosureRecipe(mode, *want)
+                    assert verify_closure(c, recipe) == verify_closure(c, reference)
+
+
+def test_curve_data_rejects_points_off_the_curve():
+    c = CurveData.build(CURVE, F5)
+    moved = (F5.element(1),) + c.witnesses[1:]
+    with pytest.raises(ValueError, match=r"\(\[0\], \[1\]\) is not on the curve"):
+        CurveData(c.g, F5, c.m, c.h, c.abscissas, moved)
+
+
+def test_curve_data_by_hand_in_a_large_field_builds_no_kernel():
+    K = make_field("F1000003")
+    g = y - x**2
+    m, h = coefficient_table(g)
+    c = CurveData(g, K, m, h, (K.element(3), K.element(-1)), (K.element(9), K.element(1)))
+    assert c.n == 2
+    with pytest.raises(ValueError, match=r"\(\[3\], \[8\]\) is not on the curve"):
+        CurveData(g, K, m, h, (K.element(3),), (K.element(8),))
+    assert K not in fields._INT_FIELDS
+
+
+def test_closure_does_no_field_element_arithmetic(monkeypatch):
+    curves = [(CURVE, F5), (y - x**2, F7), (CURVE, make_field("F5^2"))]
+    want = [(c, build_closure(c, mode=mode)) for g, K in curves
+            for c in [CurveData.build(g, K)] for mode in ("prefix", "paper") if c.n < 5]
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic in the closure")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__", "inverse"):
+        monkeypatch.setattr(FieldElement, op, refuse)
+    for g, K in curves:
+        CurveData.build(g, K)
+    assert [(c, build_closure(c, mode=r.mode)) for c, r in want] == want

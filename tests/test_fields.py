@@ -6,6 +6,8 @@ import pytest
 from defifix.errors import FieldMismatchError, FieldSpecError, InfiniteFieldError
 from defifix.fields import (
     RATIONALS,
+    FieldElement,
+    IntField,
     element_str,
     enumerate_elements,
     frobenius,
@@ -207,9 +209,9 @@ def test_int_field_agrees_with_field_elements(spec):
     K = make_field(spec)
     T = int_field(K)
     elems = enumerate_elements(K)
-    assert list(T.elements) == elems
+    assert [T.element(i) for i in range(K.order)] == elems
     assert [T.index(a) for a in elems] == list(range(K.order))
-    assert T.elements[0] == K.zero() and T.elements[1] == K.one()
+    assert T.element(0) == K.zero() and T.element(1) == K.one()
     xyz = ("x", "y", "z")
     plus = ConstraintSearch(ConstraintSystem(xyz, (Plus(0, 1, 2),), 0), K)
     times = ConstraintSearch(ConstraintSystem(xyz, (Times(0, 1, 2),), 0), K)
@@ -235,3 +237,52 @@ def test_int_field_is_built_once_and_only_for_finite_fields():
     assert int_field(K) is int_field(make_field("F3^2"))
     with pytest.raises(InfiniteFieldError):
         int_field(RATIONALS)
+
+
+OPERATION_SPECS = ["F2", "F3", "F5", "F7", "F11", "F13", "F2^2", "F2^3", "F2^4", "F3^2", "F3^3", "F5^2"]
+
+
+@pytest.mark.parametrize("spec", OPERATION_SPECS)
+def test_int_field_operations_agree_with_field_elements(spec):
+    K = make_field(spec)
+    T = int_field(K)
+    elems = enumerate_elements(K)
+    exponents = [-3, -2, -1, *range(K.order + 2), 10**20]
+    for i, a in enumerate(elems):
+        assert T.element(i) == a and T.index(a) == i
+        assert T.element(T.neg[i]) == -a
+        for j, b in enumerate(elems):
+            assert T.element(T.add(i, j)) == a + b
+            assert T.element(T.mul(i, j)) == a * b
+        for n in exponents:
+            if i or n >= 0:
+                assert T.element(T.pow(i, n)) == a**n
+        if i:
+            assert T.element(T.inv(i)) == a.inverse()
+    with pytest.raises(ZeroDivisionError):
+        T.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        T.pow(0, -1)
+    p = K.p
+    for c in [*range(-2 * p, 2 * p + 1), 10**30 + 7]:
+        assert T.coeff(c) == T.index(K.element(c))
+        for d in range(1, 2 * p + 1):
+            q = Fraction(c, d)
+            if q.denominator % p:
+                assert T.coeff(q) == T.index(K.element(q))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    T.coeff(q)
+
+
+def test_int_field_is_built_from_ints_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic while building the kernel")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__", "inverse"):
+        monkeypatch.setattr(FieldElement, op, refuse)
+    for spec in ("F2", "F101", "F2^4", "F7^2", "F3^3"):
+        T = IntField(make_field(spec))
+        assert sorted(T.exp[: T.q - 1]) == list(range(1, T.q))
+        assert all(T.mul(a, T.inv(a)) == 1 for a in range(1, T.q))
+        assert all(T.add(a, T.neg[a]) == 0 for a in range(T.q))

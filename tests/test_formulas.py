@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from defifix import fields
 from defifix.errors import EvaluationError, FormulaSyntaxError, InfiniteFieldError
-from defifix.fields import make_field
+from defifix.fields import FieldElement, enumerate_elements, make_field
 from defifix.formulas import (
     And,
     Equal,
@@ -198,6 +199,106 @@ def test_evaluate_forall():
     assert evaluate(parse("forall x. 0*x = 0"), F5) is True
     with pytest.raises(InfiniteFieldError):
         evaluate(parse("forall x. x = x"), make_field("Q"))
+
+
+def _reference_truth(f, K, env, interp):
+    """Truth by FieldElement evaluation over enumerate_elements, for
+    checking the kernel evaluator."""
+    if isinstance(f, Equal):
+        return f.lhs.evaluate(env, K) == f.rhs.evaluate(env, K)
+    if isinstance(f, PredicateApp):
+        values = tuple(a.evaluate(env, K) for a in f.args)
+        table = interp[f.name]
+        return (values[0] in table or values in table) if len(values) == 1 else values in table
+    if isinstance(f, Not):
+        return not _reference_truth(f.body, K, env, interp)
+    if isinstance(f, (And, Or)):
+        test = all if isinstance(f, And) else any
+        return test(_reference_truth(p, K, env, interp) for p in f.parts)
+    if isinstance(f, Implies):
+        return not _reference_truth(f.lhs, K, env, interp) or _reference_truth(f.rhs, K, env, interp)
+    if isinstance(f, Iff):
+        return _reference_truth(f.lhs, K, env, interp) == _reference_truth(f.rhs, K, env, interp)
+    test = any if isinstance(f, Exists) else all
+    return test(_reference_truth(f.body, K, {**env, f.var: a}, interp) for a in enumerate_elements(K))
+
+
+def test_kernel_evaluation_matches_field_element_reference():
+    rng = random.Random(4077)
+    pool = ["x", "y", "z"]
+    other = make_field("F3").element(1)
+    for spec in ("F5", "F7", "F2^2", "F3^2"):
+        K = make_field(spec)
+        elems = enumerate_elements(K)
+        interp = {
+            "N": set(rng.sample(elems, 3)) | {other},
+            "P": {(a,) for a in rng.sample(elems, 2)},
+            "Rel": {tuple(rng.sample(elems, 2)) for _ in range(5)} | {(elems[1], other)},
+        }
+        for _ in range(60):
+            f = _random_formula(rng, pool, rng.randint(1, 3))
+            env = {v: rng.choice(elems) for v in pool}
+            got = _outcome(evaluate, f, K, env, interp)
+            assert got == _outcome(_reference_truth, f, K, env, interp), print_formula(f)
+            free = free_variables(f)
+            if len(free) == 1:
+                (v,) = free
+                want = _outcome(lambda: {a for a in elems if _reference_truth(f, K, {v: a}, interp)})
+                assert _outcome(definable_set, f, K, v, interp) == want, print_formula(f)
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def test_brute_force_oracle_does_no_field_element_arithmetic(monkeypatch):
+    K = make_field("F3^2")
+    f = parse("exists y. (x = y^2 & N(y + 1))")
+    interp = {"N": {K.element(0), K.element([0, 1])}}
+    want = definable_set(f, K, "x", interp)
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic in the oracle")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__", "inverse"):
+        monkeypatch.setattr(FieldElement, op, refuse)
+    assert definable_set(f, K, "x", interp) == want
+    assert evaluate(f, K, {"x": K.element(1)}, interp) == (K.element(1) in want)
+
+
+def test_quantifier_free_evaluation_builds_no_kernel():
+    # one evaluation does not repay the O(q) tables of a million-element field
+    K = make_field("F1000003")
+    assert evaluate(parse("x^2 = 1 & x != 1"), K, {"x": K.element(-1)}) is True
+    assert K not in fields._INT_FIELDS
+
+
+def test_evaluation_ignores_unused_assignment_entries():
+    # only the formula's free variables are read, on either path
+    F7 = make_field("F7")
+    for f in (parse("exists y. y = 1"), parse("1 = 1")):
+        assert evaluate(f, F5, {"z": F7.element(1), "w": Fraction(1, 5)}) is True
+    assert evaluate(parse("exists y. x = y"), F5, {"x": F5.element(2), "y": F7.element(3)}) is True
+
+
+def test_evaluation_errors_keep_their_messages():
+    F7 = make_field("F7")
+    cases = [
+        (parse("x = 1"), {}, {}, EvaluationError, "variable 'x' has no value"),
+        (parse("N(x)"), {"x": F5.element(1)}, {}, EvaluationError, "predicate 'N' has no interpretation"),
+        (Equal(Term.constant(Fraction(1, 5)) * x, Term.zero()), {"x": F5.element(1)}, {},
+         EvaluationError, "coefficient 1/5 undefined in F5"),
+    ]
+    for f, env, interp, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            evaluate(f, F5, env, interp)
+    with pytest.raises(InfiniteFieldError, match="^quantifier evaluation needs a finite field$"):
+        evaluate(parse("exists y. x = y"), make_field("Q"), {"x": make_field("Q").element(1)})
+    assert evaluate(parse("x = 1/2"), F7, {"x": F7.element(4)}) is True
 
 
 def test_definable_set_examples():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from defifix import fields
+from defifix.compiler import neighbourhood_to_formula
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
-from defifix.fields import FieldElement, enumerate_elements, frobenius, make_field
+from defifix.fields import FieldElement, enumerate_elements, frobenius, int_field, make_field
 from defifix.neighbourhood import (
     Decision,
     Neighbourhood,
@@ -373,6 +375,51 @@ def test_facts_match_full_scan():
     for A in cases:
         fs = facts(A)
         assert (set(fs.sums), set(fs.products)) == _full_scan_facts(A), A.elements
+
+
+def test_kernel_facts_match_field_element_scan():
+    # random subsets, in random order, of fields whose kernel indices and
+    # coefficient vectors differ most; the tables are built first, so every
+    # subset, however small, takes the kernel path
+    rng = random.Random(1932)
+    for spec in ("F5^2", "F2^4", "F3^3"):
+        K = make_field(spec)
+        int_field(K)
+        elems = list(enumerate_elements(K))
+        for _ in range(30):
+            A = Neighbourhood(K, tuple(rng.sample(elems, rng.randint(1, len(elems)))), 0)
+            fs = facts(A)
+            assert fs.ones == {i for i, a in enumerate(A.elements) if a == K.one()}
+            assert (set(fs.sums), set(fs.products)) == _full_scan_facts(A), A.to_json()
+
+
+def test_facts_do_no_field_element_arithmetic(monkeypatch):
+    # the whole field, distinguished at index 2: the element 2 of F7 and of
+    # F3^3, which every map fixes, and F4's generator, which Frobenius moves
+    cases = [Neighbourhood(K, tuple(enumerate_elements(K)), 2) for K in (F7, F4, make_field("F3^3"))]
+    want = [(facts(A), is_neighbourhood(A)) for A in cases]
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic in facts")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__", "inverse"):
+        monkeypatch.setattr(FieldElement, op, refuse)
+    assert [(facts(A), is_neighbourhood(A)) for A in cases] == want
+    assert [d.yes for _, d in want] == [True, False, True]
+
+
+def test_small_sets_in_large_fields_build_no_kernel():
+    # certifying or compiling a few elements reads only their facts, which
+    # do not repay the O(q) tables of a million-element field
+    K = make_field("F1000003")
+    A = neighbourhood(K, [1, 2, 3, 6, K.p - 1], 6)
+    fs = facts(A)
+    assert (set(fs.sums), set(fs.products)) == _full_scan_facts(A)
+    assert fs.ones == {0}
+    assert certify_by_propagation(A) is True
+    assert certify_by_propagation(nbhd_rational(Fraction(5, 7), K)) is True
+    assert neighbourhood_to_formula(A) is not None
+    assert K not in fields._INT_FIELDS
 
 
 def test_fixed_subfield_prime_field_is_everything():

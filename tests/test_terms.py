@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from defifix.errors import EvaluationError
-from defifix.fields import enumerate_elements, make_field
+from defifix.fields import enumerate_elements, int_field, make_field
 from defifix.formulas import parse
 from defifix.terms import Term
 
@@ -120,3 +120,50 @@ def test_pow_huge_exponent_of_a_variable():
     f = parse("x^100000000 = 1")
     assert f.lhs == Term((((("x", 100000000),), 1),))
     assert (x * y) ** 10**9 == Term((((("x", 10**9), ("y", 10**9)), 1),))
+
+
+def _random_term(rng):
+    t = Term.zero()
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice([1, -1, 2, 3, -7, 10**12 + 1, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)])
+        part = Term.constant(c)
+        for v in rng.sample(["x", "y", "z"], rng.randint(0, 3)):
+            part = part * Term.variable(v) ** rng.choice([1, 2, 3, 7, 40, 10**9 + 3])
+        t = t + part
+    return t
+
+
+def test_compile_agrees_with_evaluate():
+    rng = random.Random(7070)
+    for spec in ("F2", "F3", "F5", "F7", "F2^2", "F3^2", "F2^3"):
+        K = make_field(spec)
+        T = int_field(K)
+        elems = enumerate_elements(K)
+        for _ in range(80):
+            t = _random_term(rng)
+            at = t.compile(T)
+            for _ in range(8):
+                env = {v: rng.randrange(K.order) for v in rng.sample(["x", "y", "z"], rng.randint(2, 3))}
+                try:
+                    want = t.evaluate({v: elems[i] for v, i in env.items()}, K)
+                except EvaluationError as exc:
+                    with pytest.raises(EvaluationError) as got:
+                        at(env)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert elems[at(env)] == want
+
+
+def test_compile_errors_match_evaluate():
+    K = make_field("F5")
+    T = int_field(K)
+    for t, env in [
+        (Fraction(1, 5) * x + y, {"x": 1, "y": 2}),
+        (x + Fraction(1, 10) * y, {}),
+        (x * y + 1, {"x": 3}),
+    ]:
+        with pytest.raises(EvaluationError) as want:
+            t.evaluate({v: T.element(i) for v, i in env.items()}, K)
+        with pytest.raises(EvaluationError) as got:
+            t.compile(T)(env)
+        assert str(got.value) == str(want.value)

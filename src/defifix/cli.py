@@ -50,7 +50,7 @@ from .neighbourhood import (
     nbhd_rational,
     neighbourhood,
 )
-from .normalize import DEFAULT_DNF_CAP, normalize_with_stats
+from .normalize import DEFAULT_DNF_CAP, normalize
 from .schemas import SchemaParams
 from .terms import Term
 
@@ -164,7 +164,7 @@ def _cmd_eval(args):
 
 def _cmd_normalize(args):
     f = parse(_read_formula_text(args))
-    nf, negations = normalize_with_stats(f, _cap(args, DEFAULT_DNF_CAP))
+    nf = normalize(f, _cap(args, DEFAULT_DNF_CAP))
     systems = [
         {
             "variables": list(s.variables),
@@ -177,8 +177,8 @@ def _cmd_normalize(args):
         "formula": print_formula(f),
         "free_variable": nf.free_var,
         "systems": systems,
-        "negations_eliminated": negations,
-        "fresh_variables": negations,
+        "negations_eliminated": nf.negations,
+        "fresh_variables": nf.negations,
     }
 
 

@@ -10,23 +10,21 @@ plus the abscissa differences and their inverses assembles the candidate
 set.  Every arithmetic map on the result is then pinned on W(m), sends
 abscissas to abscissas injectively, and so fixes each t_k.
 
-The abscissa scan, the on-curve check and the whole closure construction
-run on the element indices of the field's integer kernel
-(`fields.int_field`), with g compiled once (`Term.compile`); only points
-given by hand in a field whose tables are not built are checked on
-FieldElements, so as not to tabulate a large field for them. Points,
-closure elements, targets and the grid image become FieldElements only
-in `CurveData` and `ClosureRecipe`.
+The abscissa scan and the whole closure construction run on the element
+indices of the field's integer kernel (`fields.int_field`), with g
+compiled once (`Term.compile`). The on-curve check of `CurveData` runs in
+`fields.ring(K, n)`, so n points given by hand in a large field do not
+tabulate it. Points, closure elements, targets and the grid image become
+FieldElements only in `CurveData` and `ClosureRecipe`.
 """
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
 from .errors import CapExceededError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, element_str, int_field, int_field_within
+from .fields import FieldDescriptor, FieldElement, element_str, int_field, ring
 from .formulas import Equal, Exists, Formula, Not, conj
 from .neighbourhood import DEFAULT_MAP_CAP, Neighbourhood, enumerate_arithmetic_maps
 from .terms import Term
@@ -96,14 +94,14 @@ def elementary_symmetric(k: int, values) -> FieldElement:
     n = len(values)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
-    K = values[0].field
-    return _symmetric_values(values, operator.add, operator.mul, K.zero(), K.one())[k - 1]
+    return _symmetric_values(values, values[0].field)[k - 1]
 
 
-def _symmetric_values(values, add, mul, zero, one) -> list:
-    """[t_1, ..., t_n] of the values under the given ring operations, by
-    the product recurrence."""
-    e = [one] + [zero] * len(values)
+def _symmetric_values(values, R) -> list:
+    """[t_1, ..., t_n] of values of the ring R (`fields.ring`), by the
+    product recurrence."""
+    add, mul = R.add, R.mul
+    e = [R.coeff(1)] + [R.coeff(0)] * len(values)
     for v in values:
         for i in range(len(values), 0, -1):
             e[i] = add(e[i], mul(e[i - 1], v))
@@ -134,14 +132,10 @@ class CurveData:
             raise ValueError("one witness per abscissa")
         # `build` has made the tables already; a few points given by hand
         # in a large field are checked on FieldElements instead
-        T = int_field_within(self.field, self.n)
-        if T is None:
-            on_curve = lambda u, z: self.g.evaluate({"x": u, "y": z}, self.field).is_zero
-        else:
-            g_at = self.g.compile(T)
-            on_curve = lambda u, z: g_at({"x": T.index(u), "y": T.index(z)}) == 0
+        R = ring(self.field, self.n)
+        g_at, zero = self.g.compile(R), R.coeff(0)
         for u, z in zip(self.abscissas, self.witnesses):
-            if not on_curve(u, z):
+            if g_at({"x": R.index(u), "y": R.index(z)}) != zero:
                 raise ValueError(f"({element_str(u)}, {element_str(z)}) is not on the curve")
 
     @classmethod
@@ -288,7 +282,7 @@ def build_closure(
     return ClosureRecipe(
         mode=mode,
         elements=tuple(map(element, assembled)),
-        targets=tuple(map(element, _symmetric_values(u, add, mul, 0, 1))),
+        targets=tuple(map(element, _symmetric_values(u, T))),
         w_image=tuple(map(element, w_image)),
     )
 

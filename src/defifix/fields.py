@@ -6,16 +6,16 @@ canonical form, finite-field elements are coefficient vectors of length k
 Everything here is pure; elements and descriptors hash and compare
 structurally.
 
-`IntField` is the integer kernel of a finite field: elements as their
-index in enumeration order, with table-driven `add`, `mul`, `neg`, `inv`,
-`pow` and coefficient images. The hot loops over finite fields run on it:
-the constraint search, `neighbourhood.facts`, compiled terms
-(`Term.compile`), the brute-force oracle in `formulas`, and the curve
-closures in `curve_lab`. `FieldElement`s are made only at their edges.
-Building it costs O(q), so work that is smaller than the field
-(`facts` of a few elements, one quantifier-free evaluation) asks for it
-through `int_field_within` or not at all, and stays on `FieldElement`s
-in a large field whose tables are not built.
+A field and its integer kernel offer one ring interface: `index` (an
+element as the ring's value), `add`, `mul`, `pow` and `coeff` (the image
+of an int or Fraction), with zero and one as `coeff(0)` and `coeff(1)`.
+A `FieldDescriptor` implements it on `FieldElement`s. `IntField`, the
+integer kernel of a finite field, implements it on element indices
+through tables of O(q) entries, and adds `neg`, `inv` and `element` (an
+index back to its FieldElement). Code written once on these operations
+runs on either; `ring(K, work)` picks the kernel when its tables are
+built or cost no more than the work at hand (q <= work), and K itself
+otherwise, so a few operations in a large field never tabulate it.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ def _poly_trim(c):
     return c[:n]
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _poly_trim(out)
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return []
@@ -92,31 +82,15 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_inv_mod(a, m, p):
-    """Inverse of a modulo the monic polynomial m over F_p (extended Euclid)."""
-    r0, r1 = list(m), _poly_trim(list(a))
-    s0, s1 = [], [1]
-    while r1:
-        # divide r0 by r1
-        q = []
-        r = list(r0)
-        inv_lead = pow(r1[-1], -1, p)
-        while len(r) >= len(r1) and r:
-            c = (r[-1] * inv_lead) % p
-            d = len(r) - len(r1)
-            while len(q) <= d:
-                q.append(0)
-            q[d] = c
-            for i, x in enumerate(r1):
-                r[d + i] = (r[d + i] - c * x) % p
-            r = _poly_trim(r)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    # r0 = gcd; must be a nonzero constant since m is irreducible and a != 0
-    if len(r0) != 1:
-        raise ZeroDivisionError("element has no inverse")
-    c = pow(r0[0], -1, p)
-    return _poly_mod([x * c % p for x in s0], m, p)
+def _poly_pow(a, n, m, p):
+    """a^n modulo the monic m over F_p, by squaring; n >= 0."""
+    out = [1]
+    while n:
+        if n & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
+        n >>= 1
+    return out
 
 
 def _poly_is_irreducible(m, p):
@@ -232,6 +206,23 @@ class FieldDescriptor:
         coeffs = coeffs + (0,) * (self.degree - len(coeffs))
         return FieldElement(self, coeffs)
 
+    # -- the ring interface, on FieldElements ------------------------------
+
+    def index(self, a: "FieldElement") -> "FieldElement":
+        return self.element(a)
+
+    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        return a + b
+
+    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        return a * b
+
+    def pow(self, a: "FieldElement", n: int) -> "FieldElement":
+        return a**n
+
+    def coeff(self, c: int | Fraction) -> "FieldElement":
+        return self.element(c)
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -300,9 +291,7 @@ class FieldElement:
             raise ZeroDivisionError("inversion of zero")
         if self.field.p is None:
             return FieldElement(self.field, 1 / self.value)
-        inv = _poly_inv_mod(list(self.value), list(self.field.modulus), self.field.p)
-        vec = tuple(inv) + (0,) * (self.field.degree - len(inv))
-        return FieldElement(self.field, vec)
+        return self ** (self.field.order - 2)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -311,14 +300,11 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        K = self.field
+        if K.p is None:
+            return FieldElement(K, self.value**n)
+        vec = _poly_pow(list(self.value), n, list(K.modulus), K.p)
+        return FieldElement(K, tuple(vec) + (0,) * (K.degree - len(vec)))
 
     def __str__(self):
         return element_str(self)
@@ -411,8 +397,8 @@ class IntField:
     tables come from ints alone: multiplication mod p for a prime field,
     one polynomial product on base-p digit vectors per power otherwise.
 
-    The index operations are `add`, `mul`, `inv`, `pow`, the table `neg`
-    and `coeff`, the image of an int or Fraction coefficient.
+    It implements the ring interface (`index`, `add`, `mul`, `pow`,
+    `coeff`) on indices, plus `inv`, the table `neg` and `element`.
     """
 
     def __init__(self, K: FieldDescriptor):
@@ -437,9 +423,12 @@ class IntField:
             neg = [a + p * b for b in neg for a in digit]
         self.neg = tuple(neg)
 
+    def spec(self) -> str:
+        return self.field.spec()
+
     def index(self, a: FieldElement) -> int:
         n = 0
-        for c in reversed(a.value):
+        for c in reversed(self.field.element(a).value):
             n = n * self.p + c
         return n
 
@@ -500,18 +489,6 @@ def _powers_of_first_generator(K: FieldDescriptor) -> list[int]:
         return out
     modulus = list(K.modulus)
 
-    def times(a, b):
-        return _poly_mod(_poly_mul(a, b, p), modulus, p)
-
-    def power(a, n):
-        out = [1]
-        while n:
-            if n & 1:
-                out = times(out, a)
-            a = times(a, a)
-            n >>= 1
-        return out
-
     def digits(i):
         vec = []
         while i:
@@ -520,13 +497,15 @@ def _powers_of_first_generator(K: FieldDescriptor) -> list[int]:
         return vec
 
     g = next(
-        v for v in map(digits, range(1, q)) if all(power(v, m // r) != [1] for r in factors)
+        v
+        for v in map(digits, range(1, q))
+        if all(_poly_pow(v, m // r, modulus, p) != [1] for r in factors)
     )
     weights = [p**d for d in range(k)]
     out, a = [], [1]
     for _ in range(m):
         out.append(sum(c * w for c, w in zip(a, weights)))
-        a = times(a, g)
+        a = _poly_mod(_poly_mul(a, g, p), modulus, p)
     return out
 
 
@@ -541,14 +520,15 @@ def int_field(K: FieldDescriptor) -> IntField:
     return T
 
 
-def int_field_within(K: FieldDescriptor, budget: int) -> IntField | None:
-    """`int_field(K)` when its tables are already built or K has at most
-    `budget` elements, else None: for a caller whose own work, done on
-    FieldElements, costs less than the O(q) tables of a large field."""
+def ring(K: FieldDescriptor, work: int | float) -> IntField | FieldDescriptor:
+    """The ring to compute in K for a task of about `work` element
+    operations: `int_field(K)` when its tables are already built or K has
+    at most `work` elements, else K itself, whose FieldElement operations
+    need no O(q) set-up. Over Q always K."""
     T = _INT_FIELDS.get(K)
-    if T is None and K.order <= budget:
+    if T is None and K.is_finite and K.order <= work:
         T = int_field(K)
-    return T
+    return K if T is None else T
 
 
 def frobenius(a: FieldElement) -> FieldElement:

@@ -1,5 +1,7 @@
 """First-order formulas over the language of rings: AST, parser, printer,
-and brute-force evaluation over finite fields, on the integer kernel.
+one structural walk (`subformulas`, `map_subformulas`), and brute-force
+evaluation, with terms compiled on the ring `fields.ring` picks: the
+integer kernel for a quantifier or a definable set over a finite field.
 
 Grammar (precedence from loosest to tightest):
 
@@ -20,12 +22,13 @@ structural identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import EvaluationError, FormulaSyntaxError, InfiniteFieldError
-from .fields import FieldDescriptor, FieldElement, IntField, int_field
+from .fields import FieldDescriptor, FieldElement, IntField, int_field, ring
 from .terms import Term
 
 Formula = Union[
@@ -386,27 +389,44 @@ def print_formula(f: Formula) -> str:
 # -- structural helpers --------------------------------------------------------
 
 
+def subformulas(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, in source order; none for an atom."""
+    if isinstance(f, (Equal, PredicateApp)):
+        return ()
+    if isinstance(f, (Not, Exists, ForAll)):
+        return (f.body,)
+    if isinstance(f, (And, Or)):
+        return f.parts
+    if isinstance(f, (Implies, Iff)):
+        return (f.lhs, f.rhs)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def map_subformulas(f: Formula, fn) -> Formula:
+    """f with each immediate subformula g replaced by fn(g); an atom is
+    returned as it is."""
+    if isinstance(f, (Equal, PredicateApp)):
+        return f
+    if isinstance(f, Not):
+        return Not(fn(f.body))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(map(fn, f.parts)))
+    if isinstance(f, (Exists, ForAll)):
+        return type(f)(f.var, fn(f.body))
+    if isinstance(f, (Implies, Iff)):
+        return type(f)(fn(f.lhs), fn(f.rhs))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def _variables(f: Formula, keep_bound: bool) -> set[str]:
     if isinstance(f, Equal):
         return f.lhs.free_variables() | f.rhs.free_variables()
     if isinstance(f, PredicateApp):
-        out: set[str] = set()
-        for a in f.args:
-            out |= a.free_variables()
-        return out
-    if isinstance(f, Not):
-        return _variables(f.body, keep_bound)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= _variables(p, keep_bound)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return _variables(f.lhs, keep_bound) | _variables(f.rhs, keep_bound)
+        return set().union(*(a.free_variables() for a in f.args))
     if isinstance(f, (Exists, ForAll)):
         body = _variables(f.body, keep_bound)
         return body | {f.var} if keep_bound else body - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return set().union(*(_variables(g, keep_bound) for g in subformulas(f)))
 
 
 def free_variables(f: Formula) -> set[str]:
@@ -420,24 +440,12 @@ def all_variables(f: Formula) -> set[str]:
 
 def desugar(f: Formula) -> Formula:
     """Rewrite Implies/Iff into ~, &, | (recursively)."""
-    if isinstance(f, (Equal, PredicateApp)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, And):
-        return And(tuple(desugar(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(desugar(p) for p in f.parts))
     if isinstance(f, Implies):
         return Or((Not(desugar(f.lhs)), desugar(f.rhs)))
     if isinstance(f, Iff):
         left, right = desugar(f.lhs), desugar(f.rhs)
         return Or((And((left, right)), And((Not(left), Not(right)))))
-    if isinstance(f, Exists):
-        return Exists(f.var, desugar(f.body))
-    if isinstance(f, ForAll):
-        return ForAll(f.var, desugar(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_subformulas(f, desugar)
 
 
 def substitute_terms(f: Formula, mapping: dict[str, Term]) -> Formula:
@@ -450,21 +458,10 @@ def substitute_terms(f: Formula, mapping: dict[str, Term]) -> Formula:
         return Equal(f.lhs.substitute(mapping), f.rhs.substitute(mapping))
     if isinstance(f, PredicateApp):
         return PredicateApp(f.name, tuple(a.substitute(mapping) for a in f.args))
-    if isinstance(f, Not):
-        return Not(substitute_terms(f.body, mapping))
-    if isinstance(f, And):
-        return And(tuple(substitute_terms(p, mapping) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute_terms(p, mapping) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(substitute_terms(f.lhs, mapping), substitute_terms(f.rhs, mapping))
-    if isinstance(f, Iff):
-        return Iff(substitute_terms(f.lhs, mapping), substitute_terms(f.rhs, mapping))
-    if isinstance(f, (Exists, ForAll)):
+    if isinstance(f, (Exists, ForAll)) and f.var in mapping:
         inner = {v: t for v, t in mapping.items() if v != f.var}
-        node = Exists if isinstance(f, Exists) else ForAll
-        return node(f.var, substitute_terms(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+        return type(f)(f.var, substitute_terms(f.body, inner))
+    return map_subformulas(f, lambda g: substitute_terms(g, mapping))
 
 
 # -- semantics -----------------------------------------------------------------
@@ -472,54 +469,36 @@ def substitute_terms(f: Formula, mapping: dict[str, Term]) -> Formula:
 Interpretation = dict[str, set]
 
 
-def _index_table(table: set, K: FieldDescriptor, T: IntField) -> set:
-    """A predicate table with every element of K replaced by its index; an
-    entry holding anything else could never match and is dropped."""
+def _index_table(table: set, K: FieldDescriptor, R) -> set:
+    """A predicate table with every element of K replaced by its value in
+    the ring R; an entry holding anything else could never match and is
+    dropped."""
     out = set()
     for entry in table:
         parts = entry if isinstance(entry, tuple) else (entry,)
         if all(isinstance(a, FieldElement) and a.field == K for a in parts):
-            key = tuple(T.index(a) for a in parts)
+            key = tuple(R.index(a) for a in parts)
             out.add(key if isinstance(entry, tuple) else key[0])
     return out
 
 
 def _quantified(f: Formula) -> bool:
-    if isinstance(f, (Exists, ForAll)):
-        return True
-    if isinstance(f, Not):
-        return _quantified(f.body)
-    if isinstance(f, (And, Or)):
-        return any(map(_quantified, f.parts))
-    if isinstance(f, (Implies, Iff)):
-        return _quantified(f.lhs) or _quantified(f.rhs)
-    return False
+    return isinstance(f, (Exists, ForAll)) or any(map(_quantified, subformulas(f)))
 
 
-def _truth(f: Formula, K: FieldDescriptor, interp: Interpretation, on_kernel: bool):
-    """f as a function of an assignment dict. With `on_kernel` (finite
-    fields only) the assignment holds element indices of `int_field(K)`,
-    terms run compiled on its tables and quantifiers range over range(q).
-    Otherwise it holds FieldElements, terms use `Term.evaluate`, and a
-    quantifier is an error when reached: the path for Q, and for a single
-    evaluation of a quantifier-free formula, which would not repay the
-    O(q) kernel build."""
-    if on_kernel:
-        T = int_field(K)
-        term = lambda t: t.compile(T)
-        domain = range(T.q)
-        tables = {name: _index_table(table, K, T) for name, table in interp.items()}
-    else:
-        term = lambda t: lambda env: t.evaluate(env, K)
-        domain = None
-        tables = interp
+def _truth(f: Formula, K: FieldDescriptor, interp: Interpretation, R):
+    """f as a function of an assignment dict of values of the ring R
+    (`fields.ring`): terms run compiled on R, and quantifiers range over
+    range(q) when R is the integer kernel of K. Over K itself a
+    quantifier is an error when reached, which only Q leaves to it."""
+    tables = {name: _index_table(table, K, R) for name, table in interp.items()}
 
     def build(f: Formula):
         if isinstance(f, Equal):
-            lhs, rhs = term(f.lhs), term(f.rhs)
+            lhs, rhs = f.lhs.compile(R), f.rhs.compile(R)
             return lambda env: lhs(env) == rhs(env)
         if isinstance(f, PredicateApp):
-            name, args = f.name, [term(a) for a in f.args]
+            name, args = f.name, [a.compile(R) for a in f.args]
 
             def apply(env):
                 if name not in tables:
@@ -551,11 +530,11 @@ def _truth(f: Formula, K: FieldDescriptor, interp: Interpretation, on_kernel: bo
 
             def quantify(env):
                 # Exists stops at the first true body, ForAll at the first false
-                if domain is None:
+                if not isinstance(R, IntField):
                     raise InfiniteFieldError("quantifier evaluation needs a finite field")
                 had, shadowed = var in env, env.get(var)
                 try:
-                    for a in domain:
+                    for a in range(R.q):
                         env[var] = a
                         if body(env) == found:
                             return found
@@ -580,16 +559,16 @@ def evaluate(
 ) -> bool:
     """Truth value under an assignment; quantifiers range over all of K
     (finite fields only). Predicate symbols are looked up in `interp` as
-    sets of elements (unary) or of element tuples."""
-    on_kernel = K.is_finite and _quantified(f)
-    truth = _truth(f, K, interp or {}, on_kernel)
+    sets of elements (unary) or of element tuples. A formula with a
+    quantifier runs on the integer kernel of a finite K; a quantifier-free
+    one runs on the kernel only when its tables are already built."""
+    # a quantifier ranges over all of K, which repays the O(q) tables
+    R = ring(K, math.inf if _quantified(f) else 0)
+    truth = _truth(f, K, interp or {}, R)
     assignment = assignment or {}
-    if on_kernel:
-        T = int_field(K)
-        # only the free variables are read; other entries stay unconverted
-        used = free_variables(f).intersection(assignment)
-        return truth({v: T.index(K.element(assignment[v])) for v in used})
-    return truth(dict(assignment))
+    # only the free variables are read; other entries stay unconverted
+    used = free_variables(f).intersection(assignment)
+    return truth({v: R.index(assignment[v]) for v in used})
 
 
 def definable_set(
@@ -607,6 +586,6 @@ def definable_set(
         )
     if not K.is_finite:
         raise InfiniteFieldError("definable_set needs a finite field")
-    truth = _truth(f, K, interp or {}, on_kernel=True)
     T = int_field(K)
+    truth = _truth(f, K, interp or {}, T)
     return {T.element(a) for a in range(T.q) if truth({free_var: a})}

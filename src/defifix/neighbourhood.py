@@ -6,12 +6,11 @@ and f(a*b)=f(a)*f(b) likewise. A is an arithmetic neighbourhood of r in A
 when every arithmetic map on A fixes r.
 
 Over a finite field the decision is exact. The relation triples holding
-inside A (`facts`) are found on the element indices of the field's
-integer kernel (`fields.IntField`): A is converted once and every pair is
-tested with the kernel's `add` and `mul`. The decision builds the kernel
-first, since its search needs it; a caller that only reads the facts of a
-small set in a large field (certification, compilation) tests the pairs
-on FieldElements instead of building O(q) tables. The facts are written as a
+inside A (`facts`) are tested in the ring `fields.ring` picks for the
+|A|^2 pairs: the field's integer kernel when its tables are built (the
+decision builds them first, since its search needs them) or no larger,
+else the field's own FieldElements, so certifying or compiling a few
+elements of a large field builds no O(q) tables. The facts are written as a
 constraint system with one variable per element (`fact_system`); its
 solutions are exactly the arithmetic maps, so the maps are enumerated by
 the same search that solves normalized formulas
@@ -21,14 +20,13 @@ infinite-field path) a one-sided certificate is available: close the set
 of forced elements under the facts and report Certified only when r is
 among them. The identity on A is always an arithmetic map, so a forced
 value can only be the element itself, and the closure needs no field
-arithmetic. Over Q, `facts` works on the Fraction values and narrows the
-pairs it tests by their residues modulo a prime, so a large set costs one
-C-level pass per element, not Fraction arithmetic per pair.
+arithmetic. Over Q, `facts` narrows the pairs it tests by their residues
+modulo a prime, so a large set costs one C-level pass per element, not
+exact arithmetic per pair.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -41,7 +39,7 @@ from .fields import (
     element_str,
     enumerate_elements,
     int_field,
-    int_field_within,
+    ring,
 )
 from .normalize import ConstraintSearch, ConstraintSystem, One, Plus, Times
 
@@ -145,22 +143,13 @@ def _pair_candidates(A: Neighbourhood):
 
 def facts(A: Neighbourhood) -> FactSet:
     """Every sum and product triple inside A, each tested exactly on the
-    pairs `_pair_candidates` offers. Over a finite field this runs on the
-    element indices of `int_field`, with its `add` and `mul`, when those
-    tables are built or cost no more than the |A|^2 pairs (q <= |A|^2);
-    otherwise, as over Q, on the element values themselves, so a small set
-    in a large field never pays for the whole field's tables."""
-    K = A.field
-    T = int_field_within(K, len(A.elements) ** 2) if K.is_finite else None
-    if T is not None:
-        values = [T.index(a) for a in A.elements]
-        add, mul, one = T.add, T.mul, 1
-    elif K.is_finite:
-        values = list(A.elements)
-        add, mul, one = operator.add, operator.mul, K.one()
-    else:
-        values = [a.value for a in A.elements]
-        add, mul, one = operator.add, operator.mul, 1
+    pairs `_pair_candidates` offers, in the ring `ring(K, |A|^2)`: the
+    integer kernel when its tables are built or cost no more than the
+    |A|^2 pairs, else K's own FieldElements (always so over Q), so a
+    small set in a large field never pays for the whole field's tables."""
+    R = ring(A.field, len(A.elements) ** 2)
+    values = [R.index(a) for a in A.elements]
+    add, mul, one = R.add, R.mul, R.coeff(1)
     index = {a: i for i, a in enumerate(values)}
     ones = frozenset(i for i, a in enumerate(values) if a == one)
     sums = set()

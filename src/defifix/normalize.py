@@ -45,6 +45,7 @@ from .formulas import (
     desugar,
     disj,
     free_variables,
+    map_subformulas,
     substitute_terms,
 )
 from .terms import Monomial, Term
@@ -110,6 +111,7 @@ class ConstraintSystem:
 class NormalizedFormula:
     systems: tuple[ConstraintSystem, ...]
     free_var: str
+    negations: int = 0
 
     def __post_init__(self):
         if not self.systems:
@@ -166,10 +168,8 @@ def _nnf(f: Formula) -> Formula:
         if isinstance(b, Or):
             return And(tuple(_nnf(Not(p)) for p in b.parts))
         raise NormalizationError(f"cannot push negation through {type(b).__name__}")
-    if isinstance(f, And):
-        return And(tuple(_nnf(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_nnf(p) for p in f.parts))
+    if isinstance(f, (And, Or)):
+        return map_subformulas(f, _nnf)
     if isinstance(f, (Exists, ForAll)):
         raise NormalizationError("quantifier inside the propositional pipeline")
     raise NormalizationError(f"unsupported node {type(f).__name__}")
@@ -530,15 +530,9 @@ def _hoist(f: Formula, fresh: _FreshNames, claimed: set[str]) -> tuple[list[str]
 def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
     """Full pipeline: existential formula with one free variable ->
     disjunction of three-address constraint systems with the same
-    definable set over every finite field."""
-    return normalize_with_stats(f, cap)[0]
-
-
-def normalize_with_stats(
-    f: Formula, cap: int = DEFAULT_DNF_CAP
-) -> tuple[NormalizedFormula, int]:
-    """normalize together with the number of negations eliminated, which
-    equals the number of inversion witnesses introduced."""
+    definable set over every finite field. The result also counts the
+    negations eliminated, which equals the number of inversion witnesses
+    introduced."""
     fvs = free_variables(f)
     if len(fvs) != 1:
         raise NormalizationError(f"expected exactly one free variable, found {sorted(fvs)}")
@@ -555,7 +549,7 @@ def normalize_with_stats(
         for eq in eqs:
             builder.equation(eq.lhs, eq.rhs)
         systems.append(builder.finish(free_var))
-    return NormalizedFormula(tuple(systems), free_var), negations
+    return NormalizedFormula(tuple(systems), free_var, negations)
 
 
 # -- constraint search -----------------------------------------------------------------

@@ -30,11 +30,11 @@ from .formulas import (
     Iff,
     Implies,
     Not,
-    Or,
     PredicateApp,
     all_variables,
     conj,
     free_variables,
+    map_subformulas,
     substitute_terms,
 )
 from .terms import Term
@@ -57,26 +57,11 @@ def _fresh(base: str, forbidden: set[str]) -> str:
 
 def _rename_binders(f: Formula, forbidden: set[str]) -> Formula:
     """Alpha-rename every quantified variable that collides with `forbidden`."""
-    if isinstance(f, (Equal, PredicateApp)):
+    f = map_subformulas(f, lambda g: _rename_binders(g, forbidden))
+    if not isinstance(f, (Exists, ForAll)) or f.var not in forbidden:
         return f
-    if isinstance(f, Not):
-        return Not(_rename_binders(f.body, forbidden))
-    if isinstance(f, And):
-        return And(tuple(_rename_binders(p, forbidden) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_rename_binders(p, forbidden) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_rename_binders(f.lhs, forbidden), _rename_binders(f.rhs, forbidden))
-    if isinstance(f, Iff):
-        return Iff(_rename_binders(f.lhs, forbidden), _rename_binders(f.rhs, forbidden))
-    if isinstance(f, (Exists, ForAll)):
-        node = type(f)
-        body = _rename_binders(f.body, forbidden)
-        if f.var not in forbidden:
-            return node(f.var, body)
-        new = _fresh(f.var, forbidden | all_variables(body) | {f.var})
-        return node(new, substitute_terms(body, {f.var: Term.variable(new)}))
-    raise TypeError(f"not a formula: {f!r}")
+    new = _fresh(f.var, forbidden | all_variables(f.body) | {f.var})
+    return type(f)(new, substitute_terms(f.body, {f.var: Term.variable(new)}))
 
 
 def _instantiate(f: Formula, slots: dict[str, Term]) -> Formula:

@@ -6,6 +6,10 @@ with every exponent >= 1; the empty tuple is the constant monomial. A Term
 stores nonzero (monomial, coefficient) pairs in descending graded
 lexicographic order (higher total degree first, ties by variable name then
 by higher exponent), which is also the printing order.
+
+`Term.compile` turns a term into an evaluator on any ring of the fields
+module's ring interface, FieldElements or kernel indices alike;
+`Term.evaluate` is that evaluator on FieldElements.
 """
 
 from __future__ import annotations
@@ -161,55 +165,39 @@ class Term:
         map; a coefficient whose denominator vanishes in the field is an
         evaluation error, as is an unassigned variable.
         """
-        total = field.zero()
-        for m, c in self.coeffs:
-            try:
-                part = field.element(c)
-            except ZeroDivisionError as exc:
-                raise EvaluationError(f"coefficient {c} undefined in {field.spec()}") from exc
-            for v, e in m:
-                if v not in assignment:
-                    raise EvaluationError(f"variable {v!r} has no value")
-                part = part * assignment[v] ** e
-            total = total + part
-        return total
+        return self.compile(field)(assignment)
 
-    def compile(self, T) -> Callable[[dict[str, int]], int]:
-        """The term as a function from an assignment of element indices of
-        the finite field `T` (a `fields.IntField`) to an index, with the
-        same values and errors as `evaluate`.
+    def compile(self, R) -> Callable[[dict], object]:
+        """The term as a function from an assignment of values of the ring
+        `R` to a value of R: a `fields.FieldDescriptor` on FieldElements,
+        or a `fields.IntField` on element indices, through R's ring
+        interface (`coeff`, `add`, `mul`, `pow`).
 
-        Coefficients are reduced once. A monomial c * v1^e1 * ... is then
-        g^(log c + e1 log v1 + ...) through T's tables, zero when c or a
-        variable is; the monomials are summed with `T.add`.
+        Coefficients are mapped into R once; one that is undefined there,
+        like an unassigned variable, is an `EvaluationError` when its
+        monomial is reached.
         """
-        exp, log, add, m = T.exp, T.log, T.add, T.m
-        spec = T.field.spec()
+        add, mul, pow = R.add, R.mul, R.pow
+        zero = R.coeff(0)
         monomials = []
         for mono, c in self.coeffs:
             try:
-                image = T.coeff(c)
+                image = R.coeff(c)
             except ZeroDivisionError:
                 image = None
-            monomials.append((c, image, tuple((v, e % m) for v, e in mono)))
+            monomials.append((c, image, mono))
 
-        def value(env: dict[str, int]) -> int:
-            total = 0
-            for c, image, pairs in monomials:
-                if image is None:
-                    raise EvaluationError(f"coefficient {c} undefined in {spec}")
-                n = log[image]
-                zero = image == 0
-                for v, e in pairs:
+        def value(env: dict) -> object:
+            total = zero
+            for c, part, mono in monomials:
+                if part is None:
+                    raise EvaluationError(f"coefficient {c} undefined in {R.spec()}")
+                for v, e in mono:
                     a = env.get(v)
                     if a is None:
                         raise EvaluationError(f"variable {v!r} has no value")
-                    if a == 0:
-                        zero = True
-                    else:
-                        n += log[a] * e
-                if not zero:
-                    total = add(total, exp[n % m])
+                    part = mul(part, pow(a, e))
+                total = add(total, part)
             return total
 
         return value

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from defifix import fields
 from defifix.errors import FieldMismatchError, FieldSpecError, InfiniteFieldError
 from defifix.fields import (
     RATIONALS,
@@ -14,6 +15,7 @@ from defifix.fields import (
     int_field,
     make_field,
     parse_element,
+    ring,
 )
 from defifix.normalize import ConstraintSearch, ConstraintSystem, Plus, Times
 
@@ -181,6 +183,14 @@ def test_inverse_in_extension():
             if a.is_zero:
                 continue
             assert a * a.inverse() == K.one()
+    rng = random.Random(1009)
+    for spec in ["F1000003", "F1009^2", "F101^4"]:
+        K = make_field(spec)
+        samples = [K.element([rng.randrange(K.p) for _ in range(K.degree)]) for _ in range(30)]
+        for a in [K.one(), K.element(-1), *samples]:
+            if not a.is_zero:
+                assert a * a.inverse() == K.one()
+                assert a.inverse().inverse() == a
 
 
 def test_descriptor_spec_round_trip():
@@ -248,15 +258,16 @@ def test_int_field_operations_agree_with_field_elements(spec):
     T = int_field(K)
     elems = enumerate_elements(K)
     exponents = [-3, -2, -1, *range(K.order + 2), 10**20]
+    # both rings through the same interface, and K's agreeing with the operators
     for i, a in enumerate(elems):
-        assert T.element(i) == a and T.index(a) == i
+        assert T.element(i) == a and T.index(a) == i and K.index(a) == a
         assert T.element(T.neg[i]) == -a
         for j, b in enumerate(elems):
-            assert T.element(T.add(i, j)) == a + b
-            assert T.element(T.mul(i, j)) == a * b
+            assert T.element(T.add(i, j)) == K.add(a, b) == a + b
+            assert T.element(T.mul(i, j)) == K.mul(a, b) == a * b
         for n in exponents:
             if i or n >= 0:
-                assert T.element(T.pow(i, n)) == a**n
+                assert T.element(T.pow(i, n)) == K.pow(a, n) == a**n
         if i:
             assert T.element(T.inv(i)) == a.inverse()
     with pytest.raises(ZeroDivisionError):
@@ -265,14 +276,35 @@ def test_int_field_operations_agree_with_field_elements(spec):
         T.pow(0, -1)
     p = K.p
     for c in [*range(-2 * p, 2 * p + 1), 10**30 + 7]:
-        assert T.coeff(c) == T.index(K.element(c))
+        assert T.coeff(c) == T.index(K.coeff(c)) == T.index(K.element(c))
         for d in range(1, 2 * p + 1):
             q = Fraction(c, d)
             if q.denominator % p:
-                assert T.coeff(q) == T.index(K.element(q))
+                assert T.coeff(q) == T.index(K.coeff(q)) == T.index(K.element(q))
             else:
                 with pytest.raises(ZeroDivisionError):
                     T.coeff(q)
+                with pytest.raises(ZeroDivisionError):
+                    K.coeff(q)
+    assert T.spec() == K.spec()
+    other = make_field("F3" if p != 3 else "F5").one()
+    for R in (T, K):
+        with pytest.raises(FieldMismatchError):
+            R.index(other)
+
+
+def test_ring_builds_the_kernel_only_when_it_pays(monkeypatch):
+    monkeypatch.setattr(fields, "_INT_FIELDS", {})
+    assert ring(RATIONALS, 10**9) is RATIONALS
+    big = make_field("F1000003")
+    assert ring(big, 100) is big
+    assert big not in fields._INT_FIELDS
+    F7 = make_field("F7")
+    assert ring(F7, 6) is F7
+    assert F7 not in fields._INT_FIELDS
+    T = ring(F7, 7)
+    assert isinstance(T, IntField) and T is int_field(F7)
+    assert ring(F7, 0) is T and ring(F7, 10**9) is T
 
 
 def test_int_field_is_built_from_ints_alone(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from defifix import fields
-from defifix.errors import EvaluationError, FormulaSyntaxError, InfiniteFieldError
+from defifix.errors import EvaluationError, FieldMismatchError, FormulaSyntaxError, InfiniteFieldError
 from defifix.fields import FieldElement, enumerate_elements, make_field
 from defifix.formulas import (
     And,
@@ -20,10 +20,12 @@ from defifix.formulas import (
     desugar,
     evaluate,
     free_variables,
+    map_subformulas,
     parse,
     parse_term,
     print_formula,
     substitute_terms,
+    subformulas,
 )
 from defifix.terms import Term
 
@@ -348,6 +350,31 @@ def _walk(f):
         yield from _walk(f.rhs)
     elif isinstance(f, (Exists, ForAll)):
         yield from _walk(f.body)
+
+
+def test_subformulas_and_map_subformulas():
+    f = parse("exists y. (x = y -> ~N(y)) & (x = 1 <-> (forall z. z = x)) | x = 2")
+
+    def walk(g):
+        yield g
+        for h in subformulas(g):
+            yield from walk(h)
+
+    assert list(walk(f)) == list(_walk(f))
+    for g in _walk(f):
+        assert map_subformulas(g, lambda h: h) == g
+    atom = parse("x = 1")
+    assert subformulas(atom) == () and map_subformulas(atom, Not) is atom
+    assert map_subformulas(parse("x = 1 & y = 2"), Not) == parse("x != 1 & y != 2")
+    assert map_subformulas(parse("forall y. x = y"), Not) == parse("forall y. x != y")
+    with pytest.raises(TypeError):
+        subformulas("x = 1")
+
+
+def test_wrong_field_assignment_is_one_error_on_either_path():
+    for f in (parse("x = 1"), parse("exists y. x = y")):
+        with pytest.raises(FieldMismatchError, match="^element of F7 used in F5$"):
+            evaluate(f, F5, {"x": F7.element(1)})
 
 
 def test_alpha_renaming_invariance():

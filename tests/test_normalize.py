@@ -79,6 +79,13 @@ def test_eliminate_negations_two_sided():
     assert f == Equal(w * Term.variable("_t1") - 1, Term.zero())
 
 
+def test_normalize_counts_negations_without_printing_them():
+    nf = normalize(parse("exists y. (x != y & x*y != 1) | x = 2"))
+    assert nf.negations == 2
+    assert normalize(parse("x = 1")).negations == 0
+    assert "negation" not in nf.to_text()
+
+
 def test_eliminate_negations_identity_on_positive():
     f = parse("x = 1 & x + y = 1")
     out, count = eliminate_negations(f)

@@ -34,7 +34,6 @@ from .compiler import (
 from .errors import (
     CapExceededError,
     DefifixError,
-    NoSatisfiableDisjunctError,
     NotDefiningError,
     NotSingletonError,
 )
@@ -58,7 +57,6 @@ OUTPUT_SCHEMA_VERSION = 1
 
 _SEMANTIC_ERRORS = (
     CapExceededError,
-    NoSatisfiableDisjunctError,
     NotDefiningError,
     NotSingletonError,
 )
@@ -182,22 +180,33 @@ def _cmd_normalize(args):
     }
 
 
-def _make_neighbourhood(args) -> tuple[FieldDescriptor, Neighbourhood]:
+def _make_neighbourhood(args) -> Neighbourhood:
     K = make_field(args.field)
-    elements = _parse_elements(K, args.elements)
-    target = K.element(args.target)
-    return K, neighbourhood(K, elements, target)
+    return neighbourhood(K, _parse_elements(K, args.elements), K.element(args.target))
+
+
+def _nbhd_head(A: Neighbourhood) -> dict:
+    """The field, elements and target that open a neighbourhood report."""
+    return {
+        "field": A.field.spec(),
+        "elements": [element_str(a) for a in A.elements],
+        "target": element_str(A.r),
+    }
+
+
+def _certify(A: Neighbourhood, payload: dict):
+    """Close a report with `certified`, and its `reason` when Unknown."""
+    certified = payload["certified"] = certify_by_propagation(A)
+    if certified:
+        return 0, payload
+    payload["reason"] = "value propagation does not pin the target; status unknown"
+    return 1, payload
 
 
 def _cmd_nbhd_check(args):
-    K, A = _make_neighbourhood(args)
+    A = _make_neighbourhood(args)
     decision = is_neighbourhood(A, _cap(args, DEFAULT_MAP_CAP))
-    payload = {
-        "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
-        "neighbourhood": decision.yes,
-    }
+    payload = {**_nbhd_head(A), "neighbourhood": decision.yes}
     if decision.yes:
         return 0, payload
     payload["witness"] = {
@@ -224,47 +233,20 @@ def _cmd_nbhd_maps(args):
 
 
 def _cmd_nbhd_certify(args):
-    K, A = _make_neighbourhood(args)
-    certified = certify_by_propagation(A)
-    payload = {
-        "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
-        "certified": certified,
-    }
-    if certified:
-        return 0, payload
-    payload["reason"] = "value propagation does not pin the target; status unknown"
-    return 1, payload
+    A = _make_neighbourhood(args)
+    return _certify(A, _nbhd_head(A))
 
 
 def _cmd_nbhd_rational(args):
     K = make_field(args.field)
     A = nbhd_rational(_rational(args.q), K)
-    certified = certify_by_propagation(A)
-    payload = {
-        "q": args.q,
-        "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
-        "certified": certified,
-    }
-    if certified:
-        return 0, payload
-    payload["reason"] = "value propagation does not pin the target; status unknown"
-    return 1, payload
+    return _certify(A, {"q": args.q, **_nbhd_head(A)})
 
 
 def _cmd_compile_to_formula(args):
-    K, A = _make_neighbourhood(args)
+    A = _make_neighbourhood(args)
     f = neighbourhood_to_formula(A)
-    return 0, {
-        "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
-        "formula": print_formula(f),
-        "free_variable": "x1",
-    }
+    return 0, {**_nbhd_head(A), "formula": print_formula(f), "free_variable": "x1"}
 
 
 def _cmd_compile_from_formula(args):
@@ -279,14 +261,9 @@ def _cmd_compile_from_formula(args):
 
 
 def _cmd_compile_single_eq(args):
-    K, A = _make_neighbourhood(args)
+    A = _make_neighbourhood(args)
     f = compile_singleton(A, args.prefer_linear, _cap(args, DEFAULT_TERM_CAP))
-    return 0, {
-        "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
-        "formula": print_formula(f),
-    }
+    return 0, {**_nbhd_head(A), "formula": print_formula(f)}
 
 
 def _cmd_fixed_field(args):

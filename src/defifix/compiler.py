@@ -1,11 +1,12 @@
 """Between neighbourhoods and existential formulas, in both directions.
 
-A neighbourhood's internal addition/multiplication facts written out as a
-conjunction pin its distinguished element; conversely a defining formula's
-witness values, found by the constraint search of `normalize` on its
-normal form, assemble back into a neighbourhood.  The single-equation
-encoder turns the emitted equation system into one polynomial that
-vanishes exactly where every equation does: over Q the sum of their
+A neighbourhood's fact system (`neighbourhood.fact_system`) written out
+atom by atom as a conjunction pins its distinguished element; conversely
+a defining formula's witness values, found by the one constraint search
+per system of `normalize` on its normal form, assemble back into a
+neighbourhood.  The single-equation encoder turns the emitted equation
+system into one polynomial that vanishes exactly where every equation
+does: a lone equation is itself, over Q more are the sum of their
 squares, over a finite field a balanced fold through a two-variable form
 that vanishes only at the origin, so k equations cost a nesting depth of
 ceil(log2 k) rather than k - 1.
@@ -20,18 +21,19 @@ from .errors import (
     CapExceededError,
     FieldSpecError,
     InfiniteFieldError,
-    NoSatisfiableDisjunctError,
     NotDefiningError,
     NotSingletonError,
 )
 from .fields import FieldDescriptor, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
-from .neighbourhood import Neighbourhood, facts, neighbourhood
+from .neighbourhood import Neighbourhood, fact_system, neighbourhood
 from .normalize import (
     DEFAULT_DNF_CAP,
-    ConstraintSearch,
+    One,
+    Plus,
+    atom_indices,
     normalize,
-    normalized_definable_set,
+    normalized_witnesses,
 )
 from .terms import Term
 
@@ -42,42 +44,12 @@ DEFAULT_TERM_CAP = 10**6
 # -- fact emission ---------------------------------------------------------
 
 
-def _kept_facts(A: Neighbourhood):
-    """The facts worth writing down, in a deterministic order.
-
-    Commuted duplicates are dropped, as are instances already implied by a
-    kept atom: a product with a factor 1 follows from that factor's `= 1`
-    atom, and a sum or product with a factor 0 follows from the always-kept
-    `0 + 0 = 0` atom.  The remaining conjunction has exactly the same
-    solutions as the full fact list.
-    """
-    fs = facts(A)
-    elems = A.elements
-    zero = A.field.zero()
-    one = A.field.one()
-    ones = sorted(fs.ones)
-    sums = []
-    for i, j, k in sorted(fs.sums):
-        if i > j:
-            continue
-        if (elems[i] == zero or elems[j] == zero) and not i == j == k:
-            continue
-        sums.append((i, j, k))
-    products = []
-    for i, j, k in sorted(fs.products):
-        if i > j:
-            continue
-        if elems[i] in (zero, one) or elems[j] in (zero, one):
-            continue
-        products.append((i, j, k))
-    return ones, sums, products
-
-
 def _fact_equations(A: Neighbourhood, free_name: str) -> list[tuple[Term, Term]]:
-    """The kept facts as (lhs, rhs) term pairs: A.r is named `free_name`,
-    the other elements x2, x3, ... in stored order."""
-    ones, sums, products = _kept_facts(A)
-    if A.target_index not in set(ones).union(*sums, *products):
+    """The atoms of `fact_system(A)` as (lhs, rhs) term pairs, in order:
+    A.r is named `free_name`, the other elements x2, x3, ... in stored
+    order."""
+    s = fact_system(A)
+    if not any(s.free_index in atom_indices(a) for a in s.atoms):
         raise NotDefiningError(
             "the distinguished element participates in no fact; "
             "any map moving it alone is arithmetic"
@@ -85,11 +57,15 @@ def _fact_equations(A: Neighbourhood, free_name: str) -> list[tuple[Term, Term]]
     others = (i for i in range(len(A.elements)) if i != A.target_index)
     v = {i: Term.variable(f"x{n}") for n, i in enumerate(others, 2)}
     v[A.target_index] = Term.variable(free_name)
-    return (
-        [(v[i], Term.constant(1)) for i in ones]
-        + [(v[i] + v[j], v[k]) for i, j, k in sums]
-        + [(v[i] * v[j], v[k]) for i, j, k in products]
-    )
+    out = []
+    for a in s.atoms:
+        if isinstance(a, One):
+            out.append((v[a.i], Term.constant(1)))
+        elif isinstance(a, Plus):
+            out.append((v[a.i] + v[a.j], v[a.k]))
+        else:
+            out.append((v[a.i] * v[a.j], v[a.k]))
+    return out
 
 
 def _close_existentially(body: Formula, free_name: str) -> Formula:
@@ -113,32 +89,27 @@ def formula_to_neighbourhood(
     """Recover a neighbourhood of the element a defining formula pins down.
 
     The formula must define a singleton {r} over finite K.  It is normalized
-    once (`cap` bounds the disjunctive normal form) and everything after
-    runs on the constraint search: the definable set is the union of the
-    systems' projections, each value's search stopping at its first
-    witness; the first solution of the first satisfiable system supplies
-    the witness values, and {1, r} plus those values is the answer.
+    once (`cap` bounds the disjunctive normal form) and each system is
+    searched once (`normalized_witnesses`): the definable set is the union
+    of the systems' projections, and r comes with the first solution of the
+    first system that reaches it.  Every solution of that system has free
+    value r, so this is its lexicographically first solution, and {1, r}
+    plus its values is the answer.
     """
     if not K.is_finite:
         raise InfiniteFieldError("recovering a neighbourhood needs a finite field")
     fv = free_variables(f)
     if len(fv) != 1:
         raise NotSingletonError(f"expected one free variable, found {sorted(fv)}")
-    nf = normalize(f, cap)
-    target = normalized_definable_set(nf, K)
-    if len(target) != 1:
+    witnesses = normalized_witnesses(normalize(f, cap), K)
+    element = int_field(K).element
+    if len(witnesses) != 1:
         raise NotSingletonError(
-            f"definable set has {len(target)} elements", definable=target
+            f"definable set has {len(witnesses)} elements",
+            definable={element(v) for v in witnesses},
         )
-    (r,) = target
-    for system in nf.systems:
-        search = ConstraintSearch(system, K)
-        witness = next(search.solutions(), None)
-        if witness is None:
-            continue
-        element = search.kernel.element
-        return neighbourhood(K, [K.one(), r, *map(element, witness)], r)
-    raise NoSatisfiableDisjunctError("no disjunct is satisfiable")
+    ((r, witness),) = witnesses.items()
+    return neighbourhood(K, [K.one(), *map(element, (r, *witness))], element(r))
 
 
 # -- single-equation encoding ----------------------------------------------
@@ -321,7 +292,9 @@ def compile_singleton(
         if linear is not None:
             return linear
     eqs = [lhs - rhs for lhs, rhs in _fact_equations(A, "x")]
-    if A.field.is_finite or len(eqs) == 1:
+    if len(eqs) == 1:
+        (T,) = eqs
+    elif A.field.is_finite:
         T = combine_equations(eqs, _rootless_form(A.field), cap)
     else:
         T = sum((e * e for e in eqs), Term.zero())

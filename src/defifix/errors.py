@@ -72,13 +72,6 @@ class NotSingletonError(DefifixError):
         self.definable = definable
 
 
-class NoSatisfiableDisjunctError(DefifixError):
-    """No disjunct of a normalized formula is satisfiable although the definable
-    set is a singleton; signals an internal inconsistency."""
-
-    code = "no-satisfiable-disjunct"
-
-
 class SchemaError(DefifixError):
     """Missing or malformed schema parameter."""
 

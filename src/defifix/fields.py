@@ -93,6 +93,16 @@ def _poly_pow(a, n, m, p):
     return out
 
 
+def _digits(n: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of n, least significant first: an element index
+    as its coefficient vector, and the counting order of vectors."""
+    out = []
+    for _ in range(k):
+        n, c = divmod(n, p)
+        out.append(c)
+    return out
+
+
 def _poly_is_irreducible(m, p):
     """Exhaustive divisor search; adequate for the supported degrees (<= 4)."""
     k = len(m) - 1
@@ -100,12 +110,7 @@ def _poly_is_irreducible(m, p):
         return False
     for d in range(1, k // 2 + 1):
         for n in range(p**d):
-            g, t = [], n
-            for _ in range(d):
-                g.append(t % p)
-                t //= p
-            g.append(1)
-            if not _poly_mod(m, g, p):
+            if not _poly_mod(m, _digits(n, p, d) + [1], p):
                 return False
     # degree 1: irreducible by definition; degrees 2, 3 need only the (root)
     # search above; degree 4 also rules out quadratic factors there
@@ -117,11 +122,7 @@ def _canonical_modulus(p: int, k: int):
     order of the non-leading coefficient vector (constant term least
     significant)."""
     for n in range(p**k):
-        c, t = [], n
-        for _ in range(k):
-            c.append(t % p)
-            t //= p
-        c.append(1)
+        c = _digits(n, p, k) + [1]
         if _poly_is_irreducible(c, p):
             return tuple(c)
     raise FieldSpecError(f"no irreducible monic polynomial of degree {k} over F_{p}")
@@ -356,14 +357,7 @@ def enumerate_elements(field: FieldDescriptor) -> list[FieldElement]:
     if not field.is_finite:
         raise InfiniteFieldError("cannot enumerate Q")
     p, k = field.p, field.degree
-    out = []
-    for n in range(p**k):
-        vec, t = [], n
-        for _ in range(k):
-            vec.append(t % p)
-            t //= p
-        out.append(FieldElement(field, tuple(vec)))
-    return out
+    return [FieldElement(field, tuple(_digits(n, p, k))) for n in range(p**k)]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -433,11 +427,7 @@ class IntField:
         return n
 
     def element(self, i: int) -> FieldElement:
-        vec = []
-        for _ in range(self.field.degree):
-            i, c = divmod(i, self.p)
-            vec.append(c)
-        return FieldElement(self.field, tuple(vec))
+        return FieldElement(self.field, tuple(_digits(i, self.p, self.field.degree)))
 
     def add(self, a: int, b: int) -> int:
         if a == 0:
@@ -488,17 +478,9 @@ def _powers_of_first_generator(K: FieldDescriptor) -> list[int]:
             a = a * g % p
         return out
     modulus = list(K.modulus)
-
-    def digits(i):
-        vec = []
-        while i:
-            i, c = divmod(i, p)
-            vec.append(c)
-        return vec
-
     g = next(
         v
-        for v in map(digits, range(1, q))
+        for v in (_poly_trim(_digits(i, p, k)) for i in range(1, q))
         if all(_poly_pow(v, m // r, modulus, p) != [1] for r in factors)
     )
     weights = [p**d for d in range(k)]

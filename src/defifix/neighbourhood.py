@@ -10,19 +10,22 @@ inside A (`facts`) are tested in the ring `fields.ring` picks for the
 |A|^2 pairs: the field's integer kernel when its tables are built (the
 decision builds them first, since its search needs them) or no larger,
 else the field's own FieldElements, so certifying or compiling a few
-elements of a large field builds no O(q) tables. The facts are written as a
-constraint system with one variable per element (`fact_system`); its
-solutions are exactly the arithmetic maps, so the maps are enumerated by
-the same search that solves normalized formulas
-(`normalize.ConstraintSearch`) on the same kernel, and only the maps
-reported are turned back into FieldElements. Over any field (the
-infinite-field path) a one-sided certificate is available: close the set
-of forced elements under the facts and report Certified only when r is
-among them. The identity on A is always an arithmetic map, so a forced
-value can only be the element itself, and the closure needs no field
-arithmetic. Over Q, `facts` narrows the pairs it tests by their residues
-modulo a prime, so a large set costs one C-level pass per element, not
-exact arithmetic per pair.
+elements of a large field builds no O(q) tables. `fact_system` is the one
+place that decides which facts are written down: a constraint system
+with one variable per element, each sum and product once and none that
+f(1)=1 and f(0)=0 already imply. Its solutions are exactly the
+arithmetic maps, so the maps are enumerated by the same search that
+solves normalized formulas (`normalize.ConstraintSearch`) on the same
+kernel, and only the maps reported are turned back into FieldElements;
+the compiler writes the same atoms as formulas. Over any field (the
+infinite-field path) a one-sided certificate is available: the engine's
+root propagation on the fact system, from its own incidence lists and
+root-forced variables, reported Certified only when it forces r. The
+identity on A is always an arithmetic map, so a forced value can only be
+the element itself, and the closure needs no field arithmetic. Over Q,
+`facts` narrows the pairs it tests by their residues modulo a prime, so
+a large set costs one C-level pass per element, not exact arithmetic per
+pair.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from .fields import (
     int_field,
     ring,
 )
-from .normalize import ConstraintSearch, ConstraintSystem, One, Plus, Times
+from .normalize import (
+    ConstraintSearch,
+    ConstraintSystem,
+    One,
+    Plus,
+    Times,
+    incidence_and_forced,
+)
 
 DEFAULT_MAP_CAP = 10**6
 
@@ -185,13 +195,29 @@ class ArithmeticMap:
 def fact_system(A: Neighbourhood) -> ConstraintSystem:
     """A's facts as a constraint system with one variable per element of A
     (named by its element string): its solutions are the arithmetic maps
-    on A, and its free variable is the distinguished element."""
+    on A, and its free variable is the distinguished element.
+
+    This is the one place that decides which facts are written down: the
+    ones, then the sums, then the products, each in sorted order.  A sum or
+    product is written once, as (i, j, k) with i <= j, and left out when
+    f(1) = 1 and f(0) = 0 already imply it: a sum with a summand 0 (other
+    than 0 + 0 = 0, which is what pins f(0) = 0) and a product with a
+    factor 0 or 1.  The pruned atoms hold under every map the kept ones
+    force, so the solutions are those of the full fact list."""
     fs = facts(A)
-    atoms = (
-        [One(i) for i in sorted(fs.ones)]
-        + [Plus(*t) for t in sorted(fs.sums)]
-        + [Times(*t) for t in sorted(fs.products)]
-    )
+    zero = {i for i, j, k in fs.sums if i == j == k}  # a + a = a only for a = 0
+    constants = zero | fs.ones
+    atoms = [One(i) for i in sorted(fs.ones)]
+    atoms += [
+        Plus(i, j, k)
+        for i, j, k in sorted(fs.sums)
+        if i <= j and (i == j == k or zero.isdisjoint((i, j)))
+    ]
+    atoms += [
+        Times(i, j, k)
+        for i, j, k in sorted(fs.products)
+        if i <= j and constants.isdisjoint((i, j))
+    ]
     names = tuple(element_str(a) for a in A.elements)
     return ConstraintSystem(names, tuple(atoms), A.target_index)
 
@@ -251,32 +277,22 @@ def certify_by_propagation(A: Neighbourhood) -> bool:
     when the forced-value closure pins f(r)=r. False means Unknown, not
     refuted.
 
-    The identity on A is an arithmetic map, so every value the facts force
-    is the element itself, and the closure only tracks which indices are
-    forced, with no field arithmetic. Forcing rules: f(1)=1; a+b=a forces
-    f(b)=0; a sum or product triple with exactly one unforced place forces
-    it, a product solving for a factor only when the other factor is
-    nonzero. Over a finite field this is the root propagation of
-    `normalize.ConstraintSearch` on `fact_system(A)`."""
-    fs = facts(A)
-    zero = A.field.zero()
-    incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in A.elements]
-    for is_product, triples in ((False, fs.sums), (True, fs.products)):
-        for t in triples:
-            for i in set(t):
-                incidence[i].append((is_product, *t))
-    known = set(fs.ones) | {j for i, j, k in fs.sums if k == i}
+    This is the root propagation of `normalize.ConstraintSearch` on
+    `fact_system(A)`, from the same incidence lists and root-forced
+    variables (`incidence_and_forced`), read without values: the identity
+    on A is an arithmetic map, so every value the facts force is the
+    element itself, and the closure only tracks which indices are forced.
+    The fact system has no product with a factor 0, so a triple with
+    exactly one unforced place always forces it."""
+    incidence, forced = incidence_and_forced(fact_system(A))
+    known = {i for i, _ in forced}
     queue = list(known)
     while queue:
-        for is_product, i, j, k in incidence[queue.pop()]:
-            unknown = [x for x in (i, j, k) if x not in known]
-            if len(unknown) != 1:
-                continue
-            (x,) = unknown
-            if is_product and x != k and A.elements[j if x == i else i] == zero:
-                continue
-            known.add(x)
-            queue.append(x)
+        for _, *places in incidence[queue.pop()]:
+            unknown = [x for x in places if x not in known]
+            if len(unknown) == 1:
+                known.add(unknown[0])
+                queue.append(unknown[0])
     return A.target_index in known
 
 

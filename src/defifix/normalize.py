@@ -19,13 +19,17 @@ integer coefficients are accepted.
 backtracking on the integer form of the field (`fields.IntField`). It
 enumerates every solution (`solve_system`, and the arithmetic-map search
 of the neighbourhood module) or, per value of the free variable, stops at
-the first witness (`normalized_definable_set`).
+the first witness and keeps it (`projection`), so a definable set and a
+witness for each of its values come from one search per system
+(`normalized_witnesses`). Its incidence lists and root-forced variables
+come from `incidence_and_forced`, which the neighbourhood module's
+value-free certification reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Container, Iterable, Iterator, Union
 
 from .errors import CapExceededError, InfiniteFieldError, NormalizationError
 from .fields import FieldDescriptor, FieldElement, int_field
@@ -86,7 +90,7 @@ class ConstraintSystem:
         if not 0 <= self.free_index < n:
             raise NormalizationError("distinguished variable missing from table")
         for a in self.atoms:
-            if any(not 0 <= i < n for i in _atom_indices(a)):
+            if any(not 0 <= i < n for i in atom_indices(a)):
                 raise NormalizationError(f"atom {a} indexes outside the variable table")
 
     @property
@@ -128,7 +132,7 @@ class NormalizedFormula:
         return "\n".join(lines)
 
 
-def _atom_indices(a: ThreeAddressAtom) -> tuple[int, ...]:
+def atom_indices(a: ThreeAddressAtom) -> tuple[int, ...]:
     if isinstance(a, One):
         return (a.i,)
     return (a.i, a.j, a.k)
@@ -555,15 +559,35 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
 # -- constraint search -----------------------------------------------------------------
 
 
+def incidence_and_forced(
+    s: ConstraintSystem,
+) -> tuple[list[list[tuple[bool, int, int, int]]], list[tuple[int, int]]]:
+    """Per variable, the Plus and Times atoms it occurs in as (is_product,
+    i, j, k); and the (variable, value) pairs the atoms force alone: 1 for
+    a One atom, and 0 for the variable an atom with a repeated place pins
+    (x + y = x gives y = 0, x + y = y gives x = 0)."""
+    incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in s.variables]
+    forced = []
+    for a in s.atoms:
+        if isinstance(a, One):
+            forced.append((a.i, 1))
+            continue
+        if isinstance(a, Plus) and a.k in (a.i, a.j):
+            forced.append((a.j if a.k == a.i else a.i, 0))
+        entry = (isinstance(a, Times), a.i, a.j, a.k)
+        for i in {a.i, a.j, a.k}:
+            incidence[i].append(entry)
+    return incidence, forced
+
+
 class ConstraintSearch:
     """The one search over a system of three-address atoms in a finite field.
 
     Elements are ints in `IntField` order. The root state holds what the
-    atoms force alone: x = 1 for a One atom, and 0 for the variable an atom
-    with a repeated place pins (x + y = x gives y = 0, x + y = y gives
-    x = 0). From there Plus and Times atoms propagate: once two of an
-    atom's three places are known the third is computed or checked (a
-    product with a known zero factor forces nothing on the other factor).
+    atoms force alone (`incidence_and_forced`). From there Plus and Times
+    atoms propagate: once two of an atom's three places are known the
+    third is computed or checked (a product with a known zero factor
+    forces nothing on the other factor).
     Branching takes the first unassigned variable of the table and tries
     its values in enumeration order, so solutions come out in
     lexicographic order of their value tuples whatever the propagation
@@ -575,20 +599,8 @@ class ConstraintSearch:
             raise InfiniteFieldError("system solving needs a finite field")
         self.system = s
         self.kernel = int_field(K)
-        n = len(s.variables)
-        # per variable, the atoms it occurs in, as (is_product, i, j, k)
-        self.incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in range(n)]
-        forced = []
-        for a in s.atoms:
-            if isinstance(a, One):
-                forced.append((a.i, 1))
-                continue
-            if isinstance(a, Plus) and a.k in (a.i, a.j):
-                forced.append((a.j if a.k == a.i else a.i, 0))
-            entry = (isinstance(a, Times), a.i, a.j, a.k)
-            for i in {a.i, a.j, a.k}:
-                self.incidence[i].append(entry)
-        root: list[int] | None = [-1] * n
+        self.incidence, forced = incidence_and_forced(s)
+        root: list[int] | None = [-1] * len(s.variables)
         for var, v in forced:
             if not self._assign(root, [], var, v):
                 root = None
@@ -690,16 +702,18 @@ class ConstraintSearch:
             else:
                 return
 
-    def projection(self, known: set[int] = frozenset()) -> set[int]:
+    def projection(self, known: Container[int] = frozenset()) -> dict[int, tuple[int, ...]]:
         """The values of the free variable that extend to a solution, apart
-        from those in `known`: each value is pinned in turn and its search
-        stops at the first witness."""
+        from those in `known`, each with its first solution: each value is
+        pinned in turn and its search stops at that witness."""
         free = self.system.free_index
-        return {
-            v
-            for v in range(self.kernel.q)
-            if v not in known and next(self.solutions([(free, v)]), None) is not None
-        }
+        out = {}
+        for v in range(self.kernel.q):
+            if v not in known:
+                witness = next(self.solutions([(free, v)]), None)
+                if witness is not None:
+                    out[v] = witness
+        return out
 
 
 def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, FieldElement]]:
@@ -712,11 +726,17 @@ def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, Fiel
     ]
 
 
-def normalized_definable_set(nf: NormalizedFormula, K: FieldDescriptor) -> set[FieldElement]:
+def normalized_witnesses(nf: NormalizedFormula, K: FieldDescriptor) -> dict[int, tuple[int, ...]]:
     """Union over disjuncts of the projection of each system's solutions
-    onto the free variable."""
-    found: set[int] = set()
+    onto the free variable, as element indices of `int_field(K)`, each
+    value with the first solution of the first system that reaches it."""
+    found: dict[int, tuple[int, ...]] = {}
     for s in nf.systems:
-        found |= ConstraintSearch(s, K).projection(found)
+        found.update(ConstraintSearch(s, K).projection(found))
+    return found
+
+
+def normalized_definable_set(nf: NormalizedFormula, K: FieldDescriptor) -> set[FieldElement]:
+    """The values of `normalized_witnesses` as FieldElements."""
     element = int_field(K).element
-    return {element(v) for v in found}
+    return {element(v) for v in normalized_witnesses(nf, K)}

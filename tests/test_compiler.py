@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _gen import random_existential_formula
-from defifix import formulas
+from defifix import compiler, formulas
 from defifix.compiler import (
     RootlessPolynomial,
     combine_equations,
@@ -24,8 +25,22 @@ from defifix.errors import (
 )
 from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import And, Exists, definable_set, free_variables, parse, print_formula
-from defifix.neighbourhood import Neighbourhood, is_neighbourhood, nbhd_rational, neighbourhood
-from defifix.normalize import normalize, solve_system
+from defifix.neighbourhood import (
+    Neighbourhood,
+    fact_system,
+    is_neighbourhood,
+    nbhd_rational,
+    neighbourhood,
+)
+from defifix.normalize import (
+    ConstraintSearch,
+    One,
+    Plus,
+    atom_indices,
+    normalize,
+    normalized_definable_set,
+    solve_system,
+)
 from defifix.terms import Term
 
 Q = make_field("Q")
@@ -131,6 +146,78 @@ def test_recovery_matches_brute_force_reference():
                     formula_to_neighbourhood(f, K)
                 assert e.value.definable == want[1], print_formula(f)
     assert outcomes == {"ok", "not-singleton"}
+
+
+def _two_pass_recovery(f, K):
+    """The definable set first, then a second search of every system for
+    the first solution of the first satisfiable one."""
+    (r,) = normalized_definable_set(normalize(f), K)
+    for system in normalize(f).systems:
+        search = ConstraintSearch(system, K)
+        witness = next(search.solutions(), None)
+        if witness is not None:
+            return neighbourhood(K, [K.one(), r, *map(search.kernel.element, witness)], r)
+    raise AssertionError("a singleton with no satisfiable disjunct")
+
+
+def test_recovery_equals_the_two_pass_answer(monkeypatch):
+    built = []
+
+    class CountingSearch(ConstraintSearch):
+        def __init__(self, s, K):
+            built.append(s)
+            super().__init__(s, K)
+
+    # the first disjunct x = 1 & x = 2 has no solution
+    f = parse("(x = 1 & x = 2) | (exists y. (y = 1 & x = y + y))")
+    assert next(ConstraintSearch(normalize(f).systems[0], F7).solutions(), None) is None
+    cases = [(f, F7)]
+    rng = random.Random(4100)
+    for K in (F5, F7, F4, F9):
+        found = 0
+        while found < 8:
+            g = random_existential_formula(rng)
+            if len(normalized_definable_set(normalize(g), K)) == 1:
+                cases.append((g, K))
+                found += 1
+    monkeypatch.setattr(
+        importlib.import_module("defifix.normalize"), "ConstraintSearch", CountingSearch
+    )
+    for g, K in cases:
+        want = _two_pass_recovery(g, K)
+        built.clear()
+        got = formula_to_neighbourhood(g, K)
+        assert got == want, print_formula(g)
+        assert built == list(normalize(g).systems), print_formula(g)
+
+
+def test_formula_conjuncts_are_the_fact_system_atoms():
+    rng = random.Random(4101)
+    for K in (F5, F7, F4, F9, Q):
+        pool = list(enumerate_elements(K)) if K.is_finite else [K.element(c) for c in range(-3, 7)]
+        for _ in range(20):
+            chosen = rng.sample(pool, rng.randint(1, min(5, len(pool))))
+            A = Neighbourhood(K, tuple(chosen), rng.randrange(len(chosen)))
+            atoms = fact_system(A).atoms
+            if not any(A.target_index in atom_indices(a) for a in atoms):
+                with pytest.raises(NotDefiningError):
+                    neighbourhood_to_formula(A)
+                continue
+            body = neighbourhood_to_formula(A)
+            while isinstance(body, Exists):
+                body = body.body
+            parts = body.parts if isinstance(body, And) else (body,)
+            others = [i for i in range(len(A.elements)) if i != A.target_index]
+            name = {i: f"x{n}" for n, i in enumerate(others, 2)} | {A.target_index: "x1"}
+            v = {i: Term.variable(n) for i, n in name.items()}
+            assert len(parts) == len(atoms)
+            for eq, a in zip(parts, atoms):
+                if isinstance(a, One):
+                    assert (eq.lhs, eq.rhs) == (v[a.i], Term.constant(1))
+                elif isinstance(a, Plus):
+                    assert (eq.lhs, eq.rhs) == (v[a.i] + v[a.j], v[a.k])
+                else:
+                    assert (eq.lhs, eq.rhs) == (v[a.i] * v[a.j], v[a.k])
 
 
 def test_round_trip_extension_fields():
@@ -248,6 +335,18 @@ def test_origin_only_small_fields():
 def test_compile_single_fact():
     f = compile_singleton(neighbourhood(F3, [1], 1))
     assert print_formula(f) == "x - 1 = 0"
+
+
+def test_single_fact_needs_no_rootless_form(monkeypatch):
+    monkeypatch.setattr(compiler, "_ROOTLESS_FORMS", {})
+    for K in (Q, F7):
+        f = compile_singleton(neighbourhood(K, [1], 1))
+        assert print_formula(f) == "x - 1 = 0"
+    assert compiler._ROOTLESS_FORMS == {}
+    compile_singleton(nbhd_rational(2, Q))
+    assert compiler._ROOTLESS_FORMS == {}
+    compile_singleton(nbhd_rational(2, F7))
+    assert list(compiler._ROOTLESS_FORMS) == [F7]
 
 
 def test_compile_zero():

@@ -22,7 +22,7 @@ from defifix.neighbourhood import (
     nbhd_rational,
     neighbourhood,
 )
-from defifix.normalize import ConstraintSearch
+from defifix.normalize import ConstraintSearch, One, Plus, Times
 
 Q = make_field("Q")
 F3 = make_field("F3")
@@ -184,6 +184,39 @@ def test_monotone_under_superset():
         extra = rng.sample(pool, rng.randint(0, 4))
         B = neighbourhood(F7, list(base.elements) + extra, 2)
         assert is_neighbourhood(B).yes
+
+
+def test_fact_system_writes_each_pair_once_and_prunes_implied_facts():
+    # over the full `facts` table: each (i, j) once with i <= j, no sum with
+    # a summand 0 but 0 + 0 = 0, no product with a factor 0 or 1; and the
+    # same solutions, in the same order, as the naive filter of all maps
+    rng = random.Random(415)
+    for spec, max_size in [("F5", 5), ("F7", 4), ("F2^2", 4), ("F3^2", 4)]:
+        K = make_field(spec)
+        zero, one = K.zero(), K.one()
+        for A in _random_subsets(rng, K, max_size, 25):
+            fs = facts(A)
+            e = A.elements
+            want = (
+                [One(i) for i in sorted(fs.ones)]
+                + [
+                    Plus(i, j, k)
+                    for i, j, k in sorted(fs.sums)
+                    if i <= j and (i == j == k or zero not in (e[i], e[j]))
+                ]
+                + [
+                    Times(i, j, k)
+                    for i, j, k in sorted(fs.products)
+                    if i <= j and not {e[i], e[j]} & {zero, one}
+                ]
+            )
+            s = fact_system(A)
+            assert list(s.atoms) == want, A.to_json()
+            pairs = [(type(a), a.i, a.j) for a in s.atoms if not isinstance(a, One)]
+            assert all(i <= j for _, i, j in pairs) and len(set(pairs)) == len(pairs)
+            T = int_field(K)
+            got = [tuple(map(T.element, v)) for v in ConstraintSearch(s, K).solutions()]
+            assert got == naive_maps(A), A.to_json()
 
 
 def test_certify_chain():

@@ -195,10 +195,7 @@ def find_rootless(K: FieldDescriptor) -> RootlessPolynomial:
     p = K.characteristic
     for degree in (2, 3):
         for rest in iter_product(range(p), repeat=degree):
-            poly = x**degree
-            for offset, c in enumerate(rest):
-                if c:
-                    poly = poly + c * x ** (degree - 1 - offset)
+            poly = Term.sum(c * x ** (degree - i) for i, c in enumerate((1, *rest)) if c)
             if _find_root(poly, "x", K) is None:
                 return RootlessPolynomial(poly, K)
     raise FieldSpecError(f"no rootless cubic over {K.spec()}")
@@ -211,11 +208,7 @@ def homogenize(p: RootlessPolynomial) -> Term:
     n = p.degree
     x = Term.variable("x")
     y = Term.variable("y")
-    out = Term.zero()
-    for i, c in enumerate(a):
-        if c:
-            out = out + c * x**i * y ** (n - i)
-    return out
+    return Term.sum(c * x**i * y ** (n - i) for i, c in enumerate(a) if c)
 
 
 _ROOTLESS_FORMS: dict[FieldDescriptor, Term] = {}
@@ -297,5 +290,5 @@ def compile_singleton(
     elif A.field.is_finite:
         T = combine_equations(eqs, _rootless_form(A.field), cap)
     else:
-        T = sum((e * e for e in eqs), Term.zero())
+        T = Term.sum(e * e for e in eqs)
     return _close_existentially(Equal(T, Term.zero()), "x")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import prod
 
 from .errors import CapExceededError, InfiniteFieldError
 from .fields import FieldDescriptor, FieldElement, element_str, int_field, ring
@@ -342,12 +343,7 @@ def symmetric_value_formula(g: Term, n: int, k: int) -> Formula:
     parts += [
         Not(Equal(us[i], us[j])) for i in range(n) for j in range(i + 1, n)
     ]
-    sym = Term.zero()
-    for combo in combinations(range(n), k):
-        part = Term.constant(1)
-        for i in combo:
-            part = part * us[i]
-        sym = sym + part
+    sym = Term.sum(prod(us[i] for i in combo) for combo in combinations(range(n), k))
     parts.append(Equal(Term.variable("v"), sym))
     f: Formula = conj(parts)
     for i in range(n, 0, -1):

@@ -7,6 +7,12 @@ stores nonzero (monomial, coefficient) pairs in descending graded
 lexicographic order (higher total degree first, ties by variable name then
 by higher exponent), which is also the printing order.
 
+Only a finished result is in that order. The arithmetic in between works
+on unsorted (monomial, coefficient) pairs, where zero coefficients and
+Fractions with denominator 1 may stand; `_canon` sorts, drops the zeros and
+turns those Fractions into ints once, on the result of each `*`, `**`,
+`substitute` and sum.
+
 `Term.compile` turns a term into an evaluator on any ring of the fields
 module's ring interface, FieldElements or kernel indices alike;
 `Term.evaluate` is that evaluator on FieldElements.
@@ -25,10 +31,12 @@ Monomial = tuple[tuple[str, int], ...]
 
 Coefficient = int | Fraction
 
+_ONE = (((), 1),)  # the pairs of the constant 1
+
 
 def _norm_coeff(c: Coefficient) -> Coefficient:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
@@ -37,20 +45,54 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial):
-    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+    degree = 0
+    names = []
+    for v, e in m:
+        degree += e
+        names.append((v, -e))
+    return (-degree, tuple(names))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[str, int] = {}
-    for v, e in a:
-        exps[v] = exps.get(v, 0) + e
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted(exps.items()))
 
 
+def _mul_into(acc: dict, xs, ys) -> dict:
+    """Add the product of two sequences of (monomial, coefficient) pairs
+    into `acc`, unsorted, and return it."""
+    get, mono_mul = acc.get, _mono_mul
+    for m1, c1 in xs:
+        for m2, c2 in ys:
+            m = mono_mul(m1, m2)
+            acc[m] = get(m, 0) + c1 * c2
+    return acc
+
+
+def _power(pairs, n: int):
+    """pairs**n by square-and-multiply, as unsorted pairs."""
+    out = None
+    while n:
+        if n & 1:
+            out = pairs if out is None else _mul_into({}, out, pairs).items()
+        n >>= 1
+        if n:
+            pairs = _mul_into({}, pairs, pairs).items()
+    return _ONE if out is None else out
+
+
 def _canon(pairs: dict[Monomial, Coefficient]) -> tuple[tuple[Monomial, Coefficient], ...]:
-    items = [(m, _norm_coeff(c)) for m, c in pairs.items() if c != 0]
+    items = [(m, _norm_coeff(c)) for m, c in pairs.items() if c]
     items.sort(key=lambda mc: _mono_key(mc[0]))
     return tuple(items)
 
@@ -105,12 +147,18 @@ class Term:
             return other
         return Term.constant(other)
 
-    def __add__(self, other) -> "Term":
-        other = self._coerce(other)
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs:
-            acc[m] = acc.get(m, 0) + c
+    @staticmethod
+    def sum(terms) -> "Term":
+        """The sum of an iterable of terms, put in canonical order once."""
+        acc: dict[Monomial, Coefficient] = {}
+        get = acc.get
+        for t in terms:
+            for m, c in t.coeffs:
+                acc[m] = get(m, 0) + c
         return Term(_canon(acc))
+
+    def __add__(self, other) -> "Term":
+        return Term.sum((self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -124,39 +172,35 @@ class Term:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Term":
-        other = self._coerce(other)
-        acc: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Term(_canon(acc))
+        return Term(_canon(_mul_into({}, self.coeffs, self._coerce(other).coeffs)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Term":
         if n < 0:
             raise ValueError("negative exponent")
-        out, base = Term.constant(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return Term(_canon(dict(_power(self.coeffs, n))))
 
     # -- semantics ---------------------------------------------------------
 
     def substitute(self, mapping: dict[str, "Term"]) -> "Term":
-        out = Term.zero()
+        """Simultaneous substitution; an unmapped variable stays itself.
+        Each power of a mapped variable is expanded once per call."""
+        powers: dict[tuple[str, int], object] = {}
+        acc: dict[Monomial, Coefficient] = {}
+        get = acc.get
         for m, c in self.coeffs:
-            part = Term.constant(c)
+            part = None
             for v, e in m:
-                factor = mapping.get(v, Term.variable(v))
-                part = part * factor**e
-            out = out + part
-        return out
+                factor = powers.get((v, e))
+                if factor is None:
+                    t = mapping.get(v)
+                    factor = ((((v, e),), 1),) if t is None else _power(t.coeffs, e)
+                    powers[v, e] = factor
+                part = factor if part is None else _mul_into({}, part, factor).items()
+            for mono, coef in _ONE if part is None else part:
+                acc[mono] = get(mono, 0) + c * coef
+        return Term(_canon(acc))
 
     def evaluate(self, assignment: dict[str, "FieldElement"], field) -> "FieldElement":
         """Value of the term under a variable assignment, in the given field.
@@ -196,7 +240,7 @@ class Term:
                     a = env.get(v)
                     if a is None:
                         raise EvaluationError(f"variable {v!r} has no value")
-                    part = mul(part, pow(a, e))
+                    part = mul(part, a if e == 1 else pow(a, e))
                 total = add(total, part)
             return total
 

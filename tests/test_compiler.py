@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -510,6 +511,23 @@ def test_compile_stays_small_on_seven_or_more_facts():
         text = print_formula(compile_singleton(A))
         assert time.process_time() - start < 1.0
         assert len(text) < 10_000
+
+
+@pytest.mark.parametrize(
+    "q, spec, chars, sha256",
+    [
+        (4, "F7", 3636, "e724cf58a576f486ff6e863cf75b6952066eaf6167371d938c6e729367074864"),
+        (5, "F11", 5077, "d1772e3a0f67dcfd4e575ac72950d06d453bd3f20a519890b5a572c0a67c29d4"),
+        (6, "F13", 2622, "b53be9b575f327f6c35481be2287714469ab4d9f9765d696c1bcd10ca1d7324a"),
+        (3, "F7", 440, "81696a026afa369da7009411abb70989d724e57745f8c058dad0d7b4f17695ea"),
+        (Fraction(5, 3), "Q", 327, "230e45efdb102f8a5af240205e97bb954a0a4c59c7c4bc0979cd55419a8d21a2"),
+    ],
+)
+def test_single_equation_text_is_pinned(q, spec, chars, sha256):
+    # larger than any compile-roundtrip item of the benchmark, so only this
+    # test sees a change in the fold's printed output
+    text = print_formula(compile_singleton(nbhd_rational(q, make_field(spec))))
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (chars, sha256)
 
 
 def test_combine_equations_cap_bounds_the_expansion():

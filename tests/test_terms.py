@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from defifix.errors import EvaluationError
 from defifix.fields import enumerate_elements, int_field, make_field
@@ -167,3 +169,115 @@ def test_compile_errors_match_evaluate():
         with pytest.raises(EvaluationError) as got:
             t.compile(T)(env)
         assert str(got.value) == str(want.value)
+
+
+# -- differential check against a naive dict polynomial ------------------------
+#
+# The reference keeps {monomial: coefficient} with monomials as sorted
+# (variable, exponent) tuples, expands everything one product at a time,
+# and sorts by the documented graded-lex key only when it is read back.
+
+LOW, HIGH = ("a", "b"), ("x", "x2", "y")  # every LOW name precedes every HIGH one
+
+
+def _ref_mono(exps: dict) -> tuple:
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = _ref_mono(exps)
+            out[m] = out.get(m, 0) + Fraction(c1) * c2
+    return out
+
+
+def _ref_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+def _ref_pow(p: dict, n: int) -> dict:
+    out = {(): 1}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_substitute(p: dict, mapping: dict) -> dict:
+    out: dict = {}
+    for m, c in p.items():
+        part = {(): c}
+        for v, e in m:
+            part = _ref_mul(part, _ref_pow(mapping.get(v, {((v, 1),): 1}), e))
+        out = _ref_add(out, part)
+    return out
+
+
+def _graded_lex(m: tuple):
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def _ref_coeffs(p: dict) -> tuple:
+    """Nonzero pairs, integral coefficients as int, in printing order."""
+    pairs = []
+    for m, c in p.items():
+        c = Fraction(c)
+        if c:
+            pairs.append((m, c.numerator if c.denominator == 1 else c))
+    return tuple(sorted(pairs, key=lambda mc: _graded_lex(mc[0])))
+
+
+def _typed(coeffs) -> list:
+    # Fraction(2) == 2, so the int normalisation needs the type as well
+    return [(m, c, type(c)) for m, c in coeffs]
+
+
+_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def _poly(names, size: int = 4) -> st.SearchStrategy:
+    """Up to `size` monomials, each in up to three of `names`."""
+    mono = st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3)
+    return st.lists(st.tuples(mono, _coeff), max_size=size).map(
+        lambda pairs: {_ref_mono(exps): c for exps, c in pairs}
+    )
+
+
+@st.composite
+def _operands(draw):
+    """Two polynomials over overlapping variables, or over disjoint ones
+    in either order; the second may cancel some monomials of the first."""
+    first, second = draw(st.sampled_from([(LOW + HIGH, LOW + HIGH), (LOW, HIGH), (HIGH, LOW)]))
+    p, q = draw(_poly(first)), draw(_poly(second))
+    for m in draw(st.lists(st.sampled_from(sorted(p)), unique=True)) if p else ():
+        q[m] = -p[m]
+    return p, q
+
+
+@given(_operands(), st.integers(0, 6))
+def test_arithmetic_matches_the_naive_reference(operands, n):
+    p, q = operands
+    a, b = Term(_ref_coeffs(p)), Term(_ref_coeffs(q))
+    assert _typed(a.coeffs) == _typed(_ref_coeffs(p))
+    assert _typed((a + b).coeffs) == _typed(_ref_coeffs(_ref_add(p, q)))
+    assert _typed((a - b).coeffs) == _typed(_ref_coeffs(_ref_add(p, q, -1)))
+    assert _typed((a * b).coeffs) == _typed(_ref_coeffs(_ref_mul(p, q)))
+    assert _typed((a**n).coeffs) == _typed(_ref_coeffs(_ref_pow(p, n)))
+    assert _typed(Term.sum([a, b, a]).coeffs) == _typed(_ref_coeffs(_ref_add(_ref_add(p, q), p)))
+
+
+@given(_poly(LOW + HIGH, 3), st.dictionaries(st.sampled_from(LOW + HIGH), _poly(LOW + HIGH, 2)))
+def test_substitute_matches_the_naive_reference(p, mapping):
+    a = Term(_ref_coeffs(p))
+    terms = {v: Term(_ref_coeffs(q)) for v, q in mapping.items()}
+    assert _typed(a.substitute(terms).coeffs) == _typed(_ref_coeffs(_ref_substitute(p, mapping)))

@@ -343,10 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="parse a formula and print its canonical form")
+    sp.set_defaults(handler=_cmd_parse)
     _add_formula_source(sp)
     _add_common(sp)
 
     sp = sub.add_parser("eval", help="evaluate a formula over a finite field")
+    sp.set_defaults(handler=_cmd_eval)
     _add_formula_source(sp)
     sp.add_argument("--field", required=True)
     sp.add_argument("--assign", action="append", help="name=element, repeatable")
@@ -354,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("normalize", help="rewrite into three-address constraint systems")
+    sp.set_defaults(handler=_cmd_normalize)
     _add_formula_source(sp)
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
@@ -361,17 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     nbhd = sub.add_parser("nbhd", help="arithmetic neighbourhood toolkit")
     nsub = nbhd.add_subparsers(dest="subcommand", required=True)
     sp = nsub.add_parser("check", help="decide whether the set pins the target")
+    sp.set_defaults(handler=_cmd_nbhd_check)
     _add_nbhd_args(sp)
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("maps", help="list all arithmetic maps on the set")
+    sp.set_defaults(handler=_cmd_nbhd_maps)
     _add_nbhd_args(sp, with_target=False)
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("certify", help="one-sided certification by value propagation")
+    sp.set_defaults(handler=_cmd_nbhd_certify)
     _add_nbhd_args(sp)
     _add_common(sp)
     sp = nsub.add_parser("rational", help="build and certify a neighbourhood of a rational")
+    sp.set_defaults(handler=_cmd_nbhd_rational)
     sp.add_argument("--q", required=True, help="rational number, e.g. 5/3")
     sp.add_argument("--field", default="Q")
     _add_common(sp)
@@ -379,25 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compile", help="between neighbourhoods and defining formulas")
     csub = comp.add_subparsers(dest="subcommand", required=True)
     sp = csub.add_parser("to-formula", help="emit the fact conjunction as a formula")
+    sp.set_defaults(handler=_cmd_compile_to_formula)
     _add_nbhd_args(sp)
     _add_common(sp)
     sp = csub.add_parser("from-formula", help="recover a neighbourhood from a defining formula")
+    sp.set_defaults(handler=_cmd_compile_from_formula)
     _add_formula_source(sp)
     sp.add_argument("--field", required=True)
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
     sp = csub.add_parser("single-eq", help="fold the facts into one equation")
+    sp.set_defaults(handler=_cmd_compile_single_eq)
     _add_nbhd_args(sp)
     sp.add_argument("--prefer-linear", action="store_true")
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("fixed-field", help="arithmetically fixed elements of a finite field")
+    sp.set_defaults(handler=_cmd_fixed_field)
     sp.add_argument("--field", required=True)
     sp.add_argument("--cap", type=int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("curve-lab", help="closure construction for symmetric values of a plane curve")
+    sp.set_defaults(handler=_cmd_curve_lab)
     sp.add_argument("--field", required=True)
     sp.add_argument("--poly", required=True, help="curve polynomial in x and y")
     sp.add_argument("--mode", choices=("prefix", "paper"), default="prefix")
@@ -407,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     schema = sub.add_parser("schema", help="named formula templates")
     ssub = schema.add_subparsers(dest="subcommand", required=True)
     sp = ssub.add_parser("emit", help="emit one template by name")
+    sp.set_defaults(handler=_cmd_schema_emit)
     sp.add_argument("--name", required=True, choices=schemas.SCHEMA_NAMES)
     sp.add_argument("--U", help="polynomial in y")
     sp.add_argument("--V", help="polynomial in y")
@@ -421,28 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DISPATCH = {
-    ("parse", None): _cmd_parse,
-    ("eval", None): _cmd_eval,
-    ("normalize", None): _cmd_normalize,
-    ("nbhd", "check"): _cmd_nbhd_check,
-    ("nbhd", "maps"): _cmd_nbhd_maps,
-    ("nbhd", "certify"): _cmd_nbhd_certify,
-    ("nbhd", "rational"): _cmd_nbhd_rational,
-    ("compile", "to-formula"): _cmd_compile_to_formula,
-    ("compile", "from-formula"): _cmd_compile_from_formula,
-    ("compile", "single-eq"): _cmd_compile_single_eq,
-    ("fixed-field", None): _cmd_fixed_field,
-    ("curve-lab", None): _cmd_curve_lab,
-    ("schema", "emit"): _cmd_schema_emit,
-}
-
-
 def run(args) -> tuple[int, dict]:
     """Dispatch a parsed config; returns (exit status, report)."""
-    handler = _DISPATCH[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args)
+        return args.handler(args)
     except _SEMANTIC_ERRORS as e:
         payload = {
             "error": {"code": e.code, "message": str(e)},

@@ -256,11 +256,12 @@ def _linear_equation(A: Neighbourhood):
     x = Term.variable("x")
     K = A.field
     if K.is_finite:
+        # r is the image of c exactly when its coefficient vector is (c, 0, ..., 0)
+        c, *rest = A.r.value
+        if any(rest):
+            return None
         p = K.characteristic
-        for c in range(p):
-            if K.element(c) == A.r:
-                return Equal(x + (p - c) % p, Term.zero())
-        return None
+        return Equal(x + (p - c) % p, Term.zero())
     q = A.r.value
     return Equal(q.denominator * x - q.numerator, Term.zero())
 

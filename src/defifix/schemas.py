@@ -359,18 +359,21 @@ def theorem7_def(i: int, predicate: str = "U") -> Formula:
 
 # -- uniform dispatch ------------------------------------------------------------
 
-SCHEMA_NAMES = (
-    "robinson",
-    "theorem2",
-    "pyth_M",
-    "lt6",
-    "le7",
-    "succ",
-    "accum",
-    "theorem6_def",
-    "theorem7_sentence",
-    "theorem7_def",
-)
+# name -> (template, its SchemaParams fields in call order, the required ones)
+_TEMPLATES = {
+    "robinson": (robinson, ("U", "V"), ("U", "V")),
+    "theorem2": (theorem2, ("phi", "U", "V"), ("phi", "U", "V")),
+    "pyth_M": (pyth_M, (), ()),
+    "lt6": (lt6, (), ()),
+    "le7": (le7, (), ()),
+    "succ": (succ, ("predicate",), ()),
+    "accum": (accum, ("predicate",), ()),
+    "theorem6_def": (theorem6_def, ("N", "F", "G"), ()),
+    "theorem7_sentence": (theorem7_sentence, ("i", "F", "G", "predicate"), ("i",)),
+    "theorem7_def": (theorem7_def, ("i", "predicate"), ("i",)),
+}
+
+SCHEMA_NAMES = tuple(_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -388,37 +391,13 @@ class SchemaParams:
     i: int | None = None
 
 
-def _need(params: SchemaParams, name: str, *fields: str):
-    for field in fields:
-        if getattr(params, field) is None:
-            raise SchemaError(f"schema {name!r} requires parameter {field!r}")
-
-
 def emit(name: str, params: SchemaParams | None = None) -> Formula:
     """Emit the named template with parameters taken from `params`."""
+    if name not in _TEMPLATES:
+        raise SchemaError(f"unknown schema {name!r}; known: {', '.join(SCHEMA_NAMES)}")
+    template, fields, required = _TEMPLATES[name]
     p = params if params is not None else SchemaParams()
-    if name == "robinson":
-        _need(p, name, "U", "V")
-        return robinson(p.U, p.V)
-    if name == "theorem2":
-        _need(p, name, "phi", "U", "V")
-        return theorem2(p.phi, p.U, p.V)
-    if name == "pyth_M":
-        return pyth_M()
-    if name == "lt6":
-        return lt6()
-    if name == "le7":
-        return le7()
-    if name == "succ":
-        return succ(p.predicate)
-    if name == "accum":
-        return accum(p.predicate)
-    if name == "theorem6_def":
-        return theorem6_def(p.N, p.F, p.G)
-    if name == "theorem7_sentence":
-        _need(p, name, "i")
-        return theorem7_sentence(p.i, p.F, p.G, p.predicate)
-    if name == "theorem7_def":
-        _need(p, name, "i")
-        return theorem7_def(p.i, p.predicate)
-    raise SchemaError(f"unknown schema {name!r}; known: {', '.join(SCHEMA_NAMES)}")
+    for field in required:
+        if getattr(p, field) is None:
+            raise SchemaError(f"schema {name!r} requires parameter {field!r}")
+    return template(*(getattr(p, field) for field in fields))

@@ -237,6 +237,30 @@ def test_compile_single_eq_prefer_linear():
     assert data["formula"] == "x + 5 = 0"
 
 
+def test_compile_single_eq_prefer_linear_large_prime_is_quick():
+    # the prime-field image is read off the coefficient vector, not searched
+    start = time.process_time()
+    code, out = invoke("compile", "single-eq", "--field", "F1000003",
+                       "--elements", "1,999999", "--target", "999999",
+                       "--prefer-linear")
+    assert time.process_time() - start < 0.3
+    assert code == 0
+    assert out == ('{"field": "F1000003","elements": ["[1]","[999999]"],'
+                   '"target": "[999999]","formula": "x + 4 = 0"}\n')
+
+
+def test_compile_single_eq_prefer_linear_outside_prime_image_folds():
+    code, out = invoke("compile", "single-eq", "--field", "F2^2",
+                       "--elements", "[0,1],[1,1]", "--target", "[0,1]",
+                       "--prefer-linear")
+    assert code == 0
+    assert out == (
+        '{"field": "F2^2:1,1,1","elements": ["[0,1]","[1,1]"],"target": "[0,1]",'
+        '"formula": "exists x2. x^6 + x^2*x2^4 + x2^6 - 3*x^4*x2 - 2*x^3*x2^2'
+        ' - 3*x*x2^4 - x2^5 + x^4 + 6*x^2*x2^2 + 2*x*x2^3 - x^3 - x^2*x2 - x2^3 = 0"}\n'
+    )
+
+
 def test_compile_single_eq_cap_exceeded():
     # nbhd_rational(10, F7): 19 kept facts, whose fold would expand to
     # about 5 * 10^7 monomials; the default cap stops it before the last step

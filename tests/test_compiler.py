@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import itertools
 import random
 import time
@@ -7,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import defifix.normalize
 from _gen import random_existential_formula
 from defifix import compiler, formulas
 from defifix.compiler import (
@@ -181,9 +181,7 @@ def test_recovery_equals_the_two_pass_answer(monkeypatch):
             if len(normalized_definable_set(normalize(g), K)) == 1:
                 cases.append((g, K))
                 found += 1
-    monkeypatch.setattr(
-        importlib.import_module("defifix.normalize"), "ConstraintSearch", CountingSearch
-    )
+    monkeypatch.setattr(defifix.normalize, "ConstraintSearch", CountingSearch)
     for g, K in cases:
         want = _two_pass_recovery(g, K)
         built.clear()

@@ -1,10 +1,10 @@
-import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import defifix.neighbourhood
 from defifix import fields
 from defifix.compiler import neighbourhood_to_formula
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
@@ -242,7 +242,7 @@ def test_certify_stays_unknown_without_a_single_unknown_place():
 def test_certify_does_no_field_arithmetic(monkeypatch):
     A = nbhd_rational(Fraction(5, 3), Q)
     fs = facts(A)
-    monkeypatch.setattr(importlib.import_module("defifix.neighbourhood"), "facts", lambda B: fs)
+    monkeypatch.setattr(defifix.neighbourhood, "facts", lambda B: fs)
 
     def refuse(*args):
         raise AssertionError("field arithmetic during certification")

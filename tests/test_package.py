@@ -1,0 +1,62 @@
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import defifix
+
+SRC = Path(defifix.__file__).resolve().parent.parent
+SUBMODULES = {m.name for m in pkgutil.iter_modules(defifix.__path__)}
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter that finds this package, and return
+    the JSON it prints."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_import_loads_no_submodule():
+    loaded = fresh("import json, sys, defifix; "
+                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('defifix.'))))")
+    assert loaded == []
+
+
+def test_every_export_is_its_defining_modules_object():
+    listed = [(m, name) for m, names in defifix._EXPORTS.items() for name in names.split()]
+    assert len(listed) == len(defifix.__all__) - 1  # each name once, besides __version__
+    for module, name in listed:
+        assert getattr(defifix, name) is getattr(importlib.import_module(f"defifix.{module}"), name)
+
+
+def test_every_submodule_resolves_and_none_is_an_export_name():
+    assert set(defifix._EXPORTS) == SUBMODULES
+    assert not SUBMODULES & set(defifix.__all__)
+    for module in SUBMODULES:
+        assert getattr(defifix, module) is importlib.import_module(f"defifix.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        defifix.no_such_name
+
+
+@pytest.mark.parametrize("first", [
+    "from defifix import neighbourhood, normalize",
+    "from defifix import normalize, neighbourhood",
+    "from defifix import is_neighbourhood, normalized_definable_set",
+    "from defifix.neighbourhood import neighbourhood; from defifix.normalize import normalize",
+    "from defifix import *",
+])
+def test_collided_names_are_the_modules_in_any_import_order(first):
+    kinds = fresh(f"{first}\nimport json, defifix\n"
+                  "print(json.dumps([type(defifix.normalize).__name__, "
+                  "type(defifix.neighbourhood).__name__]))")
+    assert kinds == ["module", "module"]

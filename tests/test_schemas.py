@@ -186,17 +186,37 @@ def test_emit_dispatch_matches_direct_calls():
     assert emit("theorem7_def", SchemaParams(i=-2)) == schemas.theorem7_def(-2)
     assert emit("pyth_M") == schemas.pyth_M()
     assert emit("succ", SchemaParams(predicate="W")) == schemas.succ("W")
+    # every template, with each of its parameters set, in call order
+    N, F, G = parse("x = 1"), parse("s = t"), parse("s + t = 0")
+    params = SchemaParams(U=y**2 - 2, V=y + 1, F=F, G=G, N=N, phi=parse("x = x1^2"),
+                          predicate="W", i=-3)
+    assert {name: emit(name, params) for name in schemas.SCHEMA_NAMES} == {
+        "robinson": schemas.robinson(y**2 - 2, y + 1),
+        "theorem2": schemas.theorem2(parse("x = x1^2"), y**2 - 2, y + 1),
+        "pyth_M": schemas.pyth_M(),
+        "lt6": schemas.lt6(),
+        "le7": schemas.le7(),
+        "succ": schemas.succ("W"),
+        "accum": schemas.accum("W"),
+        "theorem6_def": schemas.theorem6_def(N, F, G),
+        "theorem7_sentence": schemas.theorem7_sentence(-3, F, G, "W"),
+        "theorem7_def": schemas.theorem7_def(-3, "W"),
+    }
 
 
 def test_emit_rejects_missing_parameters_and_unknown_names():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^schema 'robinson' requires parameter 'U'$"):
         emit("robinson")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^schema 'theorem7_sentence' requires parameter 'i'$"):
         emit("theorem7_sentence")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^schema 'theorem2' requires parameter 'phi'$"):
         emit("theorem2", SchemaParams(U=Term.variable("y")))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         emit("no_such_template")
+    assert str(err.value) == (
+        "unknown schema 'no_such_template'; known: robinson, theorem2, pyth_M, lt6, le7,"
+        " succ, accum, theorem6_def, theorem7_sentence, theorem7_def"
+    )
 
 
 def test_default_opaque_parameters_stay_predicate_applications():

@@ -93,6 +93,33 @@ def _poly_pow(a, n, m, p):
     return out
 
 
+def _poly_inverse(a, m, p):
+    """The inverse of a nonzero a modulo the irreducible monic m over F_p,
+    by the extended Euclidean algorithm: each row (r, s) keeps s*a = r
+    modulo m, from (m, 0) and (a, 1) down to a nonzero constant r."""
+    r0, s0 = list(m), []
+    r1, s1 = _poly_trim(list(a)), [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            # subtract c x^shift times the row (r1, s1) from (r0, s0)
+            c = r0[-1] * inv % p
+            shift = len(r0) - len(r1)
+            r0 = _poly_submul(r0, c, shift, r1, p)
+            s0 = _poly_submul(s0, c, shift, s1, p)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    c = pow(r1[0], -1, p)
+    return [x * c % p for x in s1]
+
+
+def _poly_submul(a, c, shift, b, p):
+    """a - c x^shift b over F_p."""
+    out = list(a) + [0] * (len(b) + shift - len(a))
+    for i, y in enumerate(b):
+        out[shift + i] = (out[shift + i] - c * y) % p
+    return _poly_trim(out)
+
+
 def _digits(n: int, p: int, k: int) -> list[int]:
     """The k base-p digits of n, least significant first: an element index
     as its coefficient vector, and the counting order of vectors."""
@@ -187,7 +214,7 @@ class FieldDescriptor:
         """Coerce an int, Fraction, coefficient sequence, or string to an
         element of this field. Integers embed via the characteristic map."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"element of {value.field.spec()} used in {self.spec()}")
             return value
         if isinstance(value, str):
@@ -239,11 +266,23 @@ class FieldElement:
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
             return self.field.element(other)
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError(
                 f"mixed operands: {self.field.spec()} and {other.field.spec()}"
             )
         return other
+
+    # Equal elements have equal values, so the value alone is the hash;
+    # equality still compares the fields, by identity first.
+    def __eq__(self, other):
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.value == other.value and (
+            other.field is self.field or other.field == self.field
+        )
+
+    def __hash__(self):
+        return hash(self.value)
 
     @property
     def is_zero(self) -> bool:
@@ -290,9 +329,11 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise ZeroDivisionError("inversion of zero")
-        if self.field.p is None:
-            return FieldElement(self.field, 1 / self.value)
-        return self ** (self.field.order - 2)
+        K = self.field
+        if K.p is None:
+            return FieldElement(K, 1 / self.value)
+        vec = _poly_inverse(self.value, K.modulus, K.p)
+        return FieldElement(K, tuple(vec) + (0,) * (K.degree - len(vec)))
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -17,7 +17,11 @@ f(1)=1 and f(0)=0 already imply. Its solutions are exactly the
 arithmetic maps, so the maps are enumerated by the same search that
 solves normalized formulas (`normalize.ConstraintSearch`) on the same
 kernel, and only the maps reported are turned back into FieldElements;
-the compiler writes the same atoms as formulas. Over any field (the
+the compiler writes the same atoms as formulas. The decision reads only
+what decides it: a target the search root sets is a Yes with no search,
+and otherwise only the target's component of the system is enumerated,
+the other components pinned to their first solution, which yields the
+same first moving map as full enumeration. Over any field (the
 infinite-field path) a one-sided certificate is available: the engine's
 root propagation on the fact system, from its own incidence lists and
 root-forced variables, reported Certified only when it forces r. The
@@ -222,22 +226,24 @@ def fact_system(A: Neighbourhood) -> ConstraintSystem:
     return ConstraintSystem(names, tuple(atoms), A.target_index)
 
 
-def _map_search(A: Neighbourhood, cap: int) -> tuple[IntField, Iterator[tuple[int, ...]]]:
-    """The integer kernel of A's field, and a generator of the value tuples
-    of all total arithmetic maps on A as ints, in lexicographic order (A's
-    order, field enumeration order per slot)."""
+def _map_search(A: Neighbourhood) -> ConstraintSearch:
+    """The search over `fact_system(A)` on the integer kernel of A's
+    field: its solutions are the value tuples of the total arithmetic maps
+    on A as ints, in lexicographic order (A's order, field enumeration
+    order per slot)."""
     if not A.field.is_finite:
         raise InfiniteFieldError("map enumeration needs a finite field")
     int_field(A.field)  # the search needs the tables, so facts may use them
-    search = ConstraintSearch(fact_system(A), A.field)
+    return ConstraintSearch(fact_system(A), A.field)
 
-    def maps():
-        for count, vals in enumerate(search.solutions(), 1):
-            if count > cap:
-                raise CapExceededError(f"more than {cap} arithmetic maps")
-            yield vals
 
-    return search.kernel, maps()
+def _capped(solutions: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[int, ...]]:
+    """The solutions as read, raising CapExceededError on the one after
+    the first cap."""
+    for count, vals in enumerate(solutions, 1):
+        if count > cap:
+            raise CapExceededError(f"more than {cap} arithmetic maps")
+        yield vals
 
 
 def _arithmetic_map(A: Neighbourhood, T: IntField, vals: tuple[int, ...]) -> ArithmeticMap:
@@ -245,9 +251,10 @@ def _arithmetic_map(A: Neighbourhood, T: IntField, vals: tuple[int, ...]) -> Ari
 
 
 def enumerate_arithmetic_maps(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> list[ArithmeticMap]:
-    """All total arithmetic maps on A, deterministically ordered."""
-    T, maps = _map_search(A, cap)
-    return [_arithmetic_map(A, T, vals) for vals in maps]
+    """All total arithmetic maps on A, deterministically ordered; the cap
+    counts the maps."""
+    search = _map_search(A)
+    return [_arithmetic_map(A, search.kernel, vals) for vals in _capped(search.solutions(), cap)]
 
 
 @dataclass(frozen=True)
@@ -262,11 +269,30 @@ class Decision:
 def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
     """Exact decision over a finite field: Yes iff every arithmetic map on
     A fixes the distinguished element; otherwise No with the first
-    violating map as witness."""
-    T, maps = _map_search(A, cap)
+    violating map (in the order of `enumerate_arithmetic_maps`) as witness.
+
+    It reads only what decides the answer. A target set at the search
+    root is a Yes with no search: the identity is an arithmetic map, so a
+    value forced there is the target itself. Otherwise only the target's
+    component (`ConstraintSearch.component`) is enumerated, with every
+    other unset variable pinned to its value in the first map. The maps
+    are the product of the components' solutions, and the first point of
+    a product is the first point of each factor, so the first moving map
+    found this way is the first moving map of all. The cap counts the
+    target-component maps read; a root-forced decision reads none."""
+    search = _map_search(A)
+    root = search.root
     ri = A.target_index
+    if root[ri] >= 0:
+        return Decision(True)
+    component = search.component(ri)
+    pins = []
+    if len(component) < root.count(-1):
+        first = next(search.solutions())
+        pins = [(x, v) for x, v in enumerate(first) if root[x] < 0 and x not in component]
+    T = search.kernel
     r = T.index(A.r)
-    for vals in maps:
+    for vals in _capped(search.solutions(pins), cap):
         if vals[ri] != r:
             return Decision(False, _arithmetic_map(A, T, vals))
     return Decision(True)

@@ -702,6 +702,23 @@ class ConstraintSearch:
             else:
                 return
 
+    def component(self, var: int) -> set[int]:
+        """The variables unset at the root that are joined to var (itself
+        unset there) through the atoms they share. The atoms of one
+        component touch no unset variable of another, so the solutions are
+        the product of the components' solutions."""
+        root = self.root
+        incidence = self.incidence
+        seen = {var}
+        queue = [var]
+        while queue:
+            for _, i, j, k in incidence[queue.pop()]:
+                for x in (i, j, k):
+                    if root[x] < 0 and x not in seen:
+                        seen.add(x)
+                        queue.append(x)
+        return seen
+
     def projection(self, known: Container[int] = frozenset()) -> dict[int, tuple[int, ...]]:
         """The values of the free variable that extend to a solution, apart
         from those in `known`, each with its first solution: each value is

@@ -57,6 +57,26 @@ def test_nbhd_check_no_carries_witness():
     assert w["moves_target_to"] != "[5]"
 
 
+def test_nbhd_check_cap_counts_the_maps_the_decision_reads():
+    # 2 = 1 + 1 is set at the search root, so the decision reads no map,
+    # though 5 is free and {1, 2, 5} has 7 maps
+    code, data = payload("nbhd", "maps", "--field", "F7", "--elements", "1,2,5")
+    assert (code, data["count"]) == (0, 7)
+    code, data = payload("nbhd", "check", "--field", "F7", "--elements", "1,2,5",
+                         "--target", "2", "--cap", "1")
+    assert code == 0
+    assert data["neighbourhood"] is True
+    # x^2 = 3 leaves x two values: the first map read fixes x, the second
+    # moves it
+    argv = ("nbhd", "check", "--field", "F5^2", "--elements", "1,2,3,[0,1]", "--target", "[0,1]")
+    code, data = payload(*argv, "--cap", "1")
+    assert code == 1
+    assert data["error"]["code"] == "cap-exceeded"
+    code, data = payload(*argv, "--cap", "2")
+    assert code == 1
+    assert data["witness"]["moves_target_to"] == "[0,4]"
+
+
 def test_normalize_counts():
     code, data = payload("normalize", "--formula", "exists y. ~(y=0) & x*y=1")
     assert code == 0

@@ -193,6 +193,27 @@ def test_inverse_in_extension():
                 assert a.inverse().inverse() == a
 
 
+def test_inverse_by_euclid_matches_the_power_q_minus_2():
+    for spec in ["F2^4", "F3^3", "F5^2"]:
+        K = make_field(spec)
+        for a in enumerate_elements(K):
+            if not a.is_zero:
+                assert a.inverse() == a ** (K.order - 2)
+
+
+def test_elements_of_different_fields_are_unequal():
+    # equal-looking values in F7, F7^2 and F7^2 under another modulus
+    F49 = make_field("F7^2")
+    other = make_field("F7^2:3,1,1")
+    assert F49 != other
+    a, b, c = make_field("F7").element(3), F49.element(3), other.element(3)
+    assert a != b and b != c
+    assert F49.element([3, 0]) == b and hash(F49.element([3, 0])) == hash(b)
+    assert len({a, b, c}) == 3
+    with pytest.raises(FieldMismatchError):
+        b + c
+
+
 def test_descriptor_spec_round_trip():
     for spec in ["Q", "F5", "F2^2", "F3^2", "F2^3:1,1,0,1"]:
         K = make_field(spec)

@@ -1,8 +1,12 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import defifix.neighbourhood
 from defifix import fields
@@ -32,20 +36,51 @@ F4 = make_field("F2^2")
 
 
 def naive_maps(A):
-    """Filter all |K|^|A| total maps by the defining conditions."""
+    """Every total map on A that meets the defining conditions, in
+    lexicographic order. The maps are built slot by slot over all of K,
+    and a condition is checked once its slots are set (a partial map
+    failing one has no arithmetic extension). The slots are filled in the
+    order that completes the most conditions soonest, and the maps are
+    then sorted."""
     fs = facts(A)
     K = A.field
+    elements = enumerate_elements(K)
     one = K.one()
+    add = functools.cache(operator.add)
+    mul = functools.cache(operator.mul)
+    conditions = [((i,), lambda v, i=i: v[i] == one) for i in fs.ones]
+    conditions += [
+        ((i, j, k), lambda v, i=i, j=j, k=k: add(v[i], v[j]) == v[k]) for i, j, k in fs.sums
+    ]
+    conditions += [
+        ((i, j, k), lambda v, i=i, j=j, k=k: mul(v[i], v[j]) == v[k]) for i, j, k in fs.products
+    ]
+    order, checks = [], []
+    while len(order) < len(A.elements):
+        done = set(order)
+        ready = {
+            s: [holds for places, holds in conditions if s in places and set(places) <= done | {s}]
+            for s in range(len(A.elements))
+            if s not in done
+        }
+        slot = max(ready, key=lambda s: len(ready[s]))
+        order.append(slot)
+        checks.append(ready[slot])
+    vals = [None] * len(A.elements)
     out = []
-    for vals in itertools.product(enumerate_elements(K), repeat=len(A.elements)):
-        if not all(vals[i] == one for i in fs.ones):
-            continue
-        if not all(vals[i] + vals[j] == vals[k] for (i, j, k) in fs.sums):
-            continue
-        if not all(vals[i] * vals[j] == vals[k] for (i, j, k) in fs.products):
-            continue
-        out.append(vals)
-    return out
+
+    def extend(step):
+        if step == len(order):
+            out.append(tuple(vals))
+            return
+        for a in elements:
+            vals[order[step]] = a
+            if all(holds(vals) for holds in checks[step]):
+                extend(step + 1)
+
+    extend(0)
+    index = {a: i for i, a in enumerate(elements)}
+    return sorted(out, key=lambda m: [index[a] for a in m])
 
 
 def test_facts_one_two():
@@ -133,26 +168,118 @@ def test_maps_match_naive_oracle_in_order_over_extensions():
             assert got == naive_maps(A), A.to_json()
 
 
+def _decision_reads(A, maps):
+    """The maps, of the full list in order, that the decision reads: none
+    when the search root sets the target, else those that agree with the
+    first map off the target's component (the variables unset at the root
+    that the atoms of fact_system(A) join to the target)."""
+    s = fact_system(A)
+    root = ConstraintSearch(s, A.field).root
+    t = A.target_index
+    if root[t] >= 0:
+        return []
+    atoms = [a for a in s.atoms if not isinstance(a, One)]
+    joined = [{x for x in (a.i, a.j, a.k) if root[x] < 0} for a in atoms]
+    component = {t}
+    while any(places & component and not places <= component for places in joined):
+        for places in joined:
+            if places & component:
+                component |= places
+    first = maps[0]
+    off = [x for x in range(len(first)) if x not in component]
+    return [vals for vals in maps if all(vals[x] == first[x] for x in off)]
+
+
 def test_decision_and_caps_match_naive_oracle_over_extensions():
-    # the first witness is the first moving map in product order, and a cap
-    # counts complete maps: it trips exactly when the search needs more
+    # the witness is the first moving map in product order; the decision's
+    # cap counts the maps of the target's component it reads, so it trips
+    # exactly when the search needs more, and a target set at the search
+    # root reads none; the cap of the enumeration counts complete maps
     rng = random.Random(413)
+    root_forced = split = 0
     for spec, max_size in EXTENSION_SAMPLES:
         for A in _random_subsets(rng, make_field(spec), max_size, 12):
             maps = naive_maps(A)
-            moving = [pos for pos, vals in enumerate(maps, 1) if vals[A.target_index] != A.r]
-            needed = moving[0] if moving else len(maps)
-            verdict = is_neighbourhood(A, cap=needed)
+            moving = [vals for vals in maps if vals[A.target_index] != A.r]
+            verdict = is_neighbourhood(A)
             assert verdict.yes == (not moving)
             if moving:
-                assert verdict.witness.values == maps[needed - 1]
-            assert len(enumerate_arithmetic_maps(A, cap=len(maps))) == len(maps)
-            if needed > 1:
+                assert verdict.witness.values == moving[0]
+            read = _decision_reads(A, maps)
+            if not read:
+                root_forced += len(maps) > 1
+                assert is_neighbourhood(A, cap=0) == verdict
+            else:
+                split += len(read) < len(maps)
+                needed = next(
+                    (pos for pos, vals in enumerate(read, 1) if vals[A.target_index] != A.r),
+                    len(read),
+                )
+                assert is_neighbourhood(A, cap=needed) == verdict
                 with pytest.raises(CapExceededError):
                     is_neighbourhood(A, cap=needed - 1)
+            assert len(enumerate_arithmetic_maps(A, cap=len(maps))) == len(maps)
             if len(maps) > 1:
                 with pytest.raises(CapExceededError):
                     enumerate_arithmetic_maps(A, cap=len(maps) - 1)
+    # both shortcuts are taken on sets with more than one map
+    assert root_forced and split
+
+
+# fields of up to 29 elements
+PROPERTY_FIELDS = ["F5", "F7", "F13", "F29", "F2^2", "F2^3", "F3^2", "F2^4", "F5^2", "F3^3"]
+
+
+def _in_a_fact(h, T):
+    """Whether h is a place of a sum or product inside T and h, apart from
+    h * 1 = h, which the fact system leaves out."""
+    T = T | {h}
+    one = h.field.one()
+    pairs = [(a, b) for a in T for b in T]
+    triples = [(a, b, a + b) for a, b in pairs]
+    triples += [(a, b, a * b) for a, b in pairs if one not in (a, b)]
+    return any(c in T and h in (a, b, c) for a, b, c in triples)
+
+
+@st.composite
+def _subsets(draw):
+    """A core of the prime elements 1, ..., m and the first powers of an
+    element g outside {0, 1} (outside the prime field if K has others),
+    joined by their facts, plus up to four elements sharing no fact with
+    anything else, in a drawn order; the target is mostly g. So a set
+    often has several components, a target set at the root, or a target
+    whose component has more than one solution."""
+    K = make_field(draw(st.sampled_from(PROPERTY_FIELDS)))
+    elements = enumerate_elements(K)
+    g = draw(st.sampled_from(elements[K.p if K.degree > 1 else 2 :]))
+    # Hypothesis starts from and shrinks towards the first choice: the sizes
+    # are listed largest first, and the extra elements counted from the end
+    core = [K.element(i) for i in range(1, min(draw(st.sampled_from([6, 3, 1])), K.p - 1) + 1)]
+    core += [g**i for i in range(1, draw(st.sampled_from([3, 2, 1])) + 1)]
+    target = draw(st.sampled_from([g, *core]))
+    chosen = list(dict.fromkeys(core))
+    for h in draw(st.lists(st.sampled_from(elements[::-1]), min_size=2, max_size=4)):
+        if h not in chosen and not _in_a_fact(h, set(chosen)):
+            chosen.append(h)
+    order = draw(st.permutations(chosen))
+    return Neighbourhood(K, tuple(order), order.index(target))
+
+
+# Two sets whose first map fixes the target while another map moves it,
+# behind an element of another component: 1, w, w + 1 of the subfield F4
+# of F16 after x, and 1, 2, 3, x, 3x of F25 (x^2 = 3) after 4 + 4x.
+@settings(max_examples=100, deadline=None)
+@example(neighbourhood(make_field("F2^4"), [[0, 1], 1, [0, 1, 1], [1, 1, 1]], [0, 1, 1]))
+@example(neighbourhood(make_field("F5^2"), [1, [4, 4], 3, [0, 1], [0, 3], 2], [0, 1]))
+@given(_subsets())
+def test_decision_is_the_first_moving_map_of_full_enumeration(A):
+    moving = [vals for vals in naive_maps(A) if vals[A.target_index] != A.r]
+    verdict = is_neighbourhood(A)
+    assert verdict.yes == (not moving)
+    if moving:
+        assert verdict.witness.values == moving[0]
+    else:
+        assert verdict.witness is None
 
 
 def test_is_neighbourhood_f4_generator_refuted_by_frobenius():

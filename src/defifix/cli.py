@@ -51,7 +51,6 @@ from .neighbourhood import (
 )
 from .normalize import DEFAULT_DNF_CAP, normalize
 from .schemas import SchemaParams
-from .terms import Term
 
 OUTPUT_SCHEMA_VERSION = 1
 

@@ -29,7 +29,10 @@ identity on A is always an arithmetic map, so a forced value can only be
 the element itself, and the closure needs no field arithmetic. Over Q,
 `facts` narrows the pairs it tests by their residues modulo a prime, so
 a large set costs one C-level pass per element, not exact arithmetic per
-pair.
+pair. The fixed subfield of a finite field K is read off the maps on
+A = K, searched not on A's O(q^2) facts but on the field's O(q)
+generating facts (`generating_system`), whose solutions are the same
+maps in the same order.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .fields import (
     FieldElement,
     IntField,
     element_str,
-    enumerate_elements,
     int_field,
     ring,
 )
@@ -392,13 +394,46 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     return combine("mul", num, combine("inv", ints(d)))
 
 
+def generating_system(K: FieldDescriptor) -> ConstraintSystem:
+    """The generating facts of a finite field K as a constraint system with
+    one variable per element, in `IntField` index order (named by element
+    string): 1 = 1, 0 + 0 = 0, 1 + a for every a and, over an extension
+    field, x * a for every a, where x is index p, the class of the
+    modulus's variable, which generates K over F_p. That is about 2q atoms
+    where the fact system of A = K has O(q^2).
+
+    Its solutions are exactly the automorphisms of K, the arithmetic maps
+    on A = K. The +1 chain from f(1) = 1 fixes F_p. By Horner's rule
+    a = c_0 + x(c_1 + x(c_2 + ...)), so a map is fixed by v = f(x) and
+    sends a = sum c_i x^i to sum c_i v^i. The fact x * x^(k-1) = x^k,
+    with x^k written in the basis by the modulus m, then forces m(v) = 0.
+    Conversely, evaluation at a root of m is a field automorphism, so it
+    keeps every fact of K. The variables are in index order, so the search
+    yields the maps in the lexicographic order of the fact system of
+    A = K. This is the field's generating system, not a pruning of
+    `fact_system`, which stays the one place deciding a neighbourhood's
+    facts."""
+    T = int_field(K)
+    q = T.q
+    atoms = [One(1), Plus(0, 0, 0)]
+    atoms += [Plus(1, a, T.add(1, a)) for a in range(q)]
+    if K.degree > 1:
+        x = T.p
+        atoms += [Times(x, a, T.mul(x, a)) for a in range(q)]
+    names = tuple(element_str(T.element(i)) for i in range(q))
+    return ConstraintSystem(names, tuple(atoms), 0)
+
+
 def fixed_subfield(K: FieldDescriptor, cap: int = DEFAULT_MAP_CAP) -> set[FieldElement]:
-    """The arithmetically fixed elements of a finite field: enumerate the
-    arithmetic maps on A = K once (they are exactly the field
-    endomorphisms) and keep the elements every map fixes."""
+    """The arithmetically fixed elements of a finite field: the elements
+    every arithmetic map on A = K fixes. The maps are the solutions of the
+    field's generating system (`generating_system`), the same maps as
+    those of the full fact system of A = K in the same order, so the cap
+    counts them as `enumerate_arithmetic_maps` would."""
     if not K.is_finite:
         raise InfiniteFieldError("fixed-subfield computation needs a finite field")
-    elems = tuple(enumerate_elements(K))
-    A = Neighbourhood(K, elems, 0)
-    maps = enumerate_arithmetic_maps(A, cap)
-    return {a for i, a in enumerate(elems) if all(m.values[i] == a for m in maps)}
+    search = ConstraintSearch(generating_system(K), K)
+    fixed = range(search.kernel.q)
+    for vals in _capped(search.solutions(), cap):
+        fixed = [i for i in fixed if vals[i] == i]
+    return {search.kernel.element(i) for i in fixed}

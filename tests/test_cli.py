@@ -25,6 +25,25 @@ def test_fixed_field_f4_bytes():
     assert out == '{"fixed": ["[0]","[1]"]}\n'
 
 
+def test_fixed_field_cap_counts_automorphisms():
+    # F2^4 has four automorphisms: three are too few, four are enough
+    code, out = invoke("fixed-field", "--field", "F2^4", "--cap", "3")
+    assert code == 1
+    assert out == (
+        '{"error": {"code": "cap-exceeded","message": "more than 3 arithmetic maps"},'
+        '"reason": "more than 3 arithmetic maps"}\n'
+    )
+    code, out = invoke("fixed-field", "--field", "F2^4", "--cap", "4")
+    assert code == 0
+    assert out == '{"fixed": ["[0]","[1]"]}\n'
+
+
+def test_fixed_field_f31_squared_is_the_prime_field():
+    code, data = payload("fixed-field", "--field", "F31^2")
+    assert code == 0
+    assert data == {"fixed": [f"[{i}]" for i in range(31)]}
+
+
 def test_nbhd_check_yes():
     code, data = payload("nbhd", "check", "--field", "F7",
                          "--elements", "1,2", "--target", "2")

@@ -12,7 +12,14 @@ import defifix.neighbourhood
 from defifix import fields
 from defifix.compiler import neighbourhood_to_formula
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
-from defifix.fields import FieldElement, enumerate_elements, frobenius, int_field, make_field
+from defifix.fields import (
+    FieldElement,
+    element_str,
+    enumerate_elements,
+    frobenius,
+    int_field,
+    make_field,
+)
 from defifix.neighbourhood import (
     Decision,
     Neighbourhood,
@@ -22,6 +29,7 @@ from defifix.neighbourhood import (
     fact_system,
     facts,
     fixed_subfield,
+    generating_system,
     is_neighbourhood,
     nbhd_rational,
     neighbourhood,
@@ -591,6 +599,36 @@ def test_fixed_subfield_f4():
     assert got == {F4.element(0), F4.element(1)}
     # agrees with the Frobenius fixed points
     assert got == {a for a in enumerate_elements(F4) if frobenius(a) == a}
+
+
+GENERATING_FIELDS = (
+    "F2", "F3", "F5", "F7", "F11", "F13", "F2^2", "F2^3", "F2^4",
+    "F3^2", "F3^3", "F3^4", "F5^2", "F7^2", "F11^2", "F13^2",
+)
+
+
+@pytest.mark.parametrize("spec", GENERATING_FIELDS)
+def test_generating_system_has_the_maps_of_the_full_fact_system(spec):
+    K = make_field(spec)
+    elems = enumerate_elements(K)
+    system = generating_system(K)
+    assert system.variables == tuple(element_str(a) for a in elems)
+    assert len(system.atoms) == 2 + K.order * min(K.degree, 2)
+    full = enumerate_arithmetic_maps(Neighbourhood(K, tuple(elems), 0))
+    search = ConstraintSearch(system, K)
+    T = search.kernel
+    assert [tuple(T.element(v) for v in vals) for vals in search.solutions()] == [
+        m.values for m in full
+    ]
+    assert len(full) == K.degree
+    assert fixed_subfield(K) == {a for a in elems if frobenius(a) == a}
+
+
+def test_fixed_subfield_cap_counts_automorphisms():
+    K = make_field("F2^4")
+    with pytest.raises(CapExceededError, match="more than 3 arithmetic maps"):
+        fixed_subfield(K, cap=3)
+    assert fixed_subfield(K, cap=4) == {K.element(0), K.element(1)}
 
 
 def test_fixed_subfield_needs_finite():

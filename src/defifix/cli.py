@@ -37,7 +37,7 @@ from .errors import (
     NotDefiningError,
     NotSingletonError,
 )
-from .fields import FieldDescriptor, FieldElement, element_str, enumerate_elements, make_field
+from .fields import FieldDescriptor, FieldElement, element_str, int_field, make_field
 from .formulas import evaluate, free_variables, parse, parse_term, print_formula
 from .neighbourhood import (
     DEFAULT_MAP_CAP,
@@ -115,9 +115,9 @@ def _cap(args, default: int) -> int:
 
 
 def _ordered(K: FieldDescriptor, elements) -> list[str]:
-    """Element strings in field enumeration order (finite fields only)."""
-    chosen = set(elements)
-    return [element_str(a) for a in enumerate_elements(K) if a in chosen]
+    """Element strings in field enumeration order (finite fields only),
+    sorted by kernel index: both callers have built the kernel."""
+    return [element_str(a) for a in sorted(elements, key=int_field(K).index)]
 
 
 # -- subcommand handlers -----------------------------------------------------------

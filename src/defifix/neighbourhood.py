@@ -30,16 +30,15 @@ the element itself, and the closure needs no field arithmetic. Over Q,
 `facts` narrows the pairs it tests by their residues modulo a prime, so
 a large set costs one C-level pass per element, not exact arithmetic per
 pair. The fixed subfield of a finite field K is read off the maps on
-A = K, searched not on A's O(q^2) facts but on the field's O(q)
-generating facts (`generating_system`), whose solutions are the same
-maps in the same order.
+A = K, computed with no search as evaluation at the roots of K's modulus
+(`automorphisms`), the same maps in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from .fields import (
@@ -239,7 +238,7 @@ def _map_search(A: Neighbourhood) -> ConstraintSearch:
     return ConstraintSearch(fact_system(A), A.field)
 
 
-def _capped(solutions: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[int, ...]]:
+def _capped(solutions: Iterator[Sequence[int]], cap: int) -> Iterator[Sequence[int]]:
     """The solutions as read, raising CapExceededError on the one after
     the first cap."""
     for count, vals in enumerate(solutions, 1):
@@ -394,46 +393,45 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     return combine("mul", num, combine("inv", ints(d)))
 
 
-def generating_system(K: FieldDescriptor) -> ConstraintSystem:
-    """The generating facts of a finite field K as a constraint system with
-    one variable per element, in `IntField` index order (named by element
-    string): 1 = 1, 0 + 0 = 0, 1 + a for every a and, over an extension
-    field, x * a for every a, where x is index p, the class of the
-    modulus's variable, which generates K over F_p. That is about 2q atoms
-    where the fact system of A = K has O(q^2).
+def automorphisms(K: FieldDescriptor) -> Iterator[list[int]]:
+    """The arithmetic maps on A = K, the automorphisms of the finite field
+    K, each as its list of images in `IntField` index order, in the
+    lexicographic order the map search yields them.
 
-    Its solutions are exactly the automorphisms of K, the arithmetic maps
-    on A = K. The +1 chain from f(1) = 1 fixes F_p. By Horner's rule
-    a = c_0 + x(c_1 + x(c_2 + ...)), so a map is fixed by v = f(x) and
-    sends a = sum c_i x^i to sum c_i v^i. The fact x * x^(k-1) = x^k,
-    with x^k written in the basis by the modulus m, then forces m(v) = 0.
-    Conversely, evaluation at a root of m is a field automorphism, so it
-    keeps every fact of K. The variables are in index order, so the search
-    yields the maps in the lexicographic order of the fact system of
-    A = K. This is the field's generating system, not a pruning of
-    `fact_system`, which stays the one place deciding a neighbourhood's
-    facts."""
+    On A = K an arithmetic map f is a ring map, so it fixes 1 and with it
+    F_p, the indices below p. Index a is (a % p) + x * (a // p), x being
+    index p, the class of the modulus's variable, which generates K over
+    F_p. So f is fixed by v = f(x): by Horner's rule it sends a to
+    s(a) = (a % p) + v * s(a // p), with s(c) = c for c < p. The modulus
+    m has m(x) = 0, so m(v) = f(m(x)) = 0. Conversely, evaluation at any
+    root of the irreducible m is an automorphism, so it keeps every fact
+    of K. The roots are found by Horner's rule on m's coefficients, which
+    are prime-field indices. The maps first differ at x = p, where s has
+    v, so the roots in index order give the maps in lexicographic order.
+    A prime field's modulus x has the single root 0: the identity."""
     T = int_field(K)
-    q = T.q
-    atoms = [One(1), Plus(0, 0, 0)]
-    atoms += [Plus(1, a, T.add(1, a)) for a in range(q)]
-    if K.degree > 1:
-        x = T.p
-        atoms += [Times(x, a, T.mul(x, a)) for a in range(q)]
-    names = tuple(element_str(T.element(i)) for i in range(q))
-    return ConstraintSystem(names, tuple(atoms), 0)
+    p, add, mul = T.p, T.add, T.mul
+    for v in range(T.q):
+        m_v = 0
+        for c in reversed(K.modulus):
+            m_v = add(mul(m_v, v), c)
+        if m_v:
+            continue
+        images = list(range(p))
+        for a in range(p, T.q):
+            images.append(add(a % p, mul(v, images[a // p])))
+        yield images
 
 
 def fixed_subfield(K: FieldDescriptor, cap: int = DEFAULT_MAP_CAP) -> set[FieldElement]:
     """The arithmetically fixed elements of a finite field: the elements
-    every arithmetic map on A = K fixes. The maps are the solutions of the
-    field's generating system (`generating_system`), the same maps as
-    those of the full fact system of A = K in the same order, so the cap
-    counts them as `enumerate_arithmetic_maps` would."""
+    every arithmetic map on A = K fixes. The maps are `automorphisms(K)`,
+    those the search over the fact system of A = K yields, in the same
+    order, so the cap counts them as `enumerate_arithmetic_maps` would."""
     if not K.is_finite:
         raise InfiniteFieldError("fixed-subfield computation needs a finite field")
-    search = ConstraintSearch(generating_system(K), K)
-    fixed = range(search.kernel.q)
-    for vals in _capped(search.solutions(), cap):
-        fixed = [i for i in fixed if vals[i] == i]
-    return {search.kernel.element(i) for i in fixed}
+    T = int_field(K)
+    fixed = range(T.q)
+    for images in _capped(automorphisms(K), cap):
+        fixed = [i for i in fixed if images[i] == i]
+    return {T.element(i) for i in fixed}

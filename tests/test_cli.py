@@ -38,6 +38,19 @@ def test_fixed_field_cap_counts_automorphisms():
     assert out == '{"fixed": ["[0]","[1]"]}\n'
 
 
+def test_fixed_field_f211_squared_is_quick():
+    # the maps are evaluations at the two roots of the modulus, found
+    # without search; the prime field comes out in index order
+    start = time.process_time()
+    try:
+        code, data = payload("fixed-field", "--field", "F211^2")
+    finally:
+        fields._INT_FIELDS.pop(fields.make_field("F211^2"), None)
+    assert time.process_time() - start < 2.0
+    assert code == 0
+    assert data["fixed"] == [f"[{c}]" for c in range(211)]
+
+
 def test_fixed_field_f31_squared_is_the_prime_field():
     code, data = payload("fixed-field", "--field", "F31^2")
     assert code == 0

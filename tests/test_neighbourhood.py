@@ -14,7 +14,6 @@ from defifix.compiler import neighbourhood_to_formula
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from defifix.fields import (
     FieldElement,
-    element_str,
     enumerate_elements,
     frobenius,
     int_field,
@@ -23,13 +22,13 @@ from defifix.fields import (
 from defifix.neighbourhood import (
     Decision,
     Neighbourhood,
+    automorphisms,
     certify_by_propagation,
     combine,
     enumerate_arithmetic_maps,
     fact_system,
     facts,
     fixed_subfield,
-    generating_system,
     is_neighbourhood,
     nbhd_rational,
     neighbourhood,
@@ -297,6 +296,27 @@ def test_is_neighbourhood_f4_generator_refuted_by_frobenius():
     verdict = is_neighbourhood(A)
     assert not verdict.yes
     assert verdict.witness(gen) == frobenius(gen) == F4.element([1, 1])
+
+
+@pytest.mark.parametrize(
+    "spec, elements, target, component, maps",
+    [
+        # 3 + 3 = 1 leaves 3 unset at the root, joined to 4 by 4 + 4 = 3
+        ("F5", [4, 1, 3], 3, {0, 2}, 1),
+        # 4 + 4 = 1 alone holds 4; 6 * 6 = 1 lets 6 go to 1 or 6, and the
+        # decision pins it to its first value
+        ("F7", [1, 6, 4], 4, {2}, 2),
+    ],
+)
+def test_decision_yes_found_by_search(spec, elements, target, component, maps):
+    A = neighbourhood(make_field(spec), elements, target)
+    search = ConstraintSearch(fact_system(A), A.field)
+    assert search.root[A.target_index] < 0
+    assert search.component(A.target_index) == component
+    naive = naive_maps(A)
+    assert len(naive) == maps
+    assert all(vals[A.target_index] == A.r for vals in naive)
+    assert is_neighbourhood(A) == Decision(True)
 
 
 def test_is_neighbourhood_doubling_yes():
@@ -609,19 +629,18 @@ GENERATING_FIELDS = (
 
 @pytest.mark.parametrize("spec", GENERATING_FIELDS)
 def test_generating_system_has_the_maps_of_the_full_fact_system(spec):
+    # x generates K over F_p: the maps fixed by a root of the modulus as
+    # the image of x are the maps the search finds on all facts of A = K
     K = make_field(spec)
     elems = enumerate_elements(K)
-    system = generating_system(K)
-    assert system.variables == tuple(element_str(a) for a in elems)
-    assert len(system.atoms) == 2 + K.order * min(K.degree, 2)
     full = enumerate_arithmetic_maps(Neighbourhood(K, tuple(elems), 0))
-    search = ConstraintSearch(system, K)
-    T = search.kernel
-    assert [tuple(T.element(v) for v in vals) for vals in search.solutions()] == [
-        m.values for m in full
-    ]
+    T = int_field(K)
+    assert list(automorphisms(K)) == [[T.index(a) for a in m.values] for m in full]
     assert len(full) == K.degree
     assert fixed_subfield(K) == {a for a in elems if frobenius(a) == a}
+    with pytest.raises(CapExceededError):
+        fixed_subfield(K, cap=K.degree - 1)
+    assert fixed_subfield(K, cap=K.degree) == fixed_subfield(K)
 
 
 def test_fixed_subfield_cap_counts_automorphisms():

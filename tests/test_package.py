@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -60,3 +61,31 @@ def test_collided_names_are_the_modules_in_any_import_order(first):
                   "print(json.dumps([type(defifix.normalize).__name__, "
                   "type(defifix.neighbourhood).__name__]))")
     assert kinds == ["module", "module"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: `from __future__`
+    aside, a name counts as read when it occurs as a name (also as the
+    root of an attribute chain or in an annotation)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(d)\n") == [
+        "os (line 1)", "b (line 2)"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "defifix").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []

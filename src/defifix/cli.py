@@ -14,6 +14,12 @@ DEFIFIX_CAP environment variable overrides every default search cap;
 an explicit --cap flag wins over both.  --seed is accepted for
 reproducibility plumbing; every implemented search is deterministic,
 so it never changes output.
+
+Library names come through the package (`defifix.parse`,
+`defifix.curve_lab.build_closure`), never from a module imported here,
+so a call loads only the modules its subcommand uses: `parse` loads no
+solver, and no `nbhd` call loads the compiler.  Only the error classes
+are imported up front, since `run` names them in its except clauses.
 """
 
 from __future__ import annotations
@@ -24,33 +30,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import curve_lab, schemas
-from .compiler import (
-    DEFAULT_TERM_CAP,
-    compile_singleton,
-    formula_to_neighbourhood,
-    neighbourhood_to_formula,
-)
-from .errors import (
-    CapExceededError,
-    DefifixError,
-    NotDefiningError,
-    NotSingletonError,
-)
-from .fields import FieldDescriptor, FieldElement, element_str, int_field, make_field
-from .formulas import evaluate, free_variables, parse, parse_term, print_formula
-from .neighbourhood import (
-    DEFAULT_MAP_CAP,
-    Neighbourhood,
-    certify_by_propagation,
-    enumerate_arithmetic_maps,
-    fixed_subfield,
-    is_neighbourhood,
-    nbhd_rational,
-    neighbourhood,
-)
-from .normalize import DEFAULT_DNF_CAP, normalize
-from .schemas import SchemaParams
+import defifix
+
+from .errors import CapExceededError, DefifixError, NotDefiningError, NotSingletonError
 
 OUTPUT_SCHEMA_VERSION = 1
 
@@ -90,7 +72,7 @@ def _split_elements(text: str) -> list[str]:
     return out
 
 
-def _parse_elements(K: FieldDescriptor, text: str) -> list[FieldElement]:
+def _parse_elements(K: defifix.FieldDescriptor, text: str) -> list[defifix.FieldElement]:
     parts = _split_elements(text)
     if not parts:
         raise ValueError("empty element list")
@@ -114,26 +96,26 @@ def _cap(args, default: int) -> int:
     return value
 
 
-def _ordered(K: FieldDescriptor, elements) -> list[str]:
+def _ordered(K: defifix.FieldDescriptor, elements) -> list[str]:
     """Element strings in field enumeration order (finite fields only),
     sorted by kernel index: both callers have built the kernel."""
-    return [element_str(a) for a in sorted(elements, key=int_field(K).index)]
+    return [defifix.element_str(a) for a in sorted(elements, key=defifix.int_field(K).index)]
 
 
 # -- subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_parse(args):
-    f = parse(_read_formula_text(args))
+    f = defifix.parse(_read_formula_text(args))
     return 0, {
-        "formula": print_formula(f),
-        "free_variables": sorted(free_variables(f)),
+        "formula": defifix.print_formula(f),
+        "free_variables": sorted(defifix.free_variables(f)),
     }
 
 
 def _cmd_eval(args):
-    f = parse(_read_formula_text(args))
-    K = make_field(args.field)
+    f = defifix.parse(_read_formula_text(args))
+    K = defifix.make_field(args.field)
     assignment = {}
     for item in args.assign or []:
         name, _, value = item.partition("=")
@@ -146,11 +128,11 @@ def _cmd_eval(args):
         if not _ or not name:
             raise ValueError(f"malformed --pred {item!r}; expected name=v;v;...")
         interp[name.strip()] = {K.element(v.strip()) for v in values.split(";") if v.strip()}
-    value = evaluate(f, K, assignment, interp)
+    value = defifix.evaluate(f, K, assignment, interp)
     payload = {
-        "formula": print_formula(f),
+        "formula": defifix.print_formula(f),
         "field": K.spec(),
-        "assignment": {n: element_str(a) for n, a in sorted(assignment.items())},
+        "assignment": {n: defifix.element_str(a) for n, a in sorted(assignment.items())},
         "value": value,
     }
     if value:
@@ -160,8 +142,8 @@ def _cmd_eval(args):
 
 
 def _cmd_normalize(args):
-    f = parse(_read_formula_text(args))
-    nf = normalize(f, _cap(args, DEFAULT_DNF_CAP))
+    f = defifix.parse(_read_formula_text(args))
+    nf = defifix.normalize.normalize(f, _cap(args, defifix.normalize.DEFAULT_DNF_CAP))
     systems = [
         {
             "variables": list(s.variables),
@@ -171,7 +153,7 @@ def _cmd_normalize(args):
         for s in nf.systems
     ]
     return 0, {
-        "formula": print_formula(f),
+        "formula": defifix.print_formula(f),
         "free_variable": nf.free_var,
         "systems": systems,
         "negations_eliminated": nf.negations,
@@ -179,23 +161,24 @@ def _cmd_normalize(args):
     }
 
 
-def _make_neighbourhood(args) -> Neighbourhood:
-    K = make_field(args.field)
-    return neighbourhood(K, _parse_elements(K, args.elements), K.element(args.target))
+def _make_neighbourhood(args) -> defifix.Neighbourhood:
+    K = defifix.make_field(args.field)
+    elements = _parse_elements(K, args.elements)
+    return defifix.neighbourhood.neighbourhood(K, elements, K.element(args.target))
 
 
-def _nbhd_head(A: Neighbourhood) -> dict:
+def _nbhd_head(A: defifix.Neighbourhood) -> dict:
     """The field, elements and target that open a neighbourhood report."""
     return {
         "field": A.field.spec(),
-        "elements": [element_str(a) for a in A.elements],
-        "target": element_str(A.r),
+        "elements": [defifix.element_str(a) for a in A.elements],
+        "target": defifix.element_str(A.r),
     }
 
 
-def _certify(A: Neighbourhood, payload: dict):
+def _certify(A: defifix.Neighbourhood, payload: dict):
     """Close a report with `certified`, and its `reason` when Unknown."""
-    certified = payload["certified"] = certify_by_propagation(A)
+    certified = payload["certified"] = defifix.certify_by_propagation(A)
     if certified:
         return 0, payload
     payload["reason"] = "value propagation does not pin the target; status unknown"
@@ -204,28 +187,28 @@ def _certify(A: Neighbourhood, payload: dict):
 
 def _cmd_nbhd_check(args):
     A = _make_neighbourhood(args)
-    decision = is_neighbourhood(A, _cap(args, DEFAULT_MAP_CAP))
+    decision = defifix.is_neighbourhood(A, _cap(args, defifix.neighbourhood.DEFAULT_MAP_CAP))
     payload = {**_nbhd_head(A), "neighbourhood": decision.yes}
     if decision.yes:
         return 0, payload
     payload["witness"] = {
         "pairs": decision.witness.as_pairs(),
-        "moves_target_to": element_str(decision.witness(A.r)),
+        "moves_target_to": defifix.element_str(decision.witness(A.r)),
     }
     return 1, payload
 
 
 def _cmd_nbhd_maps(args):
-    K = make_field(args.field)
+    K = defifix.make_field(args.field)
     elements = _parse_elements(K, args.elements)
-    A = Neighbourhood(K, tuple(elements), 0)
-    maps = enumerate_arithmetic_maps(A, _cap(args, DEFAULT_MAP_CAP))
+    A = defifix.Neighbourhood(K, tuple(elements), 0)
+    maps = defifix.enumerate_arithmetic_maps(A, _cap(args, defifix.neighbourhood.DEFAULT_MAP_CAP))
     return 0, {
         "field": K.spec(),
-        "elements": [element_str(a) for a in A.elements],
+        "elements": [defifix.element_str(a) for a in A.elements],
         "count": len(maps),
         "maps": [
-            {"values": [element_str(v) for v in m.values], "identity": m.is_identity}
+            {"values": [defifix.element_str(v) for v in m.values], "identity": m.is_identity}
             for m in maps
         ],
     }
@@ -237,47 +220,48 @@ def _cmd_nbhd_certify(args):
 
 
 def _cmd_nbhd_rational(args):
-    K = make_field(args.field)
-    A = nbhd_rational(_rational(args.q), K)
+    K = defifix.make_field(args.field)
+    A = defifix.nbhd_rational(_rational(args.q), K)
     return _certify(A, {"q": args.q, **_nbhd_head(A)})
 
 
 def _cmd_compile_to_formula(args):
     A = _make_neighbourhood(args)
-    f = neighbourhood_to_formula(A)
-    return 0, {**_nbhd_head(A), "formula": print_formula(f), "free_variable": "x1"}
+    f = defifix.neighbourhood_to_formula(A)
+    return 0, {**_nbhd_head(A), "formula": defifix.print_formula(f), "free_variable": "x1"}
 
 
 def _cmd_compile_from_formula(args):
-    K = make_field(args.field)
-    f = parse(_read_formula_text(args))
-    A = formula_to_neighbourhood(f, K, _cap(args, DEFAULT_DNF_CAP))
+    K = defifix.make_field(args.field)
+    f = defifix.parse(_read_formula_text(args))
+    A = defifix.formula_to_neighbourhood(f, K, _cap(args, defifix.normalize.DEFAULT_DNF_CAP))
     return 0, {
         "field": K.spec(),
-        "formula": print_formula(f),
+        "formula": defifix.print_formula(f),
         "neighbourhood": A.to_json(),
     }
 
 
 def _cmd_compile_single_eq(args):
     A = _make_neighbourhood(args)
-    f = compile_singleton(A, args.prefer_linear, _cap(args, DEFAULT_TERM_CAP))
-    return 0, {**_nbhd_head(A), "formula": print_formula(f)}
+    cap = _cap(args, defifix.compiler.DEFAULT_TERM_CAP)
+    f = defifix.compile_singleton(A, args.prefer_linear, cap)
+    return 0, {**_nbhd_head(A), "formula": defifix.print_formula(f)}
 
 
 def _cmd_fixed_field(args):
-    K = make_field(args.field)
-    fixed = fixed_subfield(K, _cap(args, DEFAULT_MAP_CAP))
+    K = defifix.make_field(args.field)
+    fixed = defifix.fixed_subfield(K, _cap(args, defifix.neighbourhood.DEFAULT_MAP_CAP))
     return 0, {"fixed": _ordered(K, fixed)}
 
 
 def _cmd_curve_lab(args):
-    K = make_field(args.field)
-    g = parse_term(args.poly)
-    data = curve_lab.CurveData.build(g, K)
-    cap = _cap(args, curve_lab.DEFAULT_CLOSURE_CAP)
-    recipe = curve_lab.build_closure(data, mode=args.mode, cap=cap)
-    report = curve_lab.verify_closure(data, recipe, cap)
+    K = defifix.make_field(args.field)
+    g = defifix.parse_term(args.poly)
+    data = defifix.curve_lab.CurveData.build(g, K)
+    cap = _cap(args, defifix.curve_lab.DEFAULT_CLOSURE_CAP)
+    recipe = defifix.curve_lab.build_closure(data, mode=args.mode, cap=cap)
+    report = defifix.curve_lab.verify_closure(data, recipe, cap)
     payload = {
         "curve": data.to_json(),
         "closure": recipe.to_json(),
@@ -295,21 +279,21 @@ def _cmd_curve_lab(args):
 
 
 def _cmd_schema_emit(args):
-    params = SchemaParams(
-        U=parse_term(args.U) if args.U else None,
-        V=parse_term(args.V) if args.V else None,
-        F=parse(args.F) if args.F else None,
-        G=parse(args.G) if args.G else None,
-        N=parse(args.N) if args.N else None,
-        phi=parse(args.phi) if args.phi else None,
+    params = defifix.SchemaParams(
+        U=defifix.parse_term(args.U) if args.U else None,
+        V=defifix.parse_term(args.V) if args.V else None,
+        F=defifix.parse(args.F) if args.F else None,
+        G=defifix.parse(args.G) if args.G else None,
+        N=defifix.parse(args.N) if args.N else None,
+        phi=defifix.parse(args.phi) if args.phi else None,
         predicate=args.predicate,
         i=args.i,
     )
-    f = schemas.emit(args.name, params)
+    f = defifix.emit(args.name, params)
     return 0, {
         "name": args.name,
-        "formula": print_formula(f),
-        "free_variables": sorted(free_variables(f)),
+        "formula": defifix.print_formula(f),
+        "free_variables": sorted(defifix.free_variables(f)),
     }
 
 
@@ -419,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = schema.add_subparsers(dest="subcommand", required=True)
     sp = ssub.add_parser("emit", help="emit one template by name")
     sp.set_defaults(handler=_cmd_schema_emit)
-    sp.add_argument("--name", required=True, choices=schemas.SCHEMA_NAMES)
+    sp.add_argument("--name", required=True, choices=defifix.SCHEMA_NAMES)
     sp.add_argument("--U", help="polynomial in y")
     sp.add_argument("--V", help="polynomial in y")
     sp.add_argument("--F", help="formula in s, t")
@@ -443,7 +427,7 @@ def run(args) -> tuple[int, dict]:
             "reason": str(e),
         }
         if isinstance(e, NotSingletonError) and e.definable is not None:
-            K = make_field(args.field)
+            K = defifix.make_field(args.field)
             payload["definable"] = _ordered(K, e.definable)
         return 1, payload
     except DefifixError as e:

@@ -131,9 +131,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], start_line, start_col))
             col += j - i

@@ -343,11 +343,8 @@ class _Builder:
         # Times. Doubling along the bits of n from the top takes the prefix
         # k to 2k (kw + kw) and, on a set bit, to 2k+1 (2kw + w); prefixes
         # are cached, and the last step writes into `target` when given.
-        if n == 1:
-            if target is None:
-                return w
-            self.equate(w, target)
-            return target
+        # A target comes only with n >= 2: a side that is one bare variable
+        # is handled by `equation` before any value is built.
         cur, k = w, 1
         for bit in bin(n)[3:]:
             steps = [(cur, 2 * k), (w, 2 * k + 1)] if bit == "1" else [(cur, 2 * k)]
@@ -419,13 +416,6 @@ class _Builder:
                         Times(self.ensure(shape[0]), self.ensure(shape[1]), self.ensure(vb))
                     )
                     return
-            va = _bare_var(a)
-            if va is not None and b == Term.constant(1):
-                self.emit(One(self.ensure(va)))
-                return
-            if va is not None and b.is_zero:
-                self.assert_zero(self.ensure(va))
-                return
         p = lhs - rhs
         if p.is_zero:
             return
@@ -451,12 +441,9 @@ class _Builder:
         if bpos is not None:
             self.side_value(neg, target=self.ensure(bpos))
             return
-        if neg == [((), 1)]:
-            self.emit(One(self.side_value(pos)))
-            return
         if pos == [((), 1)]:
-            self.emit(One(self.side_value(neg)))
-            return
+            # the constant 1 goes to the target side, as a single One atom
+            pos, neg = neg, pos
         a = self.side_value(pos)
         self.side_value(neg, target=a)
 

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
+
+import pytest
+from test_package import fresh
 
 from defifix import curve_lab, fields
 from defifix.cli import OUTPUT_SCHEMA_VERSION, build_parser, main, render, run
@@ -145,9 +149,10 @@ def test_parse_reports_free_variables():
 
 
 def test_parse_syntax_error_exit_2():
-    code, data = payload("parse", "--formula", "exists y. x = +")
-    assert code == 2
-    assert data["error"]["code"] == "syntax"
+    for text in ("exists y. x = +", "x = ²"):
+        code, data = payload("parse", "--formula", text)
+        assert code == 2
+        assert data["error"]["code"] == "syntax"
 
 
 def test_eval_true_and_false():
@@ -183,6 +188,11 @@ def test_nbhd_certify_rationals():
                          "--elements", "1,2", "--target", "2")
     assert code == 0
     assert data["certified"] is True
+    code, data = payload("nbhd", "certify", "--field", "Q",
+                         "--elements", "1,2,5", "--target", "5")
+    assert code == 1
+    assert data["certified"] is False
+    assert data["reason"] == "value propagation does not pin the target; status unknown"
 
 
 def test_nbhd_rational_defaults_to_q():
@@ -439,6 +449,13 @@ def test_text_format_renders_nested_report():
     assert "value: true" in out
 
 
+def test_text_format_renders_lists():
+    code, out = invoke("nbhd", "maps", "--field", "F2^2", "--elements", "[1],[0,1]",
+                       "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1:5] == ["elements:", "  - [1]", "  - [0,1]", "count: 4"]
+
+
 def test_render_json_separators():
     assert render({"a": [1, 2]}, "json") == '{"a": [1,2]}'
 
@@ -456,3 +473,26 @@ def test_run_returns_schema_version_constant():
     code, data = run(args)
     assert code == 0
     assert data == {"fixed": ["[0]", "[1]"]}
+
+
+PINNED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected" / "cli.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("call", PINNED, ids=lambda call: " ".join(call["argv"]))
+def test_pinned_output_is_byte_identical(call):
+    assert invoke(*call["argv"]) == (call["code"], call["stdout"])
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["parse", "--formula", "x = 1"], {"normalize", "neighbourhood", "compiler", "curve_lab"}),
+    (["nbhd", "check", "--field", "F7", "--elements", "1,2", "--target", "2"],
+     {"compiler", "curve_lab"}),
+], ids=["parse", "nbhd-check"])
+def test_subcommand_loads_only_what_it_uses(argv, unloaded):
+    loaded = fresh("import contextlib, io, json, sys\n"
+                   "from defifix import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    cli.main({argv!r})\n"
+                   "print(json.dumps([m for m in sys.modules if m.startswith('defifix.')]))")
+    assert not {m.removeprefix("defifix.") for m in loaded} & unloaded

@@ -98,6 +98,10 @@ def test_syntax_errors_carry_position():
         parse("x = 1 &")
     with pytest.raises(FormulaSyntaxError):
         parse("x @ 1")
+    # "²" passes str.isdigit but int() rejects it
+    with pytest.raises(FormulaSyntaxError, match="unexpected character '²'") as err:
+        parse("x = ²")
+    assert (err.value.line, err.value.column) == (1, 5)
     with pytest.raises(FormulaSyntaxError):
         parse("x = 1 extra")
 

@@ -280,6 +280,17 @@ def test_normalize_hoists_clashing_binders():
     assert normalized_definable_set(nf, F5) == definable_set(f, F5, "x")
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("~~(x = 1)", {1}),
+    ("~(x = 1 | x = 2)", {0, 3, 4, 5, 6}),
+])
+def test_normalize_pushes_negation_through_not_and_or(text, expected):
+    f = parse(text)
+    assert isinstance(f, Not) and isinstance(f.body, (Not, Or))
+    got = normalized_definable_set(normalize(f), F7)
+    assert got == {F7.element(v) for v in expected} == definable_set(f, F7, "x")
+
+
 def test_normalize_disjunction_splits_systems():
     nf = normalize(parse("x = 1 | x = 0"))
     assert len(nf.systems) == 2

@@ -20,7 +20,6 @@ FieldElements only in `CurveData` and `ClosureRecipe`.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import prod
 
@@ -234,9 +233,14 @@ def build_closure(
     scaled = dict.fromkeys(
         mul(b, pw) for point in powers for row in point for pw in row for b in w_image
     )
-    # M_1, ..., M_n: the products of k distinct abscissas
+    # M_1, ..., M_n: the products of k distinct abscissas; the product over
+    # a mask is its lowest abscissa times the product over the rest
+    by_mask = [1] * (1 << n)
+    for mask in range(1, len(by_mask)):
+        low = mask & -mask
+        by_mask[mask] = mul(by_mask[mask ^ low], u[low.bit_length() - 1])
     products = [
-        [reduce(mul, (u[i] for i in combo), 1) for combo in combinations(range(n), kk + 1)]
+        [by_mask[sum(1 << i for i in combo)] for combo in combinations(range(n), kk + 1)]
         for kk in range(n)
     ]
 

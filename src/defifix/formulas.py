@@ -13,6 +13,7 @@ Grammar (precedence from loosest to tightest):
     atom    := term ("=" | "!=") term | NAME "(" term ("," term)* ")"
     term    := polynomial over "+ - * ^" , variables, integer constants,
                and division by nonzero integer constants (rationals)
+    NAME    := ASCII letter or "_", then ASCII letters, digits and "_"
 
 "a != b" is sugar for "~(a = b)" and the printer emits it back in that
 form. Conjunction and disjunction chains are stored as n-ary nodes in
@@ -100,9 +101,22 @@ def disj(parts) -> Formula:
 # -- tokenizer ---------------------------------------------------------------
 
 _KEYWORDS = {"exists", "forall"}
+_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_PART = _NAME_START | frozenset("0123456789")
+# the tokens that can follow a parenthesized term inside an atom
+_AFTER_TERM = frozenset(("^", "*", "/", "+", "-", "=", "!="))
 
 
-@dataclass(frozen=True)
+def is_name(text: str) -> bool:
+    """Whether text reads as one variable or predicate name."""
+    return (
+        text[:1] in _NAME_START
+        and all(c in _NAME_PART for c in text[1:])
+        and text not in _KEYWORDS
+    )
+
+
+@dataclass
 class _Token:
     kind: str  # NAME INT PUNCT END
     text: str
@@ -123,9 +137,9 @@ def _tokenize(text: str) -> list[_Token]:
             i, col = i + 1, col + 1
             continue
         start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+        if c in _NAME_START:
+            j = i + 1
+            while j < n and text[j] in _NAME_PART:
                 j += 1
             tokens.append(_Token("NAME", text[i:j], start_line, start_col))
             col += j - i
@@ -160,6 +174,14 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # position of each "(" -> position just after its matching ")"
+        self.after_group: dict[int, int] = {}
+        opened = []
+        for pos, tok in enumerate(self.tokens):
+            if tok.text == "(":
+                opened.append(pos)
+            elif tok.text == ")" and opened:
+                self.after_group[opened.pop()] = pos + 1
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -227,12 +249,15 @@ class _Parser:
             return Not(self.lit())
         if tok.text == "(":
             # Could open a parenthesized term ("(x+1)*y = 0") or a
-            # parenthesized formula; try the atom reading first.
-            saved = self.pos
-            try:
-                return self.atom()
-            except FormulaSyntaxError:
-                self.pos = saved
+            # parenthesized formula. An atom goes on after the group with
+            # an operator, so only then is the atom reading tried first.
+            after = self.after_group.get(self.pos)
+            if after is not None and self.tokens[after].text in _AFTER_TERM:
+                saved = self.pos
+                try:
+                    return self.atom()
+                except FormulaSyntaxError:
+                    self.pos = saved
             self.next()
             inner = self.formula()
             self.expect(")")

@@ -19,12 +19,14 @@ solves normalized formulas (`normalize.ConstraintSearch`) on the same
 kernel, and only the maps reported are turned back into FieldElements;
 the compiler writes the same atoms as formulas. The decision reads only
 what decides it: a target the search root sets is a Yes with no search,
-and otherwise only the target's component of the system is enumerated,
-the other components pinned to their first solution, which yields the
-same first moving map as full enumeration. Over any field (the
-infinite-field path) a one-sided certificate is available: the engine's
-root propagation on the fact system, from its own incidence lists and
-root-forced variables, reported Certified only when it forces r. The
+and otherwise the target is split off (`ConstraintSearch.split`, as
+`projection` splits off a free variable) and only its component of the
+system is enumerated, the other components set to their first solution,
+which yields the same first moving map as full enumeration. Over any
+field (the infinite-field path) a one-sided certificate is available:
+the engine's root propagation on the fact system, from its own incidence
+lists and root-forced variables, reported Certified only when it forces
+r. The
 identity on A is always an arithmetic map, so a forced value can only be
 the element itself, and the closure needs no field arithmetic. Over Q,
 `facts` narrows the pairs it tests by their residues modulo a prime, so
@@ -274,26 +276,23 @@ def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
 
     It reads only what decides the answer. A target set at the search
     root is a Yes with no search: the identity is an arithmetic map, so a
-    value forced there is the target itself. Otherwise only the target's
-    component (`ConstraintSearch.component`) is enumerated, with every
-    other unset variable pinned to its value in the first map. The maps
-    are the product of the components' solutions, and the first point of
-    a product is the first point of each factor, so the first moving map
-    found this way is the first moving map of all. The cap counts the
-    target-component maps read; a root-forced decision reads none."""
+    value forced there is the target itself. Otherwise the target is
+    split off (`ConstraintSearch.split`, the same split that `projection`
+    makes for a free variable): one search sets every other unset
+    variable to its value in the first map, and only the target's
+    component is enumerated from that state. The maps are the product of
+    the components' solutions, and the first point of a product is the
+    first point of each factor, so the first moving map found this way is
+    the first moving map of all. The cap counts the target-component maps
+    read; a root-forced decision reads none."""
     search = _map_search(A)
-    root = search.root
     ri = A.target_index
-    if root[ri] >= 0:
+    if search.root[ri] >= 0:
         return Decision(True)
-    component = search.component(ri)
-    pins = []
-    if len(component) < root.count(-1):
-        first = next(search.solutions())
-        pins = [(x, v) for x, v in enumerate(first) if root[x] < 0 and x not in component]
+    _, state = search.split(ri)
     T = search.kernel
     r = T.index(A.r)
-    for vals in _capped(search.solutions(pins), cap):
+    for vals in _capped(search.solutions(start=state), cap):
         if vals[ri] != r:
             return Decision(False, _arithmetic_map(A, T, vals))
     return Decision(True)

@@ -16,14 +16,21 @@ O(log n) atoms. Already-built values are reused within a system. Only
 integer coefficients are accepted.
 
 `ConstraintSearch` solves a system over a finite field by propagation and
-backtracking on the integer form of the field (`fields.IntField`). It
-enumerates every solution (`solve_system`, and the arithmetic-map search
-of the neighbourhood module) or, per value of the free variable, stops at
-the first witness and keeps it (`projection`), so a definable set and a
-witness for each of its values come from one search per system
-(`normalized_witnesses`). Its incidence lists and root-forced variables
-come from `incidence_and_forced`, which the neighbourhood module's
-value-free certification reads too.
+backtracking on the integer form of the field (`fields.IntField`), with
+one depth-first loop. It enumerates every solution (`solve_system`, and
+the arithmetic-map search of the neighbourhood module) or, per value of
+the free variable, stops at the first witness and keeps it
+(`projection`), so a definable set and a witness for each of its values
+come from one search per system (`normalized_witnesses`). The solutions
+are the product of the components the atoms join the unset variables
+into, so one variable's component is split off once (`split`): one search
+sets the other components to their first solution, and only that
+component is searched from there. `projection` splits off the free
+variable and the neighbourhood decision its target, so a component with
+no solution that the free variable is not in is exhausted once, not once
+per value. Its incidence lists and root-forced variables come from
+`incidence_and_forced`, which the neighbourhood module's value-free
+certification reads too.
 """
 
 from __future__ import annotations
@@ -651,17 +658,29 @@ class ConstraintSearch:
                 queue.append(dest)
         return True
 
-    def solutions(self, pins: Iterable[tuple[int, int]] = ()) -> Iterator[tuple[int, ...]]:
+    def solutions(
+        self, pins: Iterable[tuple[int, int]] = (), start: list[int] | None = None
+    ) -> Iterator[tuple[int, ...]]:
         """Every solution that also gives each pinned variable its value,
-        as a tuple of ints in variable-table order."""
-        if self.root is None:
-            return
-        vals = list(self.root)
+        as a tuple of ints in variable-table order. The search runs from
+        `start`, a state `split` returned, and otherwise from the root."""
+        if start is None:
+            start = self.root
+            if start is None:
+                return iter(())
+        vals = list(start)
+        trail: list[int] = []
+        for var, v in pins:
+            if not self._assign(vals, trail, var, v):
+                return iter(())
+        return self._search(vals)
+
+    def _search(self, vals: list[int]) -> Iterator[tuple[int, ...]]:
+        """The depth-first loop, from a propagated state it takes over: it
+        branches on each variable unset there and skips every variable set,
+        whatever its value."""
         trail: list[int] = []
         assign = self._assign
-        for var, v in pins:
-            if not assign(vals, trail, var, v):
-                return
         q = self.kernel.q
         n = len(vals)
         # depth-first, one frame per branching variable: [var, next value, trail mark]
@@ -706,15 +725,46 @@ class ConstraintSearch:
                         queue.append(x)
         return seen
 
+    def split(self, var: int) -> tuple[set[int], list[int] | None]:
+        """var's component (var unset at the root), and the root with every
+        other unset variable set to its value in the first solution; no
+        state when the other components have no solution.
+
+        One search finds those values, with the component held aside: its
+        variables hold the placeholder q, which the search skips, and no
+        atom joins them to the variables it assigns, so nothing reads it.
+        The first point of a product is the first point of each factor, so
+        the solutions from the state, in order, are those of var's
+        component, each completed by the first solution of the rest."""
+        component = self.component(var)
+        vals = list(self.root)
+        q = self.kernel.q
+        for x in component:
+            vals[x] = q
+        first = next(self._search(vals), None)
+        if first is None:
+            return component, None
+        state = list(first)
+        for x in component:
+            state[x] = -1
+        return component, state
+
     def projection(self, known: Container[int] = frozenset()) -> dict[int, tuple[int, ...]]:
         """The values of the free variable that extend to a solution, apart
-        from those in `known`, each with its first solution: each value is
-        pinned in turn and its search stops at that witness."""
+        from those in `known`, each with its first solution. A free variable
+        unset at the root is split off once (`split`), so the other
+        components are searched once, not once per value; each value is
+        then pinned on that state and its search stops at its witness."""
         free = self.system.free_index
+        start = self.root
+        if start is not None and start[free] < 0:
+            start = self.split(free)[1]
+        if start is None:
+            return {}
         out = {}
         for v in range(self.kernel.q):
             if v not in known:
-                witness = next(self.solutions([(free, v)]), None)
+                witness = next(self.solutions([(free, v)], start), None)
                 if witness is not None:
                     out[v] = witness
         return out

@@ -34,6 +34,7 @@ from .formulas import (
     all_variables,
     conj,
     free_variables,
+    is_name,
     map_subformulas,
     substitute_terms,
 )
@@ -92,7 +93,7 @@ def _check_polynomial(p: Term, which: str) -> Term:
 
 
 def _check_predicate(name: str) -> str:
-    if not name.isidentifier() or name in ("exists", "forall"):
+    if not is_name(name):
         raise SchemaError(f"{name!r} is not a usable predicate symbol")
     return name
 

@@ -149,7 +149,7 @@ def test_parse_reports_free_variables():
 
 
 def test_parse_syntax_error_exit_2():
-    for text in ("exists y. x = +", "x = ²"):
+    for text in ("exists y. x = +", "x = ²", "x² = 1"):
         code, data = payload("parse", "--formula", text)
         assert code == 2
         assert data["error"]["code"] == "syntax"

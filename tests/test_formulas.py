@@ -16,6 +16,7 @@ from defifix.formulas import (
     Not,
     Or,
     PredicateApp,
+    _Parser,
     definable_set,
     desugar,
     evaluate,
@@ -74,6 +75,24 @@ def test_parse_parenthesized_formula_vs_term():
     assert g == Equal(x**2 - 1, Term.zero())
 
 
+def test_parse_reads_each_group_once(monkeypatch):
+    # the atom reading of a "(" is tried only when an operator follows the
+    # group, so no term is read twice: two per equation, plus one for the
+    # parenthesized term (y + 1)
+    starts = []
+    term = _Parser.term
+
+    def counted(self):
+        starts.append(self.pos)
+        return term(self)
+
+    monkeypatch.setattr(_Parser, "term", counted)
+    f = parse("((x = 1 & (y + 1)*y = 2) | (x = 2))")
+    one, two = Term.constant(1), Term.constant(2)
+    assert f == Or((And((Equal(x, one), Equal(y**2 + y, two))), Equal(x, two)))
+    assert len(starts) == len(set(starts)) == 2 * 3 + 1
+
+
 def test_parse_predicate_application():
     f = parse("N(x) & F(x, y + 1)")
     assert f == And(
@@ -102,8 +121,31 @@ def test_syntax_errors_carry_position():
     with pytest.raises(FormulaSyntaxError, match="unexpected character '²'") as err:
         parse("x = ²")
     assert (err.value.line, err.value.column) == (1, 5)
+    # names are ASCII: a superscript digit or a Greek letter is no part of one
+    with pytest.raises(FormulaSyntaxError, match="unexpected character '²'") as err:
+        parse("x² = 1")
+    assert (err.value.line, err.value.column) == (1, 2)
+    with pytest.raises(FormulaSyntaxError, match="unexpected character 'α'") as err:
+        parse("α = 1")
+    assert (err.value.line, err.value.column) == (1, 1)
     with pytest.raises(FormulaSyntaxError):
         parse("x = 1 extra")
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("(x = 1) + 2 = 0", "unexpected trailing input '+'", 9),
+        ("(x) & y = 1", "expected '=' or '!=' after term", 3),
+        ("((x = 1)", "expected ')', found 'end of input'", 9),
+        ("(x + 1 = 2", "expected ')', found 'end of input'", 11),
+    ],
+)
+def test_parenthesized_syntax_errors_are_pinned(text, message, column):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line 1, column {column})"
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_print_examples():

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _gen import random_existential_formula
 from defifix.errors import CapExceededError, InfiniteFieldError, NormalizationError
@@ -16,15 +19,18 @@ from defifix.formulas import (
     parse,
 )
 from defifix.normalize import (
+    ConstraintSearch,
     ConstraintSystem,
     NormalizedFormula,
     One,
     Plus,
     Times,
+    atom_indices,
     atomize,
     eliminate_negations,
     normalize,
     normalized_definable_set,
+    normalized_witnesses,
     solve_system,
     to_dnf,
 )
@@ -384,3 +390,105 @@ def test_end_to_end_preservation_sample():
             assert normalized_definable_set(nf, K) == definable_set(f, K, "x"), (
                 f"mismatch over {K.spec()} for {f}"
             )
+
+
+# -- projection by one split ---------------------------------------------------
+
+SPLIT_FIELDS = ["F2", "F3", "F5", "F7", "F2^2", "F3^2", "F11", "F13", "F2^3", "F5^2", "F3^3", "F29"]
+
+
+@st.composite
+def _grouped_systems(draw):
+    """A system over a field of at most 29 elements whose variables fall
+    into up to three groups with their own atoms, the groups interleaved in
+    the variable table, and the free variable drawn from any group. A group
+    may be unsatisfiable or fall apart into several components. q^n stays
+    within 20,000, so full enumeration is cheap."""
+    spec = draw(st.sampled_from(SPLIT_FIELDS))
+    q = make_field(spec).order
+    n_max = min(6, max(n for n in range(1, 15) if q**n <= 20_000))
+    n = draw(st.integers(2, n_max))
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    atoms = []
+    for g in sorted(set(groups)):
+        members = st.sampled_from([i for i in range(n) if groups[i] == g])
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from([Times, Plus, One]))
+            if kind is One:
+                atoms.append(One(draw(members)))
+            else:
+                atoms.append(kind(draw(members), draw(members), draw(members)))
+    free = draw(st.integers(0, n - 1))
+    return spec, ConstraintSystem(tuple(f"v{i}" for i in range(n)), tuple(atoms), free)
+
+
+def _system(names, atoms):
+    return ConstraintSystem(tuple(names.split()), tuple(atoms), 0)
+
+
+# x in no atom beside a component with no solution over F3: o = 1, z = 0,
+# c = -1 are forced at the root, and a * a = c has no root a
+_DEAD_BESIDE_FREE = _system("x o z c a", [One(1), Plus(2, 2, 2), Plus(3, 1, 2), Times(4, 4, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@example(("F3", _DEAD_BESIDE_FREE))
+@example(("F5", _system("x a b", [One(0), Times(1, 1, 2)])))  # x forced at the root
+@example(("F7", _system("x a b c", [Times(0, 0, 1), Plus(2, 2, 3)])))  # two satisfiable
+@given(_grouped_systems())
+def test_projection_is_the_first_solution_per_value_of_full_enumeration(case):
+    spec, s = case
+    K = make_field(spec)
+    search = ConstraintSearch(s, K)
+    first: dict[int, tuple[int, ...]] = {}
+    for sol in search.solutions():
+        first.setdefault(sol[s.free_index], sol)
+    assert list(search.projection().items()) == sorted(first.items())
+    known = set(list(first)[::2])
+    assert search.projection(known) == {v: w for v, w in first.items() if v not in known}
+
+
+def test_dead_component_is_searched_once_not_per_value(monkeypatch):
+    """A component with no solution that the free variable is not in is
+    exhausted by one search, not once per value of the free variable."""
+    f = parse("exists y. exists z. (3*y^2*z != 3*z | -x*y^2 + z^2 + 1 = y*z^2)")
+    nf = normalize(f)
+    assert normalized_definable_set(nf, F9) == definable_set(f, F9, "x")
+    dead = nf.systems[0]  # characteristic 3 leaves it no solution
+    assert all(dead.free_index not in atom_indices(a) for a in dead.atoms)
+    calls = [0]
+    assign = ConstraintSearch._assign
+
+    def counted(self, *args):
+        calls[0] += 1
+        return assign(self, *args)
+
+    monkeypatch.setattr(ConstraintSearch, "_assign", counted)
+    search = ConstraintSearch(dead, F9)
+    calls[0] = 0
+    assert next(search.solutions([(dead.free_index, 0)]), None) is None
+    one_value = calls[0]
+    calls[0] = 0
+    assert search.projection() == {}
+    assert calls[0] <= one_value
+
+
+# sha256 of normalize text and ordered witnesses of 100 random formulas
+# per field, as computed before the search was split
+@pytest.mark.parametrize(
+    "spec, sha256",
+    [
+        ("F5", "525f6f496b7f7c813e0e4120152df48aac8d4de5e20055e44f0431ce6481f812"),
+        ("F2^2", "38ba75b6d9136a0d3eb2d9b5d4e40c49f4370a5c96e029ca52b0ae15f819878b"),
+        ("F3^2", "d118e3b26ccd602b95c2748e41c3f2832d198c34fdc93f1ed977de621d840b69"),
+    ],
+)
+def test_normalized_witnesses_are_pinned(spec, sha256):
+    K = make_field(spec)
+    rng = random.Random(2026)
+    h = hashlib.sha256()
+    for _ in range(100):
+        nf = normalize(random_existential_formula(rng))
+        h.update(nf.to_text().encode())
+        h.update(repr(list(normalized_witnesses(nf, K).items())).encode())
+    assert h.hexdigest() == sha256

@@ -168,6 +168,10 @@ def test_predicate_name_is_validated_and_threaded():
         schemas.succ(predicate="not a name")
     with pytest.raises(SchemaError):
         schemas.accum(predicate="exists")
+    # the parser reads ASCII names only, so the emitted text parses back
+    with pytest.raises(SchemaError):
+        schemas.succ(predicate="α")
+    assert parse(print_formula(schemas.succ(predicate="_W2"))) == schemas.succ(predicate="_W2")
 
 
 def test_trace_membership_semantics_over_f7():

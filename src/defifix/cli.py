@@ -80,6 +80,9 @@ def _parse_elements(K: defifix.FieldDescriptor, text: str) -> list[defifix.Field
 
 
 def _rational(text: str) -> Fraction:
+    if not text.isascii():
+        # Fraction reads any Unicode decimal digit; numbers here are ASCII
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -26,7 +26,18 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, FieldSpecError, InfiniteFieldError
 
-_SPEC_RE = re.compile(r"^F(\d+)(?:\^(\d+))?(?::(.+))?$")
+_SPEC_RE = re.compile(r"^F([0-9]+)(?:\^([0-9]+))?(?::(.+))?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _read_int(text: str) -> int:
+    """An integer written as ASCII digits, with an optional minus sign and
+    spaces around it. Anything else, `+5`, `1_0` and `٣` included, raises
+    the ValueError that int() raises on text it cannot read."""
+    body = text.strip()
+    if not _INT_RE.fullmatch(body):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(body)
 
 MAX_EXTENSION_DEGREE = 4
 
@@ -377,7 +388,7 @@ def make_field(spec: str) -> FieldDescriptor:
     if m.group(3) is not None:
         raw = m.group(3).strip().strip("[]")
         try:
-            coeffs = tuple(int(c) % p for c in raw.split(","))
+            coeffs = tuple(_read_int(c) % p for c in raw.split(","))
         except ValueError:
             raise FieldSpecError(f"malformed modulus {m.group(3)!r}") from None
         if len(coeffs) != k + 1 or coeffs[-1] != 1:
@@ -581,14 +592,14 @@ def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
         if not field.is_finite:
             raise FieldSpecError("coefficient-vector syntax is only for finite fields")
         body = text.strip("[]")
-        coeffs = [int(c) for c in body.split(",")] if body else [0]
+        coeffs = [_read_int(c) for c in body.split(",")] if body else [0]
         if len(coeffs) > field.degree:
             raise FieldSpecError(
                 f"vector of length {len(coeffs)} too long for degree {field.degree}"
             )
         return field.element(coeffs)
     if "/" in text:
-        num, den = (int(t) for t in text.split("/", 1))
+        num, den = (_read_int(t) for t in text.split("/", 1))
         if den == 0:
             raise ZeroDivisionError(f"zero denominator in {text!r}")
         frac = Fraction(num, den)
@@ -596,7 +607,7 @@ def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
             raise ZeroDivisionError(f"denominator {frac.denominator} vanishes in {field.spec()}")
         return field.element(frac)
     try:
-        return field.element(int(text))
+        return field.element(_read_int(text))
     except ValueError:
         raise FieldSpecError(f"malformed element {text!r}") from None
 

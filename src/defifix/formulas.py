@@ -102,7 +102,8 @@ def disj(parts) -> Formula:
 
 _KEYWORDS = {"exists", "forall"}
 _NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_PART = _NAME_START | frozenset("0123456789")
+_DIGITS = frozenset("0123456789")
+_NAME_PART = _NAME_START | _DIGITS
 # the tokens that can follow a parenthesized term inside an atom
 _AFTER_TERM = frozenset(("^", "*", "/", "+", "-", "=", "!="))
 
@@ -145,9 +146,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdecimal():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], start_line, start_col))
             col += j - i

@@ -7,11 +7,20 @@ stores nonzero (monomial, coefficient) pairs in descending graded
 lexicographic order (higher total degree first, ties by variable name then
 by higher exponent), which is also the printing order.
 
-Only a finished result is in that order. The arithmetic in between works
-on unsorted (monomial, coefficient) pairs, where zero coefficients and
-Fractions with denominator 1 may stand; `_canon` sorts, drops the zeros and
-turns those Fractions into ints once, on the result of each `*`, `**`,
-`substitute` and sum.
+Products expand on packed monomials, each one int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007). Each `*`, `**` and `substitute` fixes one packing from
+its operands (see `_packing`): a field per variable, wide enough for any
+exponent or total degree its result can have, so a product of monomials
+is one integer addition. The expansion works on unsorted (packed,
+coefficient) pairs, where zero coefficients and Fractions with
+denominator 1 may stand; the unpacking drops the zeros, turns those
+Fractions into ints and sorts once, on the result of each call.
+
+A lone monomial c*m needs no expansion. Graded lex is a monomial order,
+so multiplying every monomial of a Term by m keeps their order: `t * (c*m)`
+scales t's pairs where they stand, and `(c*m) ** n` is the one pair
+(m with each exponent times n, c ** n). A sum sorts once through `_canon`.
 
 `Term.compile` turns a term into an evaluator on any ring of the fields
 module's ring interface, FieldElements or kernel indices alike;
@@ -30,8 +39,6 @@ from .errors import EvaluationError
 Monomial = tuple[tuple[str, int], ...]
 
 Coefficient = int | Fraction
-
-_ONE = (((), 1),)  # the pairs of the constant 1
 
 
 def _norm_coeff(c: Coefficient) -> Coefficient:
@@ -68,27 +75,96 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _mul_into(acc: dict, xs, ys) -> dict:
-    """Add the product of two sequences of (monomial, coefficient) pairs
-    into `acc`, unsorted, and return it."""
-    get, mono_mul = acc.get, _mono_mul
+def _scan(pairs, names: set) -> int:
+    """Add the variables of the pairs' monomials to `names` and return the
+    largest total degree among them, read from every monomial, so that a
+    hand-built Term out of order is bounded too."""
+    top = 0
+    for m, _ in pairs:
+        d = 0
+        for v, e in m:
+            names.add(v)
+            d += e
+        if d > top:
+            top = d
+    return top
+
+
+def _packing(names, bound: int):
+    """Pack and unpack for monomials over `names` whose exponents and total
+    degree stay at most `bound`, as in every partial product of one call.
+
+    A packed monomial has a field of w = bound.bit_length() bits for the
+    total degree, on top, then one per name in ascending string order
+    (`x10` before `x2`). No field exceeds bound < 2^w, so adding two packed
+    monomials carries between no fields: the sum is the packed product.
+
+    `unpack` takes {packed: coefficient}, drops the zeros, turns integral
+    Fractions into ints and returns the pairs by descending packed int.
+    That is the printing order: the degree field compares first, and
+    within one degree the first name whose exponents differ decides, the
+    larger exponent first. `_mono_key`'s (name, -exponent) tuples compare
+    the same way: a name only one monomial has counts as exponent 0 in the
+    other, and at equal degree neither tuple is a prefix of the other.
+    """
+    w = bound.bit_length()
+    top = s = w * len(names)
+    shifts = []
+    for v in sorted(names):
+        s -= w
+        shifts.append((v, s))
+    shift = dict(shifts)
+    mask = (1 << w) - 1
+
+    def pack(pairs) -> list:
+        out = []
+        for m, c in pairs:
+            k = d = 0
+            for v, e in m:
+                k += e << shift[v]
+                d += e
+            out.append(((d << top) + k, c))
+        return out
+
+    def unpack(acc: dict) -> tuple:
+        out = []
+        for k in sorted([k for k, c in acc.items() if c], reverse=True):
+            m = []
+            for v, s in shifts:
+                e = k >> s & mask
+                if e:
+                    m.append((v, e))
+            out.append((tuple(m), _norm_coeff(acc[k])))
+        return tuple(out)
+
+    return pack, unpack
+
+
+def _mul_packed(acc: dict, xs, ys) -> dict:
+    """Add the product of two sequences of (packed, coefficient) pairs of
+    one packing into `acc`, unsorted, and return it."""
+    get = acc.get
     for m1, c1 in xs:
         for m2, c2 in ys:
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
     return acc
 
 
-def _power(pairs, n: int):
-    """pairs**n by square-and-multiply, as unsorted pairs."""
+def _pow_packed(pairs, n: int):
+    """pairs**n for packed pairs, as unsorted pairs: a lone pair scales its
+    monomial by n, more pairs go by square-and-multiply."""
+    if len(pairs) == 1:
+        (m, c), = pairs
+        return ((m * n, c**n),)
     out = None
     while n:
         if n & 1:
-            out = pairs if out is None else _mul_into({}, out, pairs).items()
+            out = pairs if out is None else _mul_packed({}, out, pairs).items()
         n >>= 1
         if n:
-            pairs = _mul_into({}, pairs, pairs).items()
-    return _ONE if out is None else out
+            pairs = _mul_packed({}, pairs, pairs).items()
+    return ((0, 1),) if out is None else out
 
 
 def _canon(pairs: dict[Monomial, Coefficient]) -> tuple[tuple[Monomial, Coefficient], ...]:
@@ -172,35 +248,73 @@ class Term:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Term":
-        return Term(_canon(_mul_into({}, self.coeffs, self._coerce(other).coeffs)))
+        """The product. A lone monomial on either side scales the other
+        side's pairs in order; otherwise both sides expand on one packing,
+        bounded by the sum of their degrees."""
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            (m, c), = b
+            return Term(tuple((_mono_mul(m1, m), _norm_coeff(c1 * c)) for m1, c1 in a))
+        names: set[str] = set()
+        bound = _scan(a, names) + _scan(b, names)
+        pack, unpack = _packing(names, bound)
+        return Term(unpack(_mul_packed({}, pack(a), pack(b))))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Term":
+        """self ** n for n >= 0. A lone monomial c*m gives one pair, m with
+        each exponent times n and c ** n; a longer term goes by
+        square-and-multiply on one packing, bounded by n times its degree."""
         if n < 0:
             raise ValueError("negative exponent")
-        return Term(_canon(dict(_power(self.coeffs, n))))
+        pairs = self.coeffs
+        if n == 0:
+            return Term((((), 1),))
+        if len(pairs) == 1:
+            (m, c), = pairs
+            return Term(((tuple((v, e * n) for v, e in m), _norm_coeff(c**n)),))
+        names: set[str] = set()
+        bound = n * _scan(pairs, names)
+        pack, unpack = _packing(names, bound)
+        return Term(unpack(dict(_pow_packed(pack(pairs), n))))
 
     # -- semantics ---------------------------------------------------------
 
     def substitute(self, mapping: dict[str, "Term"]) -> "Term":
         """Simultaneous substitution; an unmapped variable stays itself.
-        Each power of a mapped variable is expanded once per call."""
+
+        The result expands on one packing. Its degree bound is the largest,
+        over self's monomials, of the sum of e * deg(mapping[v]) over their
+        powers v^e, an unmapped variable counting degree 1. Each power of a
+        variable is expanded once per call.
+        """
+        images = {}
+        for m, _ in self.coeffs:
+            for v, _ in m:
+                if v not in images:
+                    t = mapping.get(v)
+                    images[v] = ((((v, 1),), 1),) if t is None else t.coeffs
+        names: set[str] = set()
+        degree = {v: _scan(pairs, names) for v, pairs in images.items()}
+        bound = max((sum(e * degree[v] for v, e in m) for m, _ in self.coeffs), default=0)
+        pack, unpack = _packing(names, bound)
+        images = {v: pack(pairs) for v, pairs in images.items()}
         powers: dict[tuple[str, int], object] = {}
-        acc: dict[Monomial, Coefficient] = {}
+        acc: dict[int, Coefficient] = {}
         get = acc.get
         for m, c in self.coeffs:
             part = None
             for v, e in m:
                 factor = powers.get((v, e))
                 if factor is None:
-                    t = mapping.get(v)
-                    factor = ((((v, e),), 1),) if t is None else _power(t.coeffs, e)
-                    powers[v, e] = factor
-                part = factor if part is None else _mul_into({}, part, factor).items()
-            for mono, coef in _ONE if part is None else part:
-                acc[mono] = get(mono, 0) + c * coef
-        return Term(_canon(acc))
+                    factor = powers[v, e] = _pow_packed(images[v], e)
+                part = factor if part is None else _mul_packed({}, part, factor).items()
+            for k, coef in ((0, 1),) if part is None else part:
+                acc[k] = get(k, 0) + c * coef
+        return Term(unpack(acc))
 
     def evaluate(self, assignment: dict[str, "FieldElement"], field) -> "FieldElement":
         """Value of the term under a variable assignment, in the given field.

@@ -155,6 +155,31 @@ def test_parse_syntax_error_exit_2():
         assert data["error"]["code"] == "syntax"
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("parse", "--formula", "x = ٣"), "syntax", "unexpected character '\u0663' (line 1, column 5)"),
+        (("parse", "--formula", "x٣ = 1"), "syntax", "unexpected character '\u0663' (line 1, column 2)"),
+        (("eval", "--formula", "x = 3", "--field", "F5", "--assign", "x=٣"),
+         "field-spec", "malformed element '\u0663'"),
+        (("nbhd", "check", "--field", "F٧", "--elements", "1,2", "--target", "2"),
+         "field-spec", "malformed field spec 'F\u0667'"),
+        (("nbhd", "check", "--field", "F7", "--elements", "1_0,2", "--target", "2"),
+         "field-spec", "malformed element '1_0'"),
+        (("nbhd", "check", "--field", "F7", "--elements", "٣/2,2", "--target", "2"),
+         "input", "invalid literal for int() with base 10: '\u0663'"),
+        (("nbhd", "rational", "--field", "F7", "--q", "٥/٣"),
+         "input", "Invalid literal for Fraction: '\u0665/\u0663'"),
+    ],
+    ids=["formula", "after-name", "assign", "field", "underscore", "fraction", "q"],
+)
+def test_numbers_are_ascii_digits(argv, code, message):
+    # each read int(), Fraction or re's \d, which take any Unicode digit
+    exit_code, data = payload(*argv)
+    assert exit_code == 2
+    assert data == {"error": {"code": code, "message": message}}
+
+
 def test_eval_true_and_false():
     code, data = payload("eval", "--formula", "x = 1", "--field", "F5",
                          "--assign", "x=1")

@@ -519,6 +519,7 @@ def test_compile_stays_small_on_seven_or_more_facts():
         (6, "F13", 2622, "b53be9b575f327f6c35481be2287714469ab4d9f9765d696c1bcd10ca1d7324a"),
         (3, "F7", 440, "81696a026afa369da7009411abb70989d724e57745f8c058dad0d7b4f17695ea"),
         (Fraction(5, 3), "Q", 327, "230e45efdb102f8a5af240205e97bb954a0a4c59c7c4bc0979cd55419a8d21a2"),
+        (5, "F7", 105142, "0fd36b7bf197e12516abfb6c7456521424bbcf9c3e8569a1627797a6eef40200"),
     ],
 )
 def test_single_equation_text_is_pinned(q, spec, chars, sha256):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,25 @@ def test_parse_element_integer_embedding():
     assert parse_element("1/2", K) == K.element(3)  # 2*3 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
         parse_element("1/5", K)
+
+
+def test_numbers_are_ascii_digits():
+    # int(), Fraction and re's \d read any Unicode decimal digit; field
+    # specs, moduli and elements take -?[0-9]+ with spaces around it
+    for bad in ["F٧", "F7^٢", "F7^2:١,0,1", "F7^2:+1,0,1", "F7^2:1,0,1_0"]:
+        with pytest.raises(FieldSpecError, match="malformed"):
+            make_field(bad)
+    assert make_field("F7^2: 1 , 0 , 1 ") == make_field("F7^2:1,0,1")
+    K = make_field("F7")
+    for bad in ["٣", "1_0", "+3", "3 4"]:
+        with pytest.raises(FieldSpecError, match=re.escape(f"malformed element {bad!r}")):
+            parse_element(bad, K)
+    for bad in ["٣/2", "3/٢", "1_0/3", "[٣]", "[1_0]"]:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_element(bad, make_field("F7^2") if bad[0] == "[" else K)
+    assert parse_element(" -3 ", K) == K.element(4)
+    assert parse_element("-3/ 2", K) == K.element(Fraction(-3, 2))
+    assert parse_element("[ 1, -2 ]", make_field("F7^2")) == make_field("F7^2").element([1, 5])
 
 
 def test_field_axioms_sampled():

@@ -128,6 +128,12 @@ def test_syntax_errors_carry_position():
     with pytest.raises(FormulaSyntaxError, match="unexpected character 'α'") as err:
         parse("α = 1")
     assert (err.value.line, err.value.column) == (1, 1)
+    # numbers are ASCII digits: an Arabic-Indic three is no number, alone
+    # or after a name
+    for text, column in (("x = ٣", 5), ("x٣ = 1", 2), ("x = 1٣", 6)):
+        with pytest.raises(FormulaSyntaxError, match="unexpected character '٣'") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
     with pytest.raises(FormulaSyntaxError):
         parse("x = 1 extra")
 

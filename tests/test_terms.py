@@ -1,13 +1,15 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defifix.errors import EvaluationError
 from defifix.fields import enumerate_elements, int_field, make_field
-from defifix.formulas import parse
+from defifix.formulas import parse, print_formula
 from defifix.terms import Term
 
 x, y, z = Term.variable("x"), Term.variable("y"), Term.variable("z")
@@ -124,6 +126,46 @@ def test_pow_huge_exponent_of_a_variable():
     assert (x * y) ** 10**9 == Term((((("x", 10**9), ("y", 10**9)), 1),))
 
 
+def test_lone_monomial_products_and_powers():
+    # a lone monomial scales the other side in order, and its power is one
+    # pair; integral products of Fractions come out as ints
+    half = Fraction(-1, 2) * x
+    assert _typed((half**3).coeffs) == [((("x", 3),), Fraction(-1, 8), Fraction)]
+    assert _typed(((2 * y) * (x * y + half)).coeffs) == [
+        ((("x", 1), ("y", 2)), 2, int),
+        ((("x", 1), ("y", 1)), -1, int),
+    ]
+    assert _typed(((x + 1) * Fraction(3, 2) * Fraction(2, 3)).coeffs) == [
+        ((("x", 1),), 1, int),
+        ((), 1, int),
+    ]
+
+
+def test_packing_is_bounded_by_every_monomial():
+    # a hand-built Term out of order: its first monomial has degree 1, so a
+    # bound read from that monomial alone would overflow the packed fields
+    t = Term((((("x", 1),), 1), ((("x", 7),), 1)))
+    assert t**2 == x**14 + 2 * x**8 + x**2
+    assert t * (x + y) == x**8 + x**7 * y + x**2 + x * y
+    assert (x + y).substitute({"y": t}) == x**7 + 2 * x
+
+
+def test_expanded_text_is_pinned():
+    text = print_formula(parse("(x+y+z+1)^12 = 0"))
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+        7252,
+        "3239039533c54ea83b9cc798f4c60823524095bacd3bad5951b93206f304856e",
+    )
+
+
+def test_expanding_a_thirtieth_power_is_quick():
+    # 5,456 monomials, each product one integer addition on packed exponents
+    start = time.process_time()
+    f = parse("(x+y+z+1)^30 = 0")
+    assert time.process_time() - start < 1.0
+    assert len(f.lhs.coeffs) == 5456
+
+
 def _random_term(rng):
     t = Term.zero()
     for _ in range(rng.randint(1, 4)):
@@ -177,7 +219,11 @@ def test_compile_errors_match_evaluate():
 # (variable, exponent) tuples, expands everything one product at a time,
 # and sorts by the documented graded-lex key only when it is read back.
 
-LOW, HIGH = ("a", "b"), ("x", "x2", "y")  # every LOW name precedes every HIGH one
+# every LOW name precedes every HIGH one; x10 precedes x2 as a string
+LOW, HIGH = ("a", "b"), ("x", "x10", "x2", "y")
+_SMALL = st.integers(1, 3)
+# 2^k - 1 and 2^k fill or overflow a packed field of k bits
+_EXPONENT = st.one_of(_SMALL, st.sampled_from([7, 8, 15, 16, 31, 32, 10**9]))
 
 
 def _ref_mono(exps: dict) -> tuple:
@@ -245,10 +291,10 @@ _coeff = st.one_of(
 )
 
 
-def _poly(names, size: int = 4) -> st.SearchStrategy:
+def _poly(names, size: int = 4, exponent=_EXPONENT, min_size: int = 0) -> st.SearchStrategy:
     """Up to `size` monomials, each in up to three of `names`."""
-    mono = st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3)
-    return st.lists(st.tuples(mono, _coeff), max_size=size).map(
+    mono = st.dictionaries(st.sampled_from(names), exponent, max_size=3)
+    return st.lists(st.tuples(mono, _coeff), min_size=min_size, max_size=size).map(
         lambda pairs: {_ref_mono(exps): c for exps, c in pairs}
     )
 
@@ -256,14 +302,19 @@ def _poly(names, size: int = 4) -> st.SearchStrategy:
 @st.composite
 def _operands(draw):
     """Two polynomials over overlapping variables, or over disjoint ones
-    in either order; the second may cancel some monomials of the first."""
+    in either order. Either may be a lone monomial; otherwise the second
+    may cancel some monomials of the first."""
     first, second = draw(st.sampled_from([(LOW + HIGH, LOW + HIGH), (LOW, HIGH), (HIGH, LOW)]))
-    p, q = draw(_poly(first)), draw(_poly(second))
-    for m in draw(st.lists(st.sampled_from(sorted(p)), unique=True)) if p else ():
-        q[m] = -p[m]
+    lone = draw(st.sampled_from([None, 0, 1]))
+    p = draw(_poly(first, 1, min_size=1) if lone == 0 else _poly(first))
+    q = draw(_poly(second, 1, min_size=1) if lone == 1 else _poly(second))
+    if lone is None and p:
+        for m in draw(st.lists(st.sampled_from(sorted(p)), unique=True)):
+            q[m] = -p[m]
     return p, q
 
 
+@settings(max_examples=300, deadline=None)
 @given(_operands(), st.integers(0, 6))
 def test_arithmetic_matches_the_naive_reference(operands, n):
     p, q = operands
@@ -276,7 +327,11 @@ def test_arithmetic_matches_the_naive_reference(operands, n):
     assert _typed(Term.sum([a, b, a]).coeffs) == _typed(_ref_coeffs(_ref_add(_ref_add(p, q), p)))
 
 
-@given(_poly(LOW + HIGH, 3), st.dictionaries(st.sampled_from(LOW + HIGH), _poly(LOW + HIGH, 2)))
+@settings(max_examples=200, deadline=None)
+@given(
+    _poly(LOW + HIGH, 3, _SMALL),
+    st.dictionaries(st.sampled_from(LOW + HIGH), _poly(LOW + HIGH, 2)),
+)
 def test_substitute_matches_the_naive_reference(p, mapping):
     a = Term(_ref_coeffs(p))
     terms = {v: Term(_ref_coeffs(q)) for v, q in mapping.items()}

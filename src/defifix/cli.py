@@ -80,8 +80,8 @@ def _parse_elements(K: defifix.FieldDescriptor, text: str) -> list[defifix.Field
 
 
 def _rational(text: str) -> Fraction:
-    if not text.isascii():
-        # Fraction reads any Unicode decimal digit; numbers here are ASCII
+    if not text.isascii() or "_" in text:
+        # Fraction also reads Unicode digits and `_`; numbers here are ASCII
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
@@ -93,7 +93,7 @@ def _cap(args, default: int) -> int:
     value = args.cap
     if value is None:
         env = os.environ.get("DEFIFIX_CAP")
-        value = int(env) if env else default
+        value = defifix.fields._read_int(env) if env else default
     if value <= 0:
         raise ValueError(f"cap must be positive, got {value}")
     return value
@@ -305,7 +305,7 @@ def _cmd_schema_emit(args):
 
 def _add_common(sp):
     sp.add_argument("--format", choices=("text", "json"), default="json")
-    sp.add_argument("--seed", type=int, default=None, help="accepted for reproducibility; all searches are deterministic")
+    sp.add_argument("--seed", type=defifix.fields._read_int, default=None, help="accepted for reproducibility; all searches are deterministic")
 
 
 def _add_formula_source(sp):
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("normalize", help="rewrite into three-address constraint systems")
     sp.set_defaults(handler=_cmd_normalize)
     _add_formula_source(sp)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
 
     nbhd = sub.add_parser("nbhd", help="arithmetic neighbourhood toolkit")
@@ -352,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = nsub.add_parser("check", help="decide whether the set pins the target")
     sp.set_defaults(handler=_cmd_nbhd_check)
     _add_nbhd_args(sp)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("maps", help="list all arithmetic maps on the set")
     sp.set_defaults(handler=_cmd_nbhd_maps)
     _add_nbhd_args(sp, with_target=False)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
     sp = nsub.add_parser("certify", help="one-sided certification by value propagation")
     sp.set_defaults(handler=_cmd_nbhd_certify)
@@ -379,19 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_compile_from_formula)
     _add_formula_source(sp)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
     sp = csub.add_parser("single-eq", help="fold the facts into one equation")
     sp.set_defaults(handler=_cmd_compile_single_eq)
     _add_nbhd_args(sp)
     sp.add_argument("--prefer-linear", action="store_true")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("fixed-field", help="arithmetically fixed elements of a finite field")
     sp.set_defaults(handler=_cmd_fixed_field)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("curve-lab", help="closure construction for symmetric values of a plane curve")
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True)
     sp.add_argument("--poly", required=True, help="curve polynomial in x and y")
     sp.add_argument("--mode", choices=("prefix", "paper"), default="prefix")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
     _add_common(sp)
 
     schema = sub.add_parser("schema", help="named formula templates")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", help="formula in x")
     sp.add_argument("--phi", help="quantifier-free core formula")
     sp.add_argument("--predicate", default="U")
-    sp.add_argument("--i", type=int, default=None)
+    sp.add_argument("--i", type=defifix.fields._read_int, default=None)
     _add_common(sp)
 
     return p

@@ -15,6 +15,9 @@ Grammar (precedence from loosest to tightest):
                and division by nonzero integer constants (rationals)
     NAME    := ASCII letter or "_", then ASCII letters, digits and "_"
 
+Tokens carry their offset in the text; a syntax error reports the line
+and column it falls on, both from 1, where only "\n" starts a line.
+
 "a != b" is sugar for "~(a = b)" and the printer emits it back in that
 form. Conjunction and disjunction chains are stored as n-ary nodes in
 source order; parenthesized groups stay nested, so parse(print(f)) is a
@@ -121,58 +124,47 @@ def is_name(text: str) -> bool:
 class _Token:
     kind: str  # NAME INT PUNCT END
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source text
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column, both from 1, of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
         if c.isspace():
-            i, col = i + 1, col + 1
+            i += 1
             continue
-        start_line, start_col = line, col
-        if c in _NAME_START:
+        if c in _NAME_PART:
+            kind, part = ("NAME", _NAME_PART) if c in _NAME_START else ("INT", _DIGITS)
             j = i + 1
-            while j < n and text[j] in _NAME_PART:
+            while j < n and text[j] in part:
                 j += 1
-            tokens.append(_Token("NAME", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], start_line, start_col))
-            col += j - i
+            tokens.append(_Token(kind, text[i:j], i))
             i = j
             continue
         if text[i : i + 3] == "<->":
-            tokens.append(_Token("PUNCT", "<->", start_line, start_col))
-            i, col = i + 3, col + 3
-            continue
-        if text[i : i + 2] in ("->", "!="):
-            tokens.append(_Token("PUNCT", text[i : i + 2], start_line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if c in "()+-*^=,.|&~/":
-            tokens.append(_Token("PUNCT", c, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+            j = i + 3
+        elif text[i : i + 2] in ("->", "!="):
+            j = i + 2
+        elif c in "()+-*^=,.|&~/":
+            j = i + 1
+        else:
+            raise FormulaSyntaxError(f"unexpected character {c!r}", *_position(text, i))
+        tokens.append(_Token("PUNCT", text[i:j], i))
+        i = j
+    tokens.append(_Token("END", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         # position of each "(" -> position just after its matching ")"
@@ -195,13 +187,18 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.text != text:
-            found = tok.text or "end of input"
-            raise FormulaSyntaxError(f"expected {text!r}, found {found!r}", tok.line, tok.col)
+            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def error(self, message: str):
+        raise FormulaSyntaxError(message, *_position(self.text, self.peek().pos))
+
+    def whole(self, result):
+        """result, once the input is read to its end."""
         tok = self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col)
+        if tok.kind != "END":
+            self.error(f"unexpected trailing input {tok.text!r}")
+        return result
 
     # -- formula levels ----------------------------------------------------
 
@@ -346,21 +343,13 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     parser = _Parser(text)
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return f
+    return parser.whole(parser.formula())
 
 
 def parse_term(text: str) -> Term:
     """Parse a bare polynomial term (the grammar's term level only)."""
     parser = _Parser(text)
-    t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return parser.whole(parser.term())
 
 
 # -- printer -----------------------------------------------------------------

@@ -289,7 +289,7 @@ def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
     ri = A.target_index
     if search.root[ri] >= 0:
         return Decision(True)
-    _, state = search.split(ri)
+    state = search.split(ri)
     T = search.kernel
     r = T.index(A.r)
     for vals in _capped(search.solutions(start=state), cap):

@@ -13,7 +13,9 @@ c times the value of m, and a monomial is the left-folded product of its
 variables' powers; multiples n*w and powers w^n are built by doubling
 along the bits of n (as `nbhd_rational` builds integers), so each takes
 O(log n) atoms. Already-built values are reused within a system. Only
-integer coefficients are accepted.
+integer coefficients are accepted. An equation of a bare variable with
+u + v, 2*u, u*v or u^2 is that one atom (`_one_atom`), whichever side
+the variable is on.
 
 `ConstraintSearch` solves a system over a finite field by propagation and
 backtracking on the integer form of the field (`fields.IntField`), with
@@ -258,44 +260,30 @@ def eliminate_negations(d: Formula) -> tuple[Formula, int]:
 # -- atomization -----------------------------------------------------------------
 
 
-def _bare_var(t: Term) -> str | None:
-    if len(t.coeffs) == 1:
-        m, c = t.coeffs[0]
+def _bare(entries) -> str | None:
+    """The variable, when the (monomial, coefficient) entries are one
+    variable with coefficient 1."""
+    if len(entries) == 1:
+        m, c = entries[0]
         if c == 1 and len(m) == 1 and m[0][1] == 1:
             return m[0][0]
     return None
 
 
-def _plus_shape(t: Term) -> tuple[str, str] | None:
+def _one_atom(t: Term) -> tuple[type, str, str] | None:
+    """(Plus, u, v) for u + v or 2*u, (Times, u, v) for u*v or u^2, and
+    None for any other term. The coefficient c and the total degree 3 - c
+    are checked before a monomial is spelled out as names."""
     entries = t.coeffs
     if len(entries) == 2:
-        (m1, c1), (m2, c2) = entries
-        if (
-            c1 == 1
-            and c2 == 1
-            and len(m1) == 1
-            and len(m2) == 1
-            and m1[0][1] == 1
-            and m2[0][1] == 1
-        ):
-            return m1[0][0], m2[0][0]
+        u, v = _bare(entries[:1]), _bare(entries[1:])
+        return (Plus, u, v) if u is not None and v is not None else None
     if len(entries) == 1:
         m, c = entries[0]
-        if c == 2 and len(m) == 1 and m[0][1] == 1:
-            return m[0][0], m[0][0]
-    return None
-
-
-def _times_shape(t: Term) -> tuple[str, str] | None:
-    if len(t.coeffs) != 1:
-        return None
-    m, c = t.coeffs[0]
-    if c != 1:
-        return None
-    if len(m) == 2 and m[0][1] == 1 and m[1][1] == 1:
-        return m[0][0], m[1][0]
-    if len(m) == 1 and m[0][1] == 2:
-        return m[0][0], m[0][0]
+        if c in (1, 2) and sum(e for _, e in m) == 3 - c:
+            # u*v and u^2 spell two names; 2*u spells one, taken twice
+            names = [v for v, e in m for _ in range(e)] * c
+            return (Times if c == 1 else Plus, *names)
     return None
 
 
@@ -410,19 +398,13 @@ class _Builder:
         self.emit(Plus(i, i, i))
 
     def equation(self, lhs: Term, rhs: Term):
-        for a, b in ((lhs, rhs), (rhs, lhs)):
-            vb = _bare_var(b)
-            if vb is not None:
-                shape = _plus_shape(a)
-                if shape is not None:
-                    self.emit(Plus(self.ensure(shape[0]), self.ensure(shape[1]), self.ensure(vb)))
-                    return
-                shape = _times_shape(a)
-                if shape is not None:
-                    self.emit(
-                        Times(self.ensure(shape[0]), self.ensure(shape[1]), self.ensure(vb))
-                    )
-                    return
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            target = _bare(other.coeffs)
+            shape = _one_atom(side) if target is not None else None
+            if shape is not None:
+                kind, u, v = shape
+                self.emit(kind(self.ensure(u), self.ensure(v), self.ensure(target)))
+                return
         p = lhs - rhs
         if p.is_zero:
             return
@@ -437,8 +419,7 @@ class _Builder:
         if not pos:
             self.assert_zero(self.side_value(neg))
             return
-        bpos = pos[0][0][0][0] if _is_bare_side(pos) else None
-        bneg = neg[0][0][0][0] if _is_bare_side(neg) else None
+        bpos, bneg = _bare(pos), _bare(neg)
         if bpos is not None and bneg is not None:
             self.equate(self.ensure(bpos), self.ensure(bneg))
             return
@@ -457,13 +438,6 @@ class _Builder:
     def finish(self, free_var: str) -> ConstraintSystem:
         idx = self.ensure(free_var)
         return ConstraintSystem(tuple(self.names), tuple(self.atoms), idx)
-
-
-def _is_bare_side(terms: list[tuple[Monomial, int]]) -> bool:
-    if len(terms) != 1:
-        return False
-    m, c = terms[0]
-    return c == 1 and len(m) == 1 and m[0][1] == 1
 
 
 def atomize(c: Formula | Iterable[Equal], free_var: str | None = None) -> ConstraintSystem:
@@ -725,10 +699,10 @@ class ConstraintSearch:
                         queue.append(x)
         return seen
 
-    def split(self, var: int) -> tuple[set[int], list[int] | None]:
-        """var's component (var unset at the root), and the root with every
-        other unset variable set to its value in the first solution; no
-        state when the other components have no solution.
+    def split(self, var: int) -> list[int] | None:
+        """The root with every variable unset there and outside var's
+        component (var unset at the root) set to its value in the first
+        solution; None when the other components have no solution.
 
         One search finds those values, with the component held aside: its
         variables hold the placeholder q, which the search skips, and no
@@ -743,11 +717,11 @@ class ConstraintSearch:
             vals[x] = q
         first = next(self._search(vals), None)
         if first is None:
-            return component, None
+            return None
         state = list(first)
         for x in component:
             state[x] = -1
-        return component, state
+        return state
 
     def projection(self, known: Container[int] = frozenset()) -> dict[int, tuple[int, ...]]:
         """The values of the free variable that extend to a solution, apart
@@ -758,7 +732,7 @@ class ConstraintSearch:
         free = self.system.free_index
         start = self.root
         if start is not None and start[free] < 0:
-            start = self.split(free)[1]
+            start = self.split(free)
         if start is None:
             return {}
         out = {}

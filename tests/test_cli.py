@@ -170,14 +170,65 @@ def test_parse_syntax_error_exit_2():
          "input", "invalid literal for int() with base 10: '\u0663'"),
         (("nbhd", "rational", "--field", "F7", "--q", "٥/٣"),
          "input", "Invalid literal for Fraction: '\u0665/\u0663'"),
+        (("nbhd", "rational", "--field", "F7", "--q", "1_0/3"),
+         "input", "Invalid literal for Fraction: '1_0/3'"),
     ],
-    ids=["formula", "after-name", "assign", "field", "underscore", "fraction", "q"],
+    ids=["formula", "after-name", "assign", "field", "underscore", "fraction", "q", "q-underscore"],
 )
 def test_numbers_are_ascii_digits(argv, code, message):
     # each read int(), Fraction or re's \d, which take any Unicode digit
     exit_code, data = payload(*argv)
     assert exit_code == 2
     assert data == {"error": {"code": code, "message": message}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("nbhd", "maps", "--field", "F7", "--elements", "1,2,5", "--cap", "١"),
+    ("fixed-field", "--field", "F2^2", "--cap", "1_0"),
+    ("fixed-field", "--field", "F2^2", "--cap", "+4"),
+    ("fixed-field", "--field", "F2^2", "--cap", "abc"),
+    ("fixed-field", "--field", "F2^2", "--seed", "٣"),
+    ("schema", "emit", "--name", "theorem7_def", "--i", "٣"),
+], ids=["cap", "cap-underscore", "cap-plus", "cap-letters", "seed", "i"])
+def test_integer_options_are_ascii_digits(argv, capsys):
+    # argparse refuses the value with its usage error, before any report
+    assert invoke(*argv) == (2, "")
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+
+
+def test_integer_options_read_ascii_digits():
+    code, data = payload("schema", "emit", "--name", "theorem7_def", "--i", " 3 ", "--seed", "-1")
+    assert code == 0
+    assert data["formula"] == "exists t. exists y. (t^2 + x = 0 & x = y + 3 & U(y))"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1_0", "invalid literal for int() with base 10: '1_0'"),
+    ("١", "invalid literal for int() with base 10: '\u0661'"),
+    ("0", "cap must be positive, got 0"),
+], ids=["underscore", "arabic-indic", "zero"])
+def test_cap_variable_is_a_positive_ascii_integer(monkeypatch, value, message):
+    monkeypatch.setenv("DEFIFIX_CAP", value)
+    assert payload("fixed-field", "--field", "F2^2") == (
+        2, {"error": {"code": "input", "message": message}})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fixed-field", "--field", "F2^2", "--cap", "0"), "cap must be positive, got 0"),
+    (("eval", "--formula", "x = 1", "--field", "F5", "--assign", "x"),
+     "malformed --assign 'x'; expected name=element"),
+    (("eval", "--formula", "U(x)", "--field", "F5", "--assign", "x=1", "--pred", "U"),
+     "malformed --pred 'U'; expected name=v;v;..."),
+    (("nbhd", "maps", "--field", "F7", "--elements", ""), "empty element list"),
+], ids=["cap-zero", "assign", "pred", "elements"])
+def test_malformed_options_are_input_errors(argv, message):
+    assert payload(*argv) == (2, {"error": {"code": "input", "message": message}})
+
+
+def test_missing_formula_file_is_an_io_error(tmp_path):
+    code, data = payload("parse", "--in", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert data["error"]["code"] == "io"
 
 
 def test_eval_true_and_false():

@@ -278,6 +278,10 @@ def test_rootless_validation():
         RootlessPolynomial(x + 1, Q)  # degree too small
     with pytest.raises(ValueError):
         RootlessPolynomial(x**2 + Fraction(1, 2), Q)
+    with pytest.raises(ValueError, match="expected a univariate polynomial"):
+        RootlessPolynomial(x * Term.variable("y") + 1, Q)
+    with pytest.raises(ValueError, match=r"x\^2 \+ x has root 0 in Q"):
+        RootlessPolynomial(x**2 + x, Q)
     RootlessPolynomial(x**2 - 2, Q)  # irrational roots are fine
     RootlessPolynomial(2 * x**2 - 2 * x + 1, Q)  # non-monic, roots (1+-i)/2
 

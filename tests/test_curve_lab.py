@@ -292,6 +292,16 @@ def test_curve_data_rejects_points_off_the_curve():
         CurveData(c.g, F5, c.m, c.h, c.abscissas, moved)
 
 
+def test_curve_data_checks_its_height_and_points():
+    c = CurveData.build(CURVE, F5)
+    with pytest.raises(ValueError, match="need characteristic > 5"):
+        CurveData(c.g, F5, 5, c.h, c.abscissas, c.witnesses)
+    with pytest.raises(ValueError, match="abscissas must be pairwise distinct"):
+        CurveData(c.g, F5, c.m, c.h, c.abscissas[:1] * 2, c.witnesses[:1] * 2)
+    with pytest.raises(ValueError, match="one witness per abscissa"):
+        CurveData(c.g, F5, c.m, c.h, c.abscissas, c.witnesses[:-1])
+
+
 def test_curve_data_by_hand_in_a_large_field_builds_no_kernel():
     K = make_field("F1000003")
     g = y - x**2

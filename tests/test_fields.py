@@ -153,6 +153,16 @@ def test_parse_element_integer_embedding():
         parse_element("1/5", K)
 
 
+def test_coefficient_vectors_are_checked_and_reduced():
+    with pytest.raises(FieldSpecError, match="coefficient-vector syntax is only for finite fields"):
+        parse_element("[1,2]", RATIONALS)
+    K = make_field("F2^2")
+    with pytest.raises(FieldSpecError, match="vector of length 3 too long for degree 2"):
+        parse_element("[1,1,1]", K)
+    # a longer sequence is reduced by the modulus x^2 + x + 1
+    assert element_str(K.element([0, 0, 1])) == "[1,1]"
+
+
 def test_numbers_are_ascii_digits():
     # int(), Fraction and re's \d read any Unicode decimal digit; field
     # specs, moduli and elements take -?[0-9]+ with spaces around it

@@ -139,6 +139,25 @@ def test_syntax_errors_carry_position():
 
 
 @pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("x = 1 &\n  y @ 2", "unexpected character '@'", 2, 5),
+        ("x = 1 &\n\n", "expected a term", 3, 1),
+        # only "\n" starts a line: "\r" and a tab are one column each
+        ("x = 1\r\n& y =\t@", "unexpected character '@'", 2, 7),
+        ("x = 1\x85\x1c& y =\t@", "unexpected character '@'", 1, 14),
+        ("x = 1\n& y = 2\n)", "unexpected trailing input ')'", 3, 1),
+        ("exists y.\n  (x = y", "expected ')', found 'end of input'", 2, 9),
+    ],
+)
+def test_positions_count_lines_and_columns(text, message, line, column):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "text, message, column",
     [
         ("(x = 1) + 2 = 0", "unexpected trailing input '+'", 9),

@@ -171,6 +171,21 @@ def test_atomize_passthroughs():
     sys7 = atomize(parse("z = x * y"))
     assert sys7.variables == ("x", "y", "z")
     assert sys7.atoms == (Times(0, 1, 2),)
+    for text, variables, atoms in [
+        # a bare variable on the left is the target just as well
+        ("z = x + y", ("x", "y", "z"), (Plus(0, 1, 2),)),
+        ("z = 2*x", ("x", "z"), (Plus(0, 0, 1),)),
+        ("z = x^2", ("x", "z"), (Times(0, 0, 1),)),
+        # one step past each shape goes the general way
+        ("2*x*y = z", ("z", "x", "_t1", "y"), (Times(1, 3, 2), Plus(2, 2, 0))),
+        ("x^3 = z", ("z", "x", "_t1"), (Times(1, 1, 2), Times(2, 1, 0))),
+        ("3*x = z", ("z", "x", "_t1"), (Plus(1, 1, 2), Plus(2, 1, 0))),
+        ("-x = z", ("z", "x", "_t1"), (Plus(0, 1, 2), Plus(2, 2, 2))),
+        ("x*y*w = z", ("z", "w", "_t1", "x", "y"), (Times(1, 3, 2), Times(2, 4, 0))),
+        ("z = 3", ("z", "_t1", "_t2"), (One(1), Plus(1, 1, 2), Plus(2, 1, 0))),
+    ]:
+        system = atomize(parse(text))
+        assert (system.variables, system.atoms) == (variables, atoms), text
 
 
 def test_atomize_only_three_kinds():

@@ -89,3 +89,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted((SRC / "defifix").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level `_name`s (def, class or assignment target) that no
+    module of `sources` reads: a name counts as read when some module
+    loads it as a name, as an attribute or in a `from` import."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{m}.{name} (line {line})" for (m, name), line in defined.items() if name not in read]
+
+
+def test_unread_private_names_are_found():
+    planted = {
+        "a": "_used = 1\n_unused = 2\ndef _f(): pass\nclass _C: pass\nimport b\nb._g()\nprint(_used)\n",
+        "b": "def _g(): pass\nfrom a import _C\n_x, _y = 1, 2\n__all__ = []\nprint(_y)\n",
+    }
+    assert unread_private_names(planted) == ["a._unused (line 2)", "a._f (line 3)", "b._x (line 3)"]
+
+
+def test_no_unread_private_name():
+    sources = {p.stem: p.read_text() for p in sorted((SRC / "defifix").glob("*.py"))}
+    assert unread_private_names(sources) == []

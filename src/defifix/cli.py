@@ -89,6 +89,17 @@ def _rational(text: str) -> Fraction:
         raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
 
+def _named(items, flag: str, shape: str, read) -> dict:
+    """`name=value` items of a repeatable option, each value passed through read."""
+    out = {}
+    for item in items or []:
+        name, eq, value = item.partition("=")
+        if not eq or not name:
+            raise ValueError(f"malformed {flag} {item!r}; expected name={shape}")
+        out[name.strip()] = read(value)
+    return out
+
+
 def _cap(args, default: int) -> int:
     value = args.cap
     if value is None:
@@ -119,18 +130,9 @@ def _cmd_parse(args):
 def _cmd_eval(args):
     f = defifix.parse(_read_formula_text(args))
     K = defifix.make_field(args.field)
-    assignment = {}
-    for item in args.assign or []:
-        name, _, value = item.partition("=")
-        if not _ or not name:
-            raise ValueError(f"malformed --assign {item!r}; expected name=element")
-        assignment[name.strip()] = K.element(value.strip())
-    interp = {}
-    for item in args.pred or []:
-        name, _, values = item.partition("=")
-        if not _ or not name:
-            raise ValueError(f"malformed --pred {item!r}; expected name=v;v;...")
-        interp[name.strip()] = {K.element(v.strip()) for v in values.split(";") if v.strip()}
+    assignment = _named(args.assign, "--assign", "element", lambda v: K.element(v.strip()))
+    interp = _named(args.pred, "--pred", "v;v;...",
+                    lambda vs: {K.element(v.strip()) for v in vs.split(";") if v.strip()})
     value = defifix.evaluate(f, K, assignment, interp)
     payload = {
         "formula": defifix.print_formula(f),
@@ -303,109 +305,69 @@ def _cmd_schema_emit(args):
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("text", "json"), default="json")
-    sp.add_argument("--seed", type=defifix.fields._read_int, default=None, help="accepted for reproducibility; all searches are deterministic")
-
-
-def _add_formula_source(sp):
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula", help="inline formula text")
-    group.add_argument("--in", dest="infile", help="read the formula from a file")
-
-
-def _add_nbhd_args(sp, with_target=True):
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--elements", required=True, help="comma-separated element list")
-    if with_target:
-        sp.add_argument("--target", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    def options(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    common = options()
+    common.add_argument("--format", choices=("text", "json"), default="json")
+    common.add_argument("--seed", type=defifix.fields._read_int, default=None, help="accepted for reproducibility; all searches are deterministic")
+    cap = options()
+    cap.add_argument("--cap", type=defifix.fields._read_int, default=None)
+    formula = options()
+    source = formula.add_mutually_exclusive_group(required=True)
+    source.add_argument("--formula", help="inline formula text")
+    source.add_argument("--in", dest="infile", help="read the formula from a file")
+    field = options()
+    field.add_argument("--field", required=True)
+    elements = options(field)
+    elements.add_argument("--elements", required=True, help="comma-separated element list")
+    target = options(elements)
+    target.add_argument("--target", required=True)
+
+    def leaf(subparsers, name, handler, help, *parents):
+        sp = subparsers.add_parser(name, help=help, parents=[*parents, common])
+        sp.set_defaults(handler=handler)
+        return sp
+
     p = argparse.ArgumentParser(
         prog="defifix",
         description="decide and construct parameter-free singleton definitions in computable fields",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", help="parse a formula and print its canonical form")
-    sp.set_defaults(handler=_cmd_parse)
-    _add_formula_source(sp)
-    _add_common(sp)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("eval", help="evaluate a formula over a finite field")
-    sp.set_defaults(handler=_cmd_eval)
-    _add_formula_source(sp)
-    sp.add_argument("--field", required=True)
+    leaf(sub, "parse", _cmd_parse, "parse a formula and print its canonical form", formula)
+    sp = leaf(sub, "eval", _cmd_eval, "evaluate a formula over a finite field", formula, field)
     sp.add_argument("--assign", action="append", help="name=element, repeatable")
     sp.add_argument("--pred", action="append", help="name=v;v;..., repeatable (unary predicates)")
-    _add_common(sp)
+    leaf(sub, "normalize", _cmd_normalize, "rewrite into three-address constraint systems", formula, cap)
 
-    sp = sub.add_parser("normalize", help="rewrite into three-address constraint systems")
-    sp.set_defaults(handler=_cmd_normalize)
-    _add_formula_source(sp)
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-
-    nbhd = sub.add_parser("nbhd", help="arithmetic neighbourhood toolkit")
-    nsub = nbhd.add_subparsers(dest="subcommand", required=True)
-    sp = nsub.add_parser("check", help="decide whether the set pins the target")
-    sp.set_defaults(handler=_cmd_nbhd_check)
-    _add_nbhd_args(sp)
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-    sp = nsub.add_parser("maps", help="list all arithmetic maps on the set")
-    sp.set_defaults(handler=_cmd_nbhd_maps)
-    _add_nbhd_args(sp, with_target=False)
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-    sp = nsub.add_parser("certify", help="one-sided certification by value propagation")
-    sp.set_defaults(handler=_cmd_nbhd_certify)
-    _add_nbhd_args(sp)
-    _add_common(sp)
-    sp = nsub.add_parser("rational", help="build and certify a neighbourhood of a rational")
-    sp.set_defaults(handler=_cmd_nbhd_rational)
+    nsub = group("nbhd", "arithmetic neighbourhood toolkit")
+    leaf(nsub, "check", _cmd_nbhd_check, "decide whether the set pins the target", target, cap)
+    leaf(nsub, "maps", _cmd_nbhd_maps, "list all arithmetic maps on the set", elements, cap)
+    leaf(nsub, "certify", _cmd_nbhd_certify, "one-sided certification by value propagation", target)
+    sp = leaf(nsub, "rational", _cmd_nbhd_rational, "build and certify a neighbourhood of a rational")
     sp.add_argument("--q", required=True, help="rational number, e.g. 5/3")
     sp.add_argument("--field", default="Q")
-    _add_common(sp)
 
-    comp = sub.add_parser("compile", help="between neighbourhoods and defining formulas")
-    csub = comp.add_subparsers(dest="subcommand", required=True)
-    sp = csub.add_parser("to-formula", help="emit the fact conjunction as a formula")
-    sp.set_defaults(handler=_cmd_compile_to_formula)
-    _add_nbhd_args(sp)
-    _add_common(sp)
-    sp = csub.add_parser("from-formula", help="recover a neighbourhood from a defining formula")
-    sp.set_defaults(handler=_cmd_compile_from_formula)
-    _add_formula_source(sp)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-    sp = csub.add_parser("single-eq", help="fold the facts into one equation")
-    sp.set_defaults(handler=_cmd_compile_single_eq)
-    _add_nbhd_args(sp)
+    csub = group("compile", "between neighbourhoods and defining formulas")
+    leaf(csub, "to-formula", _cmd_compile_to_formula, "emit the fact conjunction as a formula", target)
+    leaf(csub, "from-formula", _cmd_compile_from_formula,
+         "recover a neighbourhood from a defining formula", formula, field, cap)
+    sp = leaf(csub, "single-eq", _cmd_compile_single_eq, "fold the facts into one equation", target, cap)
     sp.add_argument("--prefer-linear", action="store_true")
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("fixed-field", help="arithmetically fixed elements of a finite field")
-    sp.set_defaults(handler=_cmd_fixed_field)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("curve-lab", help="closure construction for symmetric values of a plane curve")
-    sp.set_defaults(handler=_cmd_curve_lab)
-    sp.add_argument("--field", required=True)
+    leaf(sub, "fixed-field", _cmd_fixed_field, "arithmetically fixed elements of a finite field", field, cap)
+    sp = leaf(sub, "curve-lab", _cmd_curve_lab,
+              "closure construction for symmetric values of a plane curve", field, cap)
     sp.add_argument("--poly", required=True, help="curve polynomial in x and y")
     sp.add_argument("--mode", choices=("prefix", "paper"), default="prefix")
-    sp.add_argument("--cap", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
 
-    schema = sub.add_parser("schema", help="named formula templates")
-    ssub = schema.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("emit", help="emit one template by name")
-    sp.set_defaults(handler=_cmd_schema_emit)
+    ssub = group("schema", "named formula templates")
+    sp = leaf(ssub, "emit", _cmd_schema_emit, "emit one template by name")
     sp.add_argument("--name", required=True, choices=defifix.SCHEMA_NAMES)
     sp.add_argument("--U", help="polynomial in y")
     sp.add_argument("--V", help="polynomial in y")
@@ -415,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", help="quantifier-free core formula")
     sp.add_argument("--predicate", default="U")
     sp.add_argument("--i", type=defifix.fields._read_int, default=None)
-    _add_common(sp)
-
     return p
 
 

@@ -196,8 +196,11 @@ def find_rootless(K: FieldDescriptor) -> RootlessPolynomial:
     for degree in (2, 3):
         for rest in iter_product(range(p), repeat=degree):
             poly = Term.sum(c * x ** (degree - i) for i, c in enumerate((1, *rest)) if c)
-            if _find_root(poly, "x", K) is None:
+            try:
                 return RootlessPolynomial(poly, K)
+            except ValueError:
+                # a monic integer candidate of degree >= 2 fails only for a root
+                continue
     raise FieldSpecError(f"no rootless cubic over {K.spec()}")
 
 

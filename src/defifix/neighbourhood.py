@@ -339,14 +339,11 @@ def combine(kind: str, *inputs: Neighbourhood, field: FieldDescriptor | None = N
         if len(inputs) != 1:
             raise ValueError(f"{kind} takes exactly one input")
         (A,) = inputs
-        r = A.r
         if kind == "neg":
-            new = [A.field.zero(), -r]
-            target = -r
+            unit, target = A.field.zero(), -A.r
         else:
-            new = [A.field.one(), r.inverse()]
-            target = r.inverse()
-        return neighbourhood(A.field, new + list(A.elements), target)
+            unit, target = A.field.one(), A.r.inverse()
+        return neighbourhood(A.field, [unit, target, *A.elements], target)
     if kind in ("add", "mul"):
         if len(inputs) != 2:
             raise ValueError(f"{kind} takes exactly two inputs")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from test_package import fresh
 
-from defifix import curve_lab, fields
+from defifix import SCHEMA_NAMES, curve_lab, fields
 from defifix.cli import OUTPUT_SCHEMA_VERSION, build_parser, main, render, run
 
 
@@ -572,3 +573,79 @@ def test_subcommand_loads_only_what_it_uses(argv, unloaded):
                    f"    cli.main({argv!r})\n"
                    "print(json.dumps([m for m in sys.modules if m.startswith('defifix.')]))")
     assert not {m.removeprefix("defifix.") for m in loaded} & unloaded
+
+
+def _row(dest, action="store", required=False, default=None, choices=None, type=None):
+    return dest, action, required, default, choices, type
+
+
+_COMMON = {"--format": _row("format", default="json", choices=("text", "json")),
+           "--seed": _row("seed", type="_read_int")}
+_CAP = {"--cap": _row("cap", type="_read_int")}
+_FORMULA = {"--formula": _row("formula"), "--in": _row("infile")}
+_FORMULA_GROUP = [(True, ["--formula", "--in"])]
+_FIELD = {"--field": _row("field", required=True)}
+_ELEMENTS = {**_FIELD, "--elements": _row("elements", required=True)}
+_TARGET = {**_ELEMENTS, "--target": _row("target", required=True)}
+
+# every leaf subcommand: its options, keyed by option strings, and its
+# mutually exclusive groups as (required, options)
+OPTION_TABLES = {
+    "parse": ({**_FORMULA, **_COMMON}, _FORMULA_GROUP),
+    "eval": ({**_FORMULA, **_FIELD, "--assign": _row("assign", "append"),
+              "--pred": _row("pred", "append"), **_COMMON}, _FORMULA_GROUP),
+    "normalize": ({**_FORMULA, **_CAP, **_COMMON}, _FORMULA_GROUP),
+    "nbhd check": ({**_TARGET, **_CAP, **_COMMON}, []),
+    "nbhd maps": ({**_ELEMENTS, **_CAP, **_COMMON}, []),
+    "nbhd certify": ({**_TARGET, **_COMMON}, []),
+    "nbhd rational": ({"--q": _row("q", required=True), "--field": _row("field", default="Q"),
+                       **_COMMON}, []),
+    "compile to-formula": ({**_TARGET, **_COMMON}, []),
+    "compile from-formula": ({**_FORMULA, **_FIELD, **_CAP, **_COMMON}, _FORMULA_GROUP),
+    "compile single-eq": ({**_TARGET, "--prefer-linear": _row("prefer_linear", "storetrue", default=False),
+                           **_CAP, **_COMMON}, []),
+    "fixed-field": ({**_FIELD, **_CAP, **_COMMON}, []),
+    "curve-lab": ({**_FIELD, "--poly": _row("poly", required=True),
+                   "--mode": _row("mode", default="prefix", choices=("prefix", "paper")),
+                   **_CAP, **_COMMON}, []),
+    "schema emit": ({"--name": _row("name", required=True, choices=tuple(SCHEMA_NAMES)),
+                     **{f"--{n}": _row(n) for n in ("U", "V", "F", "G", "N", "phi")},
+                     "--predicate": _row("predicate", default="U"),
+                     "--i": _row("i", type="_read_int"), **_COMMON}, []),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def _option_table(parser):
+    options = {
+        "/".join(a.option_strings): _row(
+            a.dest, type(a).__name__.strip("_").removesuffix("Action").lower(), a.required,
+            a.default, None if a.choices is None else tuple(a.choices),
+            getattr(a.type, "__name__", None))
+        for a in parser._actions if not isinstance(a, argparse._HelpAction)
+    }
+    groups = sorted((g.required, ["/".join(a.option_strings) for a in g._group_actions])
+                    for g in parser._mutually_exclusive_groups)
+    return options, groups
+
+
+def test_every_subcommand_keeps_its_option_table():
+    tables = {name: _option_table(sp) for name, sp in _leaf_parsers(build_parser())}
+    assert tables.keys() == OPTION_TABLES.keys()
+    for name, table in tables.items():
+        assert table == OPTION_TABLES[name], name
+
+
+@pytest.mark.parametrize("leaf", OPTION_TABLES)
+def test_every_subcommand_prints_help(leaf):
+    code, out = invoke(*leaf.split(), "-h")
+    assert code == 0
+    assert out.startswith(f"usage: defifix {leaf} ")

@@ -261,6 +261,21 @@ def test_find_rootless_goldens():
     assert find_rootless(F8).poly == x**2 + x + 1
 
 
+def test_find_rootless_scans_each_candidate_once(monkeypatch):
+    scan = compiler._find_root
+    for K in (F2, F3, F5, F7, F4, F9, Q):
+        scanned = []
+
+        def counting(poly, var, field):
+            scanned.append(str(poly))
+            return scan(poly, var, field)
+
+        monkeypatch.setattr(compiler, "_find_root", counting)
+        found = find_rootless(K)
+        assert len(scanned) == len(set(scanned)), K.spec()
+        assert scanned[-1] == str(found.poly)
+
+
 def test_rootless_polynomials_have_no_roots():
     for K in (F2, F3, F5, F7, F4, F8, F9):
         p = find_rootless(K)

@@ -14,7 +14,6 @@ ceil(log2 k) rather than k - 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import prod
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     NotDefiningError,
     NotSingletonError,
 )
-from .fields import FieldDescriptor, int_field
+from .fields import FieldDescriptor, _digits, _has_root, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, fact_system, neighbourhood
 from .normalize import (
@@ -120,34 +119,39 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _find_root(poly: Term, var: str, field: FieldDescriptor):
+def _coefficients(poly: Term) -> list:
+    """A univariate polynomial's coefficients, ascending."""
+    out = [0] * (poly.degree() + 1)
+    for m, c in poly.coeffs:
+        out[m[0][1] if m else 0] = c
+    return out
+
+
+def _find_root(poly: Term, var: str, field: FieldDescriptor) -> str | None:
+    """The phrase naming a root of the univariate integer polynomial in
+    the field: "root a" over Q, "a root" over a finite field; None when
+    it has no root there."""
+    coeffs = _coefficients(poly)
     if field.is_finite:
-        T = int_field(field)
-        at = poly.compile(T)
-        root = next((a for a in range(T.q) if at({var: a}) == 0), None)
-        return None if root is None else T.element(root)
+        return "a root" if _has_root(coeffs, field) else None
     # over Q every root of an integer polynomial is +-(divisor of the
     # constant term)/(divisor of the leading term)
-    by_degree = {}
-    for m, c in poly.as_dict().items():
-        by_degree[m[0][1] if m else 0] = c
-    if 0 not in by_degree:
-        return field.zero()
-    lead = by_degree[max(by_degree)]
-    for num in _divisors(by_degree[0]):
-        for den in _divisors(lead):
+    if coeffs[0] == 0:
+        return "root 0"
+    for num in _divisors(coeffs[0]):
+        for den in _divisors(coeffs[-1]):
             for sign in (1, -1):
                 a = field.element(Fraction(sign * num, den))
                 if poly.evaluate({var: a}, field).is_zero:
-                    return a
+                    return f"root {a}"
     return None
 
 
 @dataclass(frozen=True)
 class RootlessPolynomial:
     """A univariate integer polynomial of degree >= 2 with no root in the
-    target field; checked exhaustively for finite fields and through the
-    rational-root bound over Q."""
+    target field; checked through gcd(f, x^q - x) for finite fields and
+    through the rational-root bound over Q."""
 
     poly: Term
     field: FieldDescriptor
@@ -161,7 +165,7 @@ class RootlessPolynomial:
             raise ValueError("coefficients must be integers")
         root = _find_root(self.poly, self.variable, self.field)
         if root is not None:
-            raise ValueError(f"{self.poly} has root {root} in {self.field.spec()}")
+            raise ValueError(f"{self.poly} has {root} in {self.field.spec()}")
 
     @property
     def variable(self) -> str:
@@ -174,27 +178,31 @@ class RootlessPolynomial:
 
     def coefficients(self) -> tuple[int, ...]:
         """Ascending, length degree + 1."""
-        out = [0] * (self.degree + 1)
-        for m, c in self.poly.as_dict().items():
-            out[m[0][1] if m else 0] = c
-        return tuple(out)
+        return tuple(_coefficients(self.poly))
 
 
 def find_rootless(K: FieldDescriptor) -> RootlessPolynomial:
     """The first monic integer polynomial without a root in K, scanning
     degree 2 then 3 with coefficient tuples in lexicographic order.
 
-    Degree 2 suffices except over degree-2 and degree-4 extensions, where
-    every integer quadratic acquires a root and the scan moves on to cubics
-    (an irreducible cubic over F_p has its roots in a degree-3 extension,
-    which such fields do not contain).
+    A degree d that divides K's degree k is skipped: every irreducible
+    factor of a degree-d polynomial over F_p has a degree e <= d, and its
+    roots lie in F_{p^e}, which F_{p^k} contains when e divides k. So over
+    degree-2 and degree-4 extensions the scan goes straight to cubics (an
+    irreducible cubic over F_p has its roots in a degree-3 extension, which
+    such fields do not contain).
     """
     x = Term.variable("x")
     if not K.is_finite:
         return RootlessPolynomial(x**2 + 1, K)
     p = K.characteristic
     for degree in (2, 3):
-        for rest in iter_product(range(p), repeat=degree):
+        if K.degree % degree == 0:
+            continue
+        for n in range(p**degree):
+            # the base-p digits of n, most significant first, count through
+            # the coefficient tuples in lexicographic order
+            rest = _digits(n, p, degree)[::-1]
             poly = Term.sum(c * x ** (degree - i) for i, c in enumerate((1, *rest)) if c)
             try:
                 return RootlessPolynomial(poly, K)

@@ -42,21 +42,6 @@ def _read_int(text: str) -> int:
 MAX_EXTENSION_DEGREE = 4
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # -- dense univariate polynomial helpers over F_p (ascending coefficients) --
 
 
@@ -105,9 +90,17 @@ def _poly_pow(a, n, m, p):
 
 
 def _poly_inverse(a, m, p):
-    """The inverse of a nonzero a modulo the irreducible monic m over F_p,
-    by the extended Euclidean algorithm: each row (r, s) keeps s*a = r
-    modulo m, from (m, 0) and (a, 1) down to a nonzero constant r."""
+    """The inverse of a nonzero a modulo the irreducible monic m over F_p."""
+    r, s = _poly_euclid(a, m, p)
+    c = pow(r[0], -1, p)
+    return [x * c % p for x in s]
+
+
+def _poly_euclid(a, m, p):
+    """The extended Euclidean algorithm over F_p: each row (r, s) keeps
+    s*a = r modulo m, from (m, 0) and (a, 1) until r has degree below 1.
+    That last row is returned; its r is a nonzero constant exactly when a
+    and m are coprime, and is empty when they share a factor."""
     r0, s0 = list(m), []
     r1, s1 = _poly_trim(list(a)), [1]
     while len(r1) > 1:
@@ -119,8 +112,24 @@ def _poly_inverse(a, m, p):
             r0 = _poly_submul(r0, c, shift, r1, p)
             s0 = _poly_submul(s0, c, shift, s1, p)
         r0, s0, r1, s1 = r1, s1, r0, s0
-    c = pow(r1[0], -1, p)
-    return [x * c % p for x in s1]
+    return r1, s1
+
+
+def _has_root(coeffs, K: "FieldDescriptor") -> bool:
+    """Whether the integer polynomial with these ascending coefficients
+    has a root in the finite field K of order q: exactly when its image f
+    over F_p has gcd(f, x^q - x) != 1. x^q is taken modulo f, so no table
+    of K is built and no element of K is tried."""
+    p = K.p
+    f = _poly_trim([c % p for c in coeffs])
+    if len(f) < 2:
+        # the zero polynomial vanishes everywhere, a nonzero constant nowhere
+        return not f
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    x_q = _poly_pow([0, 1], K.order, f, p)
+    r, _ = _poly_euclid(_poly_submul(x_q, 1, 0, [0, 1], p), f, p)
+    return len(r) != 1
 
 
 def _poly_submul(a, c, shift, b, p):
@@ -205,7 +214,7 @@ class FieldDescriptor:
     def spec(self) -> str:
         if self.p is None:
             return "Q"
-        if self.degree == 1:
+        if self.modulus == (0, 1):
             return f"F{self.p}"
         mods = ",".join(str(c) for c in self.modulus)
         return f"F{self.p}^{self.degree}:{mods}"
@@ -231,6 +240,8 @@ class FieldDescriptor:
         if isinstance(value, str):
             return parse_element(value, self)
         if self.p is None:
+            if isinstance(value, float):
+                raise TypeError(f"{value!r} is a float; give an int, a Fraction or a string")
             return FieldElement(self, Fraction(value))
         if isinstance(value, Fraction):
             num = self.element(value.numerator)
@@ -380,7 +391,7 @@ def make_field(spec: str) -> FieldDescriptor:
     if not m:
         raise FieldSpecError(f"malformed field spec {spec!r}")
     p = int(m.group(1))
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise FieldSpecError(f"{p} is not prime; use extension syntax F<p>^<k> for prime powers")
     k = int(m.group(2)) if m.group(2) else 1
     if k < 1 or k > MAX_EXTENSION_DEGREE:

@@ -1,11 +1,13 @@
 """Compilation of existential ring formulas into systems of three-address
 atoms x_i+x_j=x_k, x_i*x_j=x_k, x_i=1.
 
-Pipeline: desugar -> hoist existentials (renaming on clash) -> DNF ->
-negation elimination (each W != 0 becomes W*t-1 = 0 with a fresh t) ->
-atomization (each polynomial equation becomes a conjunction of
-three-address atoms over fresh temporaries). Fresh variables are named
-"_t<n>" from a single counter per run, so output is reproducible.
+Pipeline: one walk to negation normal form (`_nnf`, which desugars,
+hoists existentials renaming on clash, and raises every quantifier
+error) -> the capped DNF -> negation elimination (each W != 0 becomes
+W*t-1 = 0 with a fresh t) -> atomization (each polynomial equation
+becomes a conjunction of three-address atoms over fresh temporaries).
+Fresh variables are named "_t<n>" from a single counter per run, so
+output is reproducible.
 
 Atomization walks each equation's monomial summands in ascending degree
 order, accumulating a running sum. A constant c is c*1, a summand c*m is
@@ -58,7 +60,6 @@ from .formulas import (
     desugar,
     disj,
     free_variables,
-    map_subformulas,
     substitute_terms,
 )
 from .terms import Monomial, Term
@@ -164,28 +165,47 @@ class _FreshNames:
                 return name
 
 
-# -- DNF -----------------------------------------------------------------------
+# -- negation normal form and DNF ----------------------------------------------
 
 
-def _nnf(f: Formula) -> Formula:
+def _nnf(
+    f: Formula, fresh: _FreshNames | None = None, claimed: set[str] | None = None, negated=False
+) -> Formula:
+    """Negation normal form of f (of ~f when `negated`) in one walk: a Not
+    flips the parity and an Implies or Iff is desugared where it is met.
+    With the run's fresh names each Exists gives way to its body, a binder
+    already `claimed` (the free variable or one dropped before) renamed
+    first; without them every quantifier raises."""
     if isinstance(f, (Equal, PredicateApp)):
-        return f
+        return Not(f) if negated else f
     if isinstance(f, Not):
-        b = f.body
-        if isinstance(b, (Equal, PredicateApp)):
-            return f
-        if isinstance(b, Not):
-            return _nnf(b.body)
-        if isinstance(b, And):
-            return Or(tuple(_nnf(Not(p)) for p in b.parts))
-        if isinstance(b, Or):
-            return And(tuple(_nnf(Not(p)) for p in b.parts))
-        raise NormalizationError(f"cannot push negation through {type(b).__name__}")
+        # a binder claimed while the body is walked sits under this Not;
+        # checked after the body, so an error inside it reports first
+        hoisted = len(claimed or ())
+        body = _nnf(f.body, fresh, claimed, not negated)
+        if len(claimed or ()) > hoisted:
+            raise NormalizationError("negation over a quantifier is not reducible")
+        return body
     if isinstance(f, (And, Or)):
-        return map_subformulas(f, _nnf)
+        node = Or if isinstance(f, And) == negated else And
+        return node(tuple(_nnf(p, fresh, claimed, negated) for p in f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return _nnf(desugar(f), fresh, claimed, negated)
+    if isinstance(f, Exists) and fresh is not None:
+        var, body = f.var, f.body
+        if var in claimed:
+            renamed = fresh()
+            body = substitute_terms(body, {var: Term.variable(renamed)})
+            var = renamed
+        claimed.add(var)
+        return _nnf(body, fresh, claimed, negated)
+    if isinstance(f, ForAll) and fresh is not None:
+        raise NormalizationError("universal quantifier is outside the existential fragment")
     if isinstance(f, (Exists, ForAll)):
+        if negated:
+            raise NormalizationError(f"cannot push negation through {type(f).__name__}")
         raise NormalizationError("quantifier inside the propositional pipeline")
-    raise NormalizationError(f"unsupported node {type(f).__name__}")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _distribute(f: Formula, cap: int) -> list[list[Formula]]:
@@ -214,7 +234,7 @@ def _check_cap(disjuncts: list[list[Formula]], cap: int):
 def to_dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> Formula:
     """Disjunctive normal form of a quantifier-free formula (Implies/Iff
     are desugared on the way in)."""
-    disjuncts = _distribute(_nnf(desugar(f)), cap)
+    disjuncts = _distribute(_nnf(f), cap)
     return disj([conj(d) for d in disjuncts])
 
 
@@ -463,42 +483,6 @@ def atomize(c: Formula | Iterable[Equal], free_var: str | None = None) -> Constr
     return builder.finish(free_var)
 
 
-# -- existential hoisting ----------------------------------------------------------
-
-
-def _hoist(f: Formula, fresh: _FreshNames, claimed: set[str]) -> tuple[list[str], Formula]:
-    # `claimed` holds the free variable plus every binder name already
-    # hoisted; a clashing binder is renamed before its scope dissolves.
-    if isinstance(f, (Equal, PredicateApp)):
-        return [], f
-    if isinstance(f, Exists):
-        var, body = f.var, f.body
-        if var in claimed:
-            renamed = fresh()
-            body = substitute_terms(body, {var: Term.variable(renamed)})
-            var = renamed
-        claimed.add(var)
-        prefix, matrix = _hoist(body, fresh, claimed)
-        return [var] + prefix, matrix
-    if isinstance(f, ForAll):
-        raise NormalizationError("universal quantifier is outside the existential fragment")
-    if isinstance(f, (And, Or)):
-        prefix: list[str] = []
-        matrices = []
-        for p in f.parts:
-            sub_prefix, m = _hoist(p, fresh, claimed)
-            prefix.extend(sub_prefix)
-            matrices.append(m)
-        node = And if isinstance(f, And) else Or
-        return prefix, node(tuple(matrices))
-    if isinstance(f, Not):
-        sub_prefix, m = _hoist(f.body, fresh, claimed)
-        if sub_prefix:
-            raise NormalizationError("negation over a quantifier is not reducible")
-        return [], Not(m)
-    raise NormalizationError(f"unsupported node {type(f).__name__} during hoisting")
-
-
 def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
     """Full pipeline: existential formula with one free variable ->
     disjunction of three-address constraint systems with the same
@@ -510,8 +494,7 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
         raise NormalizationError(f"expected exactly one free variable, found {sorted(fvs)}")
     free_var = fvs.pop()
     fresh = _FreshNames(all_variables(f))
-    _, matrix = _hoist(desugar(f), fresh, {free_var})
-    disjuncts = _distribute(_nnf(matrix), cap)
+    disjuncts = _distribute(_nnf(f, fresh, {free_var}), cap)
     systems = []
     negations = 0
     for d in disjuncts:

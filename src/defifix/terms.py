@@ -181,7 +181,11 @@ class Term:
 
     @staticmethod
     def constant(c: Coefficient) -> "Term":
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        if not isinstance(c, (int, Fraction)):
+            if isinstance(c, float):
+                raise TypeError(f"{c!r} is a float; give an int or a Fraction")
+            c = Fraction(c)
+        c = _norm_coeff(c)
         return Term((((), c),) if c != 0 else ())
 
     @staticmethod

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -559,6 +561,24 @@ PINNED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected" 
 @pytest.mark.parametrize("call", PINNED, ids=lambda call: " ".join(call["argv"]))
 def test_pinned_output_is_byte_identical(call):
     assert invoke(*call["argv"]) == (call["code"], call["stdout"])
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_CALLS = re.findall(r"^\$ defifix (.+)\n(.+)$", README, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("command, stdout", README_CALLS, ids=[c for c, _ in README_CALLS])
+def test_readme_example_prints_what_the_readme_shows(command, stdout):
+    # the README shows stdout only; exit codes are pinned elsewhere
+    _, out = invoke(*shlex.split(command))
+    assert out == stdout + "\n"
+
+
+def test_readme_library_quick_tour_runs():
+    tour = README.split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, flags=re.DOTALL).group(1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(code, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("argv, unloaded", [

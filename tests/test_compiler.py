@@ -8,7 +8,7 @@ import pytest
 
 import defifix.normalize
 from _gen import random_existential_formula
-from defifix import compiler, formulas
+from defifix import compiler, fields, formulas
 from defifix.compiler import (
     RootlessPolynomial,
     combine_equations,
@@ -276,6 +276,28 @@ def test_find_rootless_scans_each_candidate_once(monkeypatch):
         assert scanned[-1] == str(found.poly)
 
 
+def test_rootless_search_builds_no_table_of_a_large_field():
+    # a root is decided as gcd(f, x^q - x) over F_p, and a degree dividing
+    # the field's degree, where every candidate has a root, is skipped
+    for spec, poly in [("F1000003", x**2 + 1), ("F1009^2", x**3 + 2), ("F101^4", x**3 + x + 1)]:
+        K = make_field(spec)
+        fields._INT_FIELDS.pop(K, None)
+        start = time.process_time()
+        assert find_rootless(K).poly == poly
+        assert time.process_time() - start < 1.0, spec
+        assert K not in fields._INT_FIELDS
+
+
+def test_single_equation_over_a_large_prime_builds_no_table():
+    K = make_field("F1000003")
+    fields._INT_FIELDS.pop(K, None)
+    start = time.process_time()
+    f = compile_singleton(neighbourhood(K, [K.element(v) for v in (1, 2, 3)], K.element(3)))
+    assert time.process_time() - start < 0.5
+    assert K not in fields._INT_FIELDS
+    assert print_formula(f).startswith("exists x2. exists x3. 25*x2^4 - 40*x2^3*x3")
+
+
 def test_rootless_polynomials_have_no_roots():
     for K in (F2, F3, F5, F7, F4, F8, F9):
         p = find_rootless(K)
@@ -295,6 +317,8 @@ def test_rootless_validation():
         RootlessPolynomial(x**2 + Fraction(1, 2), Q)
     with pytest.raises(ValueError, match="expected a univariate polynomial"):
         RootlessPolynomial(x * Term.variable("y") + 1, Q)
+    with pytest.raises(ValueError, match=r"^x\^2 - 2 has a root in F7$"):
+        RootlessPolynomial(x**2 - 2, F7)
     with pytest.raises(ValueError, match=r"x\^2 \+ x has root 0 in Q"):
         RootlessPolynomial(x**2 + x, Q)
     RootlessPolynomial(x**2 - 2, Q)  # irrational roots are fine

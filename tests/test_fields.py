@@ -59,6 +59,24 @@ def test_make_field_rejects_composite_base():
         make_field("F6")
 
 
+def test_make_field_accepts_exactly_the_primes():
+    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+    for n in range(50):
+        if n in primes:
+            assert make_field(f"F{n}").p == n
+        else:
+            with pytest.raises(FieldSpecError, match=f"^{n} is not prime"):
+                make_field(f"F{n}")
+
+
+def test_a_float_is_refused_not_read_as_a_binary_fraction():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
+    for K in (make_field("Q"), make_field("F7")):
+        with pytest.raises(TypeError):
+            K.element(0.1)
+    assert make_field("Q").element("1/10").value == Fraction(1, 10)
+
+
 def test_make_field_rejects_bad_specs():
     for bad in ["", "GF(5)", "F", "F5^0", "F2^9", "F2^2:1,1", "F2^2:1,0,1"]:
         with pytest.raises(FieldSpecError):
@@ -245,7 +263,7 @@ def test_elements_of_different_fields_are_unequal():
 
 
 def test_descriptor_spec_round_trip():
-    for spec in ["Q", "F5", "F2^2", "F3^2", "F2^3:1,1,0,1"]:
+    for spec in ["Q", "F5", "F2^2", "F3^2", "F2^3:1,1,0,1", "F7^1:3,1"]:
         K = make_field(spec)
         assert make_field(K.spec()) == K
 

@@ -293,6 +293,51 @@ def test_normalize_rejects_universal():
         normalize(parse("~(exists y. x = y)"))
 
 
+@pytest.mark.parametrize("rewrite, text, message", [
+    # a binder hoisted under a Not, however deep or doubled the negation
+    (normalize, "~~(exists y. x = y)", "negation over a quantifier is not reducible"),
+    # a universal inside the negated body wins over the negation
+    (normalize, "~((exists y. x = y) & (forall z. x = z))",
+     "universal quantifier is outside the existential fragment"),
+    # <-> negates both of its sides
+    (normalize, "x = 1 <-> (exists y. x = y)", "negation over a quantifier is not reducible"),
+    (to_dnf, "~(exists y. x = y)", "cannot push negation through Exists"),
+    (to_dnf, "~(forall y. x = y)", "cannot push negation through ForAll"),
+    (to_dnf, "x = 1 & (exists y. x = y)", "quantifier inside the propositional pipeline"),
+])
+def test_rewrite_errors_and_which_wins(rewrite, text, message):
+    with pytest.raises(NormalizationError, match=f"^{message}$"):
+        rewrite(parse(text))
+
+
+def test_rewrite_rejects_a_node_that_is_not_a_formula():
+    for rewrite in (normalize, to_dnf):
+        with pytest.raises(TypeError, match="not a formula"):
+            rewrite(And((a_eq, "x = 1")))
+
+
+def test_normalize_renames_clashing_binders_in_walk_order():
+    nf = normalize(parse("(x = 1 -> (exists y. x = y*y)) & (exists y. x*y = 1)"))
+    assert nf.negations == 1
+    assert nf.to_text() == "\n".join(
+        [
+            "free: x",
+            "system:",
+            "  vars: x, _t2, _t3, _t4, _t1, _t5",
+            "  _t2 * x = _t3",
+            "  _t4 = 1",
+            "  _t4 + _t2 = _t3",
+            "  _t1 * x = _t5",
+            "  _t5 = 1",
+            "system:",
+            "  vars: x, y, _t1, _t6",
+            "  y * y = x",
+            "  _t1 * x = _t6",
+            "  _t6 = 1",
+        ]
+    )
+
+
 def test_normalize_hoists_clashing_binders():
     f = parse("(exists y. x = y + y) & (exists y. x * y = 1)")
     nf = normalize(f)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from defifix.errors import EvaluationError
 from defifix.fields import enumerate_elements, int_field, make_field
-from defifix.formulas import parse, print_formula
+from defifix.formulas import parse, parse_term, print_formula
 from defifix.terms import Term
 
 x, y, z = Term.variable("x"), Term.variable("y"), Term.variable("z")
@@ -22,6 +22,14 @@ def test_constructors_and_flags():
     assert Term.constant(5).constant_value() == 5
     assert not x.is_constant
     assert x.free_variables() == {"x"}
+
+
+def test_a_float_constant_is_refused():
+    with pytest.raises(TypeError, match="float"):
+        Term.constant(0.1)
+    with pytest.raises(TypeError, match="float"):
+        x + 0.1
+    assert Term.constant(Fraction(1, 10)) == parse_term("1/10")
 
 
 def test_ring_identities():

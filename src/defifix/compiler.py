@@ -9,21 +9,18 @@ system into one polynomial that vanishes exactly where every equation
 does: a lone equation is itself, over Q more are the sum of their
 squares, over a finite field a balanced fold through a two-variable form
 that vanishes only at the origin, so k equations cost a nesting depth of
-ceil(log2 k) rather than k - 1.
+ceil(log2 k) rather than k - 1.  Over F_{p^n} that form homogenizes the
+canonical modulus of degree d = 2 over F_p when n is odd and d = 3
+otherwise: an irreducible polynomial of degree d has its roots in
+F_{p^d}, which F_{p^n} does not contain (`find_rootless`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import (
-    CapExceededError,
-    FieldSpecError,
-    InfiniteFieldError,
-    NotDefiningError,
-    NotSingletonError,
-)
-from .fields import FieldDescriptor, _digits, _has_root, int_field
+from .errors import CapExceededError, InfiniteFieldError, NotDefiningError, NotSingletonError
+from .fields import FieldDescriptor, _canonical_modulus, _has_root, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, fact_system, neighbourhood
 from .normalize import (
@@ -133,7 +130,7 @@ def _find_root(poly: Term, var: str, field: FieldDescriptor) -> str | None:
     it has no root there."""
     coeffs = _coefficients(poly)
     if field.is_finite:
-        return "a root" if _has_root(coeffs, field) else None
+        return "a root" if _has_root(coeffs, field.p, field.order) else None
     # over Q every root of an integer polynomial is +-(divisor of the
     # constant term)/(divisor of the leading term)
     if coeffs[0] == 0:
@@ -185,31 +182,19 @@ def find_rootless(K: FieldDescriptor) -> RootlessPolynomial:
     """The first monic integer polynomial without a root in K, scanning
     degree 2 then 3 with coefficient tuples in lexicographic order.
 
-    A degree d that divides K's degree k is skipped: every irreducible
-    factor of a degree-d polynomial over F_p has a degree e <= d, and its
-    roots lie in F_{p^e}, which F_{p^k} contains when e divides k. So over
-    degree-2 and degree-4 extensions the scan goes straight to cubics (an
-    irreducible cubic over F_p has its roots in a degree-3 extension, which
-    such fields do not contain).
+    Over Q that is x^2 + 1. Over F_{p^k} a reducible quadratic or cubic
+    has a root in F_p, and an irreducible one of degree d has its roots in
+    F_{p^d}, which F_{p^k} contains exactly when d divides k. So the first
+    rootless one is the canonical modulus of degree d over F_p
+    (`fields._canonical_modulus` counts the tuples in the same order,
+    constant term fastest), with d = 2 when k is odd and d = 3 otherwise.
     """
     x = Term.variable("x")
     if not K.is_finite:
         return RootlessPolynomial(x**2 + 1, K)
-    p = K.characteristic
-    for degree in (2, 3):
-        if K.degree % degree == 0:
-            continue
-        for n in range(p**degree):
-            # the base-p digits of n, most significant first, count through
-            # the coefficient tuples in lexicographic order
-            rest = _digits(n, p, degree)[::-1]
-            poly = Term.sum(c * x ** (degree - i) for i, c in enumerate((1, *rest)) if c)
-            try:
-                return RootlessPolynomial(poly, K)
-            except ValueError:
-                # a monic integer candidate of degree >= 2 fails only for a root
-                continue
-    raise FieldSpecError(f"no rootless cubic over {K.spec()}")
+    d = 2 if K.degree % 2 else 3
+    coeffs = _canonical_modulus(K.p, d)
+    return RootlessPolynomial(Term.sum(c * x**i for i, c in enumerate(coeffs) if c), K)
 
 
 def homogenize(p: RootlessPolynomial) -> Term:

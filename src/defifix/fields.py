@@ -39,6 +39,8 @@ def _read_int(text: str) -> int:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(body)
 
+# `_poly_is_irreducible` is one gcd for degrees up to 5; raising this past
+# 5 needs one gcd per divisor degree of the modulus
 MAX_EXTENSION_DEGREE = 4
 
 
@@ -115,19 +117,21 @@ def _poly_euclid(a, m, p):
     return r1, s1
 
 
-def _has_root(coeffs, K: "FieldDescriptor") -> bool:
+def _has_root(coeffs, p: int, q: int) -> bool:
     """Whether the integer polynomial with these ascending coefficients
-    has a root in the finite field K of order q: exactly when its image f
-    over F_p has gcd(f, x^q - x) != 1. x^q is taken modulo f, so no table
-    of K is built and no element of K is tried."""
-    p = K.p
+    has a root in the field of order q = p^d: exactly when its image f
+    over F_p has gcd(f, x^q - x) != 1, since x^q - x is the product of
+    the monic irreducibles over F_p whose degree divides d. x^q is taken
+    modulo f, so no table of that field is built and no element of it is
+    tried. This is also the irreducibility test for moduli of degree
+    k <= 5 (`_poly_is_irreducible`)."""
     f = _poly_trim([c % p for c in coeffs])
     if len(f) < 2:
         # the zero polynomial vanishes everywhere, a nonzero constant nowhere
         return not f
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
-    x_q = _poly_pow([0, 1], K.order, f, p)
+    x_q = _poly_pow([0, 1], q, f, p)
     r, _ = _poly_euclid(_poly_submul(x_q, 1, 0, [0, 1], p), f, p)
     return len(r) != 1
 
@@ -151,17 +155,14 @@ def _digits(n: int, p: int, k: int) -> list[int]:
 
 
 def _poly_is_irreducible(m, p):
-    """Exhaustive divisor search; adequate for the supported degrees (<= 4)."""
+    """Whether the monic m of degree k over F_p is irreducible; valid for
+    k <= 5. A reducible m has an irreducible factor of degree d <= k // 2,
+    and for k <= 5 every such d (1, or 2 when k >= 4) divides k // 2, so
+    that factor divides x^(p^(k//2)) - x and `_has_root(m, p, p^(k//2))`
+    finds it. From degree 6 on a factor of degree d not dividing k // 2
+    (3 in degree 6) escapes this gcd; each divisor degree needs its own."""
     k = len(m) - 1
-    if k < 1:
-        return False
-    for d in range(1, k // 2 + 1):
-        for n in range(p**d):
-            if not _poly_mod(m, _digits(n, p, d) + [1], p):
-                return False
-    # degree 1: irreducible by definition; degrees 2, 3 need only the (root)
-    # search above; degree 4 also rules out quadratic factors there
-    return True
+    return k == 1 or not _has_root(m, p, p ** (k // 2))
 
 
 def _canonical_modulus(p: int, k: int):
@@ -231,8 +232,8 @@ class FieldDescriptor:
         return self.element(1)
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int, Fraction, coefficient sequence, or string to an
-        element of this field. Integers embed via the characteristic map."""
+        """Coerce an int, Fraction, sequence of int coefficients, or string
+        to an element of this field. Integers embed via the characteristic map."""
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"element of {value.field.spec()} used in {self.spec()}")
@@ -249,7 +250,10 @@ class FieldDescriptor:
         if isinstance(value, int):
             vec = (value % self.p,) + (0,) * (self.degree - 1)
             return FieldElement(self, vec)
-        coeffs = tuple(int(c) % self.p for c in value)
+        coeffs = tuple(value)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError(f"coefficients {coeffs!r} are not all ints")
+        coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) > self.degree:
             reduced = _poly_mod(list(coeffs), list(self.modulus), self.p)
             coeffs = tuple(reduced)

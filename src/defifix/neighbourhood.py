@@ -32,8 +32,9 @@ the element itself, and the closure needs no field arithmetic. Over Q,
 `facts` narrows the pairs it tests by their residues modulo a prime, so
 a large set costs one C-level pass per element, not exact arithmetic per
 pair. The fixed subfield of a finite field K is read off the maps on
-A = K, computed with no search as evaluation at the roots of K's modulus
-(`automorphisms`), the same maps in the same order.
+A = K, computed with no search as evaluation at the roots of K's modulus,
+the conjugates x^(p^i) of its variable (`automorphisms`), the same maps
+in the same order.
 """
 
 from __future__ import annotations
@@ -401,18 +402,15 @@ def automorphisms(K: FieldDescriptor) -> Iterator[list[int]]:
     s(a) = (a % p) + v * s(a // p), with s(c) = c for c < p. The modulus
     m has m(x) = 0, so m(v) = f(m(x)) = 0. Conversely, evaluation at any
     root of the irreducible m is an automorphism, so it keeps every fact
-    of K. The roots are found by Horner's rule on m's coefficients, which
-    are prime-field indices. The maps first differ at x = p, where s has
-    v, so the roots in index order give the maps in lexicographic order.
-    A prime field's modulus x has the single root 0: the identity."""
+    of K. The k roots of m are the conjugates x^(p^i), i < k, the images
+    of x under the powers of Frobenius. The maps first differ at x = p,
+    where s has v, so the roots in index order give the maps in
+    lexicographic order. A prime field has the one map s(c) = c: the
+    identity, whatever its degree-1 modulus (x is taken as 0 there)."""
     T = int_field(K)
     p, add, mul = T.p, T.add, T.mul
-    for v in range(T.q):
-        m_v = 0
-        for c in reversed(K.modulus):
-            m_v = add(mul(m_v, v), c)
-        if m_v:
-            continue
+    x = p if K.degree > 1 else 0
+    for v in sorted(T.pow(x, p**i) for i in range(K.degree)):
         images = list(range(p))
         for a in range(p, T.q):
             images.append(add(a % p, mul(v, images[a // p])))

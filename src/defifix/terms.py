@@ -272,6 +272,8 @@ class Term:
         """self ** n for n >= 0. A lone monomial c*m gives one pair, m with
         each exponent times n and c ** n; a longer term goes by
         square-and-multiply on one packing, bounded by n times its degree."""
+        if not isinstance(n, int):
+            raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative exponent")
         pairs = self.coeffs

@@ -282,6 +282,15 @@ def test_nbhd_rational_defaults_to_q():
     assert data["certified"] is True
 
 
+def test_eval_over_a_quartic_extension_of_a_large_prime_is_quick():
+    # building F211^4 decides its modulus irreducible by one gcd
+    start = time.process_time()
+    code, data = payload("eval", "--formula", "x = 1", "--field", "F211^4", "--assign", "x=1")
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert data["value"] is True
+
+
 def test_nbhd_rational_huge_integer():
     q = str(10**400)
     start = time.process_time()

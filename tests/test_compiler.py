@@ -261,6 +261,28 @@ def test_find_rootless_goldens():
     assert find_rootless(F8).poly == x**2 + x + 1
 
 
+def _first_rootless_by_evaluation(K):
+    """Reference scan: monic polynomials of degree 2 then 3, the constant
+    term varying fastest, each evaluated at every element of K."""
+    elems = enumerate_elements(K)
+    for degree in (2, 3):
+        for low in itertools.product(range(K.p), repeat=degree):
+            poly = Term.sum(c * x**i for i, c in enumerate((*low[::-1], 1)) if c)
+            if all(not poly.evaluate({"x": a}, K).is_zero for a in elems):
+                return poly
+    raise AssertionError(f"no rootless cubic over {K.spec()}")
+
+
+@pytest.mark.parametrize(
+    "spec", ["F2", "F3", "F5", "F7", "F11", "F13", "F2^2", "F2^3", "F2^4", "F3^2", "F3^3", "F5^2"]
+)
+def test_find_rootless_is_the_first_candidate_without_a_root(spec):
+    # the canonical quadratic or cubic modulus is what scanning every
+    # candidate at every element finds first
+    K = make_field(spec)
+    assert find_rootless(K).poly == _first_rootless_by_evaluation(K)
+
+
 def test_find_rootless_scans_each_candidate_once(monkeypatch):
     scan = compiler._find_root
     for K in (F2, F3, F5, F7, F4, F9, Q):

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +49,46 @@ def test_make_field_extension_canonical_modulus():
     assert K9.modulus == (1, 0, 1)
 
 
+def _divisor_search_is_irreducible(m, p):
+    """Reference oracle: m is irreducible when no monic polynomial of degree
+    1..k//2 over F_p divides it, every one of them tried."""
+    k = len(m) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not fields._poly_mod(m, [*low, 1], p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 4), (7, 3), (11, 3)])
+def test_one_gcd_decides_irreducibility_as_the_divisor_search(p, top):
+    for k in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=k):
+            m = [*low, 1]
+            assert fields._poly_is_irreducible(m, p) == _divisor_search_is_irreducible(m, p), m
+
+
+def test_canonical_moduli_are_pinned():
+    # sha256 of the moduli the exhaustive divisor search chose, for every
+    # prime p < 100 and degree 1..4
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    text = "".join(f"F{p}^{k}:{make_field(f'F{p}^{k}').modulus}\n" for p in primes for k in range(1, 5))
+    digest = "9be279e579583a4897bacc2f3d5fefc5e8629a266efce7fdb5d9a6b6c047b2e4"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec, modulus",
+    [("F211^4", (1, 1, 0, 0, 1)), ("F1009^4", (11, 0, 0, 0, 1)), ("F1009^4:11,0,0,0,1", (11, 0, 0, 0, 1))],
+)
+def test_a_quartic_extension_of_a_large_prime_is_quick(spec, modulus):
+    # one gcd with x^(p^2) - x, not a trial division by all p^2 quadratics
+    start = time.process_time()
+    K = make_field(spec)
+    assert time.process_time() - start < 0.5
+    assert K.modulus == modulus
+
+
 def test_make_field_explicit_modulus():
     K = make_field("F2^3:1,1,0,1")
     assert K.modulus == (1, 1, 0, 1)
@@ -75,6 +118,14 @@ def test_a_float_is_refused_not_read_as_a_binary_fraction():
         with pytest.raises(TypeError):
             K.element(0.1)
     assert make_field("Q").element("1/10").value == Fraction(1, 10)
+
+
+def test_a_vector_coefficient_must_be_an_int():
+    K = make_field("F5^2")
+    for bad in ([0.5, 1.9], [Fraction(1, 2), 0], ["\u0661"], [1, 2.0]):
+        with pytest.raises(TypeError, match="not all ints"):
+            K.element(bad)
+    assert K.element([7, True]).value == (2, 1)
 
 
 def test_make_field_rejects_bad_specs():

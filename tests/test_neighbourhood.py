@@ -623,7 +623,7 @@ def test_fixed_subfield_f4():
 
 GENERATING_FIELDS = (
     "F2", "F3", "F5", "F7", "F11", "F13", "F2^2", "F2^3", "F2^4",
-    "F3^2", "F3^3", "F3^4", "F5^2", "F7^2", "F11^2", "F13^2",
+    "F3^2", "F3^3", "F3^4", "F5^2", "F7^2", "F11^2", "F13^2", "F7^1:3,1",
 )
 
 

@@ -119,6 +119,14 @@ def test_degree_and_pow():
         x ** (-1)
 
 
+def test_a_non_int_exponent_is_refused():
+    for n in (2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="not an int"):
+            x**n
+    with pytest.raises(TypeError):
+        (x + 1) ** 2.0
+
+
 def test_pow_matches_repeated_multiplication():
     for t in (x, x + 1, 2 * x * y - y + 3, Fraction(1, 2) * x - z, Term.zero()):
         product = Term.constant(1)

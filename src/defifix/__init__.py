@@ -30,9 +30,10 @@ _EXPORTS = {
         conj definable_set desugar disj evaluate free_variables map_subformulas
         parse parse_term print_formula substitute_terms subformulas
     """,
+    "engine": "ConstraintSearch ConstraintSystem solve_system",
     "normalize": """
-        ConstraintSearch ConstraintSystem NormalizedFormula atomize
-        eliminate_negations normalized_definable_set solve_system to_dnf
+        NormalizedFormula atomize eliminate_negations normalized_definable_set
+        to_dnf
     """,
     "neighbourhood": """
         ArithmeticMap Decision FactSet Neighbourhood certify_by_propagation

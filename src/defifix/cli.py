@@ -18,8 +18,9 @@ so it never changes output.
 Library names come through the package (`defifix.parse`,
 `defifix.curve_lab.build_closure`), never from a module imported here,
 so a call loads only the modules its subcommand uses: `parse` loads no
-solver, and no `nbhd` call loads the compiler.  Only the error classes
-are imported up front, since `run` names them in its except clauses.
+solver, and no `nbhd` or `fixed-field` call loads the formula rewriter.
+Only the error classes are imported up front, since `run` names them in
+its except clauses.
 """
 
 from __future__ import annotations

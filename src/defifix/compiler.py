@@ -2,8 +2,8 @@
 
 A neighbourhood's fact system (`neighbourhood.fact_system`) written out
 atom by atom as a conjunction pins its distinguished element; conversely
-a defining formula's witness values, found by the one constraint search
-per system of `normalize` on its normal form, assemble back into a
+a defining formula's witness values, found by one engine search per
+system of its normal form (`normalize`), assemble back into a
 neighbourhood.  The single-equation encoder turns the emitted equation
 system into one polynomial that vanishes exactly where every equation
 does: a lone equation is itself, over Q more are the sum of their
@@ -17,20 +17,14 @@ F_{p^d}, which F_{p^n} does not contain (`find_rootless`).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
+from .engine import One, Plus, atom_indices
 from .errors import CapExceededError, InfiniteFieldError, NotDefiningError, NotSingletonError
 from .fields import FieldDescriptor, _canonical_modulus, _has_root, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, fact_system, neighbourhood
-from .normalize import (
-    DEFAULT_DNF_CAP,
-    One,
-    Plus,
-    atom_indices,
-    normalize,
-    normalized_witnesses,
-)
+from .normalize import DEFAULT_DNF_CAP, normalize, normalized_witnesses
 from .terms import Term
 
 # bound on the monomials a single-equation fold may expand to
@@ -112,8 +106,10 @@ def formula_to_neighbourhood(
 
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending: each d up to sqrt(n) with n // d."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def _coefficients(poly: Term) -> list:

@@ -11,30 +11,19 @@ inside A (`facts`) are tested in the ring `fields.ring` picks for the
 decision builds them first, since its search needs them) or no larger,
 else the field's own FieldElements, so certifying or compiling a few
 elements of a large field builds no O(q) tables. `fact_system` is the one
-place that decides which facts are written down: a constraint system
-with one variable per element, each sum and product once and none that
-f(1)=1 and f(0)=0 already imply. Its solutions are exactly the
-arithmetic maps, so the maps are enumerated by the same search that
-solves normalized formulas (`normalize.ConstraintSearch`) on the same
-kernel, and only the maps reported are turned back into FieldElements;
-the compiler writes the same atoms as formulas. The decision reads only
-what decides it: a target the search root sets is a Yes with no search,
-and otherwise the target is split off (`ConstraintSearch.split`, as
-`projection` splits off a free variable) and only its component of the
-system is enumerated, the other components set to their first solution,
-which yields the same first moving map as full enumeration. Over any
-field (the infinite-field path) a one-sided certificate is available:
-the engine's root propagation on the fact system, from its own incidence
-lists and root-forced variables, reported Certified only when it forces
-r. The
-identity on A is always an arithmetic map, so a forced value can only be
-the element itself, and the closure needs no field arithmetic. Over Q,
-`facts` narrows the pairs it tests by their residues modulo a prime, so
-a large set costs one C-level pass per element, not exact arithmetic per
-pair. The fixed subfield of a finite field K is read off the maps on
-A = K, computed with no search as evaluation at the roots of K's modulus,
-the conjugates x^(p^i) of its variable (`automorphisms`), the same maps
-in the same order.
+place that decides which facts are written down, as a constraint system
+with one variable per element whose solutions are exactly the arithmetic
+maps; the compiler writes the same atoms as formulas. Maps, decisions
+and certificates are runs of the engine (`engine`) on that system: the
+maps are its solutions, the decision enumerates only the target's
+component (`ConstraintSearch.split`), and over any field the one-sided
+certificate is its root propagation without values (`forced_variables`).
+Over Q, `facts` narrows the pairs it tests by their residues modulo a
+prime, so a large set costs one C-level pass per element, not exact
+arithmetic per pair. The fixed subfield of a finite field K is read off
+the maps on A = K, computed with no search as evaluation at the roots of
+K's modulus, the conjugates x^(p^i) of its variable (`automorphisms`),
+the same maps in the same order.
 """
 
 from __future__ import annotations
@@ -43,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .engine import ConstraintSearch, ConstraintSystem, One, Plus, Times, forced_variables
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from .fields import (
     FieldDescriptor,
@@ -51,14 +41,6 @@ from .fields import (
     element_str,
     int_field,
     ring,
-)
-from .normalize import (
-    ConstraintSearch,
-    ConstraintSystem,
-    One,
-    Plus,
-    Times,
-    incidence_and_forced,
 )
 
 DEFAULT_MAP_CAP = 10**6
@@ -301,26 +283,13 @@ def is_neighbourhood(A: Neighbourhood, cap: int = DEFAULT_MAP_CAP) -> Decision:
 
 def certify_by_propagation(A: Neighbourhood) -> bool:
     """Sound one-sided check valid over any field: True (Certified) only
-    when the forced-value closure pins f(r)=r. False means Unknown, not
-    refuted.
+    when the facts force f(r)=r. False means Unknown, not refuted.
 
-    This is the root propagation of `normalize.ConstraintSearch` on
-    `fact_system(A)`, from the same incidence lists and root-forced
-    variables (`incidence_and_forced`), read without values: the identity
-    on A is an arithmetic map, so every value the facts force is the
-    element itself, and the closure only tracks which indices are forced.
-    The fact system has no product with a factor 0, so a triple with
-    exactly one unforced place always forces it."""
-    incidence, forced = incidence_and_forced(fact_system(A))
-    known = {i for i, _ in forced}
-    queue = list(known)
-    while queue:
-        for _, *places in incidence[queue.pop()]:
-            unknown = [x for x in places if x not in known]
-            if len(unknown) == 1:
-                known.add(unknown[0])
-                queue.append(unknown[0])
-    return A.target_index in known
+    This is `forced_variables(fact_system(A))`, the engine's root
+    propagation read without values, and there it is exact: the identity
+    on A is an arithmetic map, so every forced value is the element
+    itself, and the fact system has no product with a factor 0."""
+    return A.target_index in forced_variables(fact_system(A))
 
 
 # -- combinators -----------------------------------------------------------------
@@ -361,6 +330,8 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     closure combinators with binary doubling (O(log) size), the doubling
     chains of the integers done in one pass each. In characteristic p the
     denominator must be invertible."""
+    if isinstance(q, float):
+        raise TypeError(f"{q!r} is a float; give an int, a Fraction or a string")
     q = Fraction(q)
     c, d = q.numerator, q.denominator
     if K.is_finite and d % K.p == 0:

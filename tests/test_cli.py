@@ -593,8 +593,11 @@ def test_readme_library_quick_tour_runs():
 @pytest.mark.parametrize("argv, unloaded", [
     (["parse", "--formula", "x = 1"], {"normalize", "neighbourhood", "compiler", "curve_lab"}),
     (["nbhd", "check", "--field", "F7", "--elements", "1,2", "--target", "2"],
-     {"compiler", "curve_lab"}),
-], ids=["parse", "nbhd-check"])
+     {"normalize", "compiler", "curve_lab"}),
+    (["fixed-field", "--field", "F2^2"], {"normalize", "compiler", "curve_lab"}),
+    (["nbhd", "certify", "--field", "Q", "--elements", "1,2,4", "--target", "4"],
+     {"normalize", "compiler", "curve_lab"}),
+], ids=["parse", "nbhd-check", "fixed-field", "nbhd-certify"])
 def test_subcommand_loads_only_what_it_uses(argv, unloaded):
     loaded = fresh("import contextlib, io, json, sys\n"
                    "from defifix import cli\n"

@@ -18,6 +18,7 @@ from defifix.compiler import (
     homogenize,
     neighbourhood_to_formula,
 )
+from defifix.engine import atom_indices, solve_system
 from defifix.errors import (
     CapExceededError,
     InfiniteFieldError,
@@ -37,10 +38,8 @@ from defifix.normalize import (
     ConstraintSearch,
     One,
     Plus,
-    atom_indices,
     normalize,
     normalized_definable_set,
-    solve_system,
 )
 from defifix.terms import Term
 
@@ -345,6 +344,18 @@ def test_rootless_validation():
         RootlessPolynomial(x**2 + x, Q)
     RootlessPolynomial(x**2 - 2, Q)  # irrational roots are fine
     RootlessPolynomial(2 * x**2 - 2 * x + 1, Q)  # non-monic, roots (1+-i)/2
+
+
+def test_divisors_by_trial_division_to_the_square_root():
+    for n in range(1, 2001):
+        assert compiler._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_rootless_over_q_with_a_large_constant_term():
+    # the rational-root scan lists the constant's divisors in O(sqrt(n))
+    start = time.process_time()
+    RootlessPolynomial(x**2 + 10**12, Q)
+    assert time.process_time() - start < 1.0
 
 
 def test_homogenize_goldens():

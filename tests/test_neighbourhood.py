@@ -485,6 +485,16 @@ def test_nbhd_rational_zero_and_char_guard():
         nbhd_rational(Fraction(1, 7), F7)
 
 
+def test_nbhd_rational_refuses_a_float():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
+    for K in (Q, F7):
+        for q in (0.1, 0.5):
+            with pytest.raises(TypeError, match="is a float"):
+                nbhd_rational(q, K)
+    assert nbhd_rational("5/3", Q).r == Q.element(Fraction(5, 3))
+    assert nbhd_rational(Fraction(1, 2), F7).r == nbhd_rational("1/2", F7).r == F7.element(4)
+
+
 def test_nbhd_rational_negative():
     A = nbhd_rational(-3, Q)
     assert A.r == Q.element(-3)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import random_existential_formula
+from defifix.engine import atom_indices, solve_system
 from defifix.errors import CapExceededError, InfiniteFieldError, NormalizationError
 from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import (
@@ -25,13 +26,11 @@ from defifix.normalize import (
     One,
     Plus,
     Times,
-    atom_indices,
     atomize,
     eliminate_negations,
     normalize,
     normalized_definable_set,
     normalized_witnesses,
-    solve_system,
     to_dnf,
 )
 from defifix.terms import Term

@@ -63,6 +63,46 @@ def test_collided_names_are_the_modules_in_any_import_order(first):
     assert kinds == ["module", "module"]
 
 
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports directly, relatively
+    (`from .m import x`, `from . import m`) or by `defifix.m`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                out.update([node.module] if node.module else [a.name for a in node.names])
+            elif (node.module or "").startswith("defifix."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("defifix."))
+    return out
+
+
+def test_package_imports_are_found():
+    assert package_imports("from .a import b\nfrom . import c\nimport defifix.d.e\n"
+                           "from defifix.f import g\nimport os, defifix\n") == {"a", "c", "d", "f"}
+
+
+# per module, the package modules it must not import
+LAYERS = {
+    "engine": SUBMODULES - {"errors", "fields"},
+    "fields": SUBMODULES - {"errors"},
+    "neighbourhood": {"normalize", "formulas", "terms", "compiler", "curve_lab", "schemas", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layering(module):
+    source = (SRC / "defifix" / f"{module}.py").read_text()
+    assert not package_imports(source) & LAYERS[module]
+
+
+def test_neighbourhood_loads_no_formula_module():
+    loaded = fresh("import json, sys, defifix.neighbourhood; "
+                   "print(json.dumps([m for m in sys.modules if m.startswith('defifix.')]))")
+    assert not {"defifix.normalize", "defifix.formulas", "defifix.terms"} & set(loaded)
+
+
 def unused_imports(source: str) -> list[str]:
     """The names a module imports and never reads: `from __future__`
     aside, a name counts as read when it occurs as a name (also as the

@@ -8,11 +8,17 @@ module itself, is asked for (PEP 562).  No name is exported under a
 submodule's own name, so `defifix.normalize` and `defifix.neighbourhood`
 are always the modules; their functions of the same name are imported
 from them.
+
+`SCHEMA_NAMES`, the names of the `schemas` templates, is defined here, so
+the CLI can offer them without loading `schemas`; `schemas` re-exports it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+SCHEMA_NAMES = ("robinson", "theorem2", "pyth_M", "lt6", "le7", "succ", "accum",
+                "theorem6_def", "theorem7_sentence", "theorem7_def")
 
 _EXPORTS = {
     "errors": """
@@ -48,10 +54,7 @@ _EXPORTS = {
         ClosureRecipe CurveData abscissa_set build_closure coefficient_table
         elementary_symmetric symmetric_value_formula verify_closure w_set
     """,
-    "schemas": """
-        SCHEMA_NAMES SchemaParams accum emit le7 lt6 pyth_M robinson succ
-        theorem2 theorem6_def theorem7_def theorem7_sentence
-    """,
+    "schemas": " ".join(("SCHEMA_NAMES SchemaParams emit", *SCHEMA_NAMES)),
     "cli": "",
 }
 

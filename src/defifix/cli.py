@@ -18,9 +18,10 @@ so it never changes output.
 Library names come through the package (`defifix.parse`,
 `defifix.curve_lab.build_closure`), never from a module imported here,
 so a call loads only the modules its subcommand uses: `parse` loads no
-solver, and no `nbhd` or `fixed-field` call loads the formula rewriter.
-Only the error classes are imported up front, since `run` names them in
-its except clauses.
+solver, only `schema emit` loads `schemas` (the parser reads the template
+names off the package), and no `nbhd` or `fixed-field` call loads a
+formula module.  Only the error classes are imported up front, since
+`run` names them in its except clauses.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import defifix
 
@@ -78,16 +78,6 @@ def _parse_elements(K: defifix.FieldDescriptor, text: str) -> list[defifix.Field
     if not parts:
         raise ValueError("empty element list")
     return [K.element(p) for p in parts]
-
-
-def _rational(text: str) -> Fraction:
-    if not text.isascii() or "_" in text:
-        # Fraction also reads Unicode digits and `_`; numbers here are ASCII
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
 
 def _named(items, flag: str, shape: str, read) -> dict:
@@ -227,7 +217,7 @@ def _cmd_nbhd_certify(args):
 
 def _cmd_nbhd_rational(args):
     K = defifix.make_field(args.field)
-    A = defifix.nbhd_rational(_rational(args.q), K)
+    A = defifix.nbhd_rational(args.q, K)
     return _certify(A, {"q": args.q, **_nbhd_head(A)})
 
 

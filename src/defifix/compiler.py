@@ -17,11 +17,11 @@ F_{p^d}, which F_{p^n} does not contain (`find_rootless`).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
 from .engine import One, Plus, atom_indices
 from .errors import CapExceededError, InfiniteFieldError, NotDefiningError, NotSingletonError
-from .fields import FieldDescriptor, _canonical_modulus, _has_root, int_field
+from .fields import FieldDescriptor, _canonical_modulus, _has_root, _prime_factors, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
 from .neighbourhood import Neighbourhood, fact_system, neighbourhood
 from .normalize import DEFAULT_DNF_CAP, normalize, normalized_witnesses
@@ -106,10 +106,14 @@ def formula_to_neighbourhood(
 
 
 def _divisors(n: int) -> list[int]:
-    """The positive divisors of n, ascending: each d up to sqrt(n) with n // d."""
-    n = abs(n)
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return low + [n // d for d in reversed(low) if d * d != n]
+    """The positive divisors of n, ascending, from its prime factorization."""
+    n, out = abs(n), [1]
+    for p in _prime_factors(n):
+        powers = [1]
+        while n % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        out = [d * q for d in out for q in powers]
+    return sorted(out)
 
 
 def _coefficients(poly: Term) -> list:

@@ -329,10 +329,17 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     """A neighbourhood of the image of the rational q in K, built from the
     closure combinators with binary doubling (O(log) size), the doubling
     chains of the integers done in one pass each. In characteristic p the
-    denominator must be invertible."""
+    denominator must be invertible. A string is an ASCII fraction such as
+    "5/3" or "1.5", without `_`."""
     if isinstance(q, float):
         raise TypeError(f"{q!r} is a float; give an int, a Fraction or a string")
-    q = Fraction(q)
+    if isinstance(q, str) and (not q.isascii() or "_" in q):
+        # Fraction also reads Unicode digits and `_`; numbers here are ASCII
+        raise ValueError(f"Invalid literal for Fraction: {q!r}")
+    try:
+        q = Fraction(q)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {q!r}") from None
     c, d = q.numerator, q.denominator
     if K.is_finite and d % K.p == 0:
         raise ZeroDivisionError(f"denominator {d} vanishes in {K.spec()}")

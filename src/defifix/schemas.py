@@ -14,12 +14,16 @@ templates nest without variable capture.  Subformula parameters left
 unset default to bare predicate applications (N(x), F(s, t), G(s, t));
 integer offsets fold into constant terms.  Everything emitted prints
 and re-parses verbatim.
+
+The catalog is `SCHEMA_NAMES` (defined in the package, re-exported here),
+each name a template below; a template's parameters are its arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import SCHEMA_NAMES
 from .errors import SchemaError
 from .formulas import (
     And,
@@ -360,22 +364,6 @@ def theorem7_def(i: int, predicate: str = "U") -> Formula:
 
 # -- uniform dispatch ------------------------------------------------------------
 
-# name -> (template, its SchemaParams fields in call order, the required ones)
-_TEMPLATES = {
-    "robinson": (robinson, ("U", "V"), ("U", "V")),
-    "theorem2": (theorem2, ("phi", "U", "V"), ("phi", "U", "V")),
-    "pyth_M": (pyth_M, (), ()),
-    "lt6": (lt6, (), ()),
-    "le7": (le7, (), ()),
-    "succ": (succ, ("predicate",), ()),
-    "accum": (accum, ("predicate",), ()),
-    "theorem6_def": (theorem6_def, ("N", "F", "G"), ()),
-    "theorem7_sentence": (theorem7_sentence, ("i", "F", "G", "predicate"), ("i",)),
-    "theorem7_def": (theorem7_def, ("i", "predicate"), ("i",)),
-}
-
-SCHEMA_NAMES = tuple(_TEMPLATES)
-
 
 @dataclass(frozen=True)
 class SchemaParams:
@@ -393,12 +381,15 @@ class SchemaParams:
 
 
 def emit(name: str, params: SchemaParams | None = None) -> Formula:
-    """Emit the named template with parameters taken from `params`."""
-    if name not in _TEMPLATES:
+    """Emit the named template with parameters taken from `params`: its
+    arguments name the fields it reads, those without a default required."""
+    if name not in SCHEMA_NAMES:
         raise SchemaError(f"unknown schema {name!r}; known: {', '.join(SCHEMA_NAMES)}")
-    template, fields, required = _TEMPLATES[name]
+    template = globals()[name]
+    code = template.__code__
+    fields = code.co_varnames[: code.co_argcount]
     p = params if params is not None else SchemaParams()
-    for field in required:
+    for field in fields[: len(fields) - len(template.__defaults__ or ())]:
         if getattr(p, field) is None:
             raise SchemaError(f"schema {name!r} requires parameter {field!r}")
     return template(*(getattr(p, field) for field in fields))

@@ -182,9 +182,7 @@ class Term:
     @staticmethod
     def constant(c: Coefficient) -> "Term":
         if not isinstance(c, (int, Fraction)):
-            if isinstance(c, float):
-                raise TypeError(f"{c!r} is a float; give an int or a Fraction")
-            c = Fraction(c)
+            raise TypeError(f"{c!r} is a {type(c).__name__}; give an int or a Fraction")
         c = _norm_coeff(c)
         return Term((((), c),) if c != 0 else ())
 

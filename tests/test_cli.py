@@ -590,14 +590,20 @@ def test_readme_library_quick_tour_runs():
         exec(compile(code, "README.md", "exec"), {})
 
 
+NO_FORMULA_MODULE = {"schemas", "formulas", "terms", "normalize", "compiler", "curve_lab"}
+
+
 @pytest.mark.parametrize("argv, unloaded", [
-    (["parse", "--formula", "x = 1"], {"normalize", "neighbourhood", "compiler", "curve_lab"}),
-    (["nbhd", "check", "--field", "F7", "--elements", "1,2", "--target", "2"],
-     {"normalize", "compiler", "curve_lab"}),
-    (["fixed-field", "--field", "F2^2"], {"normalize", "compiler", "curve_lab"}),
-    (["nbhd", "certify", "--field", "Q", "--elements", "1,2,4", "--target", "4"],
-     {"normalize", "compiler", "curve_lab"}),
-], ids=["parse", "nbhd-check", "fixed-field", "nbhd-certify"])
+    (["parse", "--formula", "x = 1"],
+     {"schemas", "normalize", "neighbourhood", "compiler", "curve_lab"}),
+    (["eval", "--formula", "x = 1", "--field", "F5", "--assign", "x=1"],
+     {"schemas", "normalize", "neighbourhood", "compiler", "curve_lab"}),
+    (["nbhd", "check", "--field", "F7", "--elements", "1,2", "--target", "2"], NO_FORMULA_MODULE),
+    (["nbhd", "maps", "--field", "F7", "--elements", "1,2"], NO_FORMULA_MODULE),
+    (["nbhd", "rational", "--q", "5/3"], NO_FORMULA_MODULE),
+    (["fixed-field", "--field", "F2^2"], NO_FORMULA_MODULE),
+    (["nbhd", "certify", "--field", "Q", "--elements", "1,2,4", "--target", "4"], NO_FORMULA_MODULE),
+], ids=["parse", "eval", "nbhd-check", "nbhd-maps", "nbhd-rational", "fixed-field", "nbhd-certify"])
 def test_subcommand_loads_only_what_it_uses(argv, unloaded):
     loaded = fresh("import contextlib, io, json, sys\n"
                    "from defifix import cli\n"
@@ -605,6 +611,15 @@ def test_subcommand_loads_only_what_it_uses(argv, unloaded):
                    f"    cli.main({argv!r})\n"
                    "print(json.dumps([m for m in sys.modules if m.startswith('defifix.')]))")
     assert not {m.removeprefix("defifix.") for m in loaded} & unloaded
+
+
+def test_building_the_parser_loads_no_library_module():
+    # `schema emit --name` reads its choices off the package, not `schemas`
+    loaded = fresh("import json, sys\n"
+                   "from defifix import cli\n"
+                   "cli.build_parser()\n"
+                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('defifix.'))))")
+    assert loaded == ["defifix.cli", "defifix.errors", "defifix.fields"]
 
 
 def _row(dest, action="store", required=False, default=None, choices=None, type=None):

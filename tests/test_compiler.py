@@ -352,9 +352,20 @@ def test_divisors_by_trial_division_to_the_square_root():
 
 
 def test_rootless_over_q_with_a_large_constant_term():
-    # the rational-root scan lists the constant's divisors in O(sqrt(n))
+    # the rational-root scan lists the constant's divisors from its prime
+    # factors, so a smooth constant costs nothing like its square root
     start = time.process_time()
     RootlessPolynomial(x**2 + 10**12, Q)
+    assert time.process_time() - start < 1.0
+
+
+def test_rational_roots_of_a_huge_smooth_constant_term():
+    start = time.process_time()
+    RootlessPolynomial(x**2 + 10**20, Q)
+    assert time.process_time() - start < 1.0
+    start = time.process_time()
+    with pytest.raises(ValueError, match="has root 10000000000 in Q"):
+        RootlessPolynomial(x**2 - 10**20, Q)
     assert time.process_time() - start < 1.0
 
 

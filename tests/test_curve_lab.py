@@ -177,6 +177,15 @@ def test_closure_cap_bounds_abscissa_products():
         build_closure(c, cap=100)
 
 
+def test_closure_cap_bounds_the_assembled_closure():
+    # one abscissa, one product, but the closure fills all of F11
+    c = CurveData.build(x**3 - 2 * x, make_field("F11"))
+    assert c.n == 1
+    with pytest.raises(CapExceededError, match="^closure size 11 exceeds cap 10$"):
+        build_closure(c, cap=10)
+    assert len(build_closure(c, cap=11).elements) == 11
+
+
 def test_symmetric_formula_degenerate():
     f = symmetric_value_formula(CURVE, 1, 1)
     assert print_formula(f) == (

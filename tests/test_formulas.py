@@ -107,6 +107,12 @@ def test_parse_rational_coefficient():
         parse("x/y = 0")
 
 
+def test_an_exponent_must_be_an_integer():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("x^y = 1")
+    assert str(err.value) == "expected an integer exponent (line 1, column 3)"
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("exists . x = 1")

@@ -457,6 +457,15 @@ def test_combine_contract_errors():
         combine("add", combine("one", field=F7), combine("one", field=F5))
     with pytest.raises(ValueError):
         combine("half", combine("one", field=F7))
+    one = combine("one", field=F7)
+    with pytest.raises(ValueError, match="^zero takes no inputs and an explicit field$"):
+        combine("zero", one, field=F7)
+    with pytest.raises(ValueError, match="^one takes no inputs and an explicit field$"):
+        combine("one")
+    with pytest.raises(ValueError, match="^inv takes exactly one input$"):
+        combine("inv", one, one)
+    with pytest.raises(ValueError, match="^mul takes exactly two inputs$"):
+        combine("mul", one)
 
 
 def test_combine_preserves_yes():
@@ -493,6 +502,17 @@ def test_nbhd_rational_refuses_a_float():
                 nbhd_rational(q, K)
     assert nbhd_rational("5/3", Q).r == Q.element(Fraction(5, 3))
     assert nbhd_rational(Fraction(1, 2), F7).r == nbhd_rational("1/2", F7).r == F7.element(4)
+
+
+def test_nbhd_rational_reads_ascii_fractions():
+    # Fraction alone would read "\u0663" as 3 and "1_0/3" as 10/3
+    for K in (Q, F7):
+        for text in ("\u0663", "\u0665/\u0663", "1_0/3"):
+            with pytest.raises(ValueError, match=f"^Invalid literal for Fraction: {text!r}$"):
+                nbhd_rational(text, K)
+        with pytest.raises(ZeroDivisionError, match="^zero denominator in '1/0'$"):
+            nbhd_rational("1/0", K)
+        assert nbhd_rational(" 5/3 ", K).r == nbhd_rational("1.5", K).r + K.element(Fraction(1, 6))
 
 
 def test_nbhd_rational_negative():
@@ -565,6 +585,7 @@ def test_facts_match_full_scan():
              for _ in range(300)]
     # a denominator the prime divides takes the full scan
     cases.append(neighbourhood(Q, [1, 2, Fraction(1, P), Fraction(2, P)], 1))
+    cases.append(neighbourhood(Q, [1, 2, Fraction(1, P), Fraction(2, P), Fraction(3, P), 3, P], Fraction(1, P)))
     cases += [nbhd_rational(Fraction(c, d), Q) for c, d in ((5, 3), (-7, 12), (1000001, 999))]
     for K in (F5, F7, F4, make_field("F3^2")):
         elems = list(enumerate_elements(K))

@@ -1,7 +1,10 @@
+import dataclasses
+import inspect
 import pathlib
 
 import pytest
 
+import defifix
 from defifix import schemas
 from defifix.errors import SchemaError
 from defifix.fields import make_field
@@ -38,6 +41,24 @@ def golden_emissions():
         "theorem7_sentence": schemas.theorem7_sentence(-2),
         "theorem7_def": schemas.theorem7_def(-2),
     }
+
+
+def test_the_catalog_is_the_packages_names():
+    assert schemas.SCHEMA_NAMES is defifix.SCHEMA_NAMES
+    assert schemas.SCHEMA_NAMES == (
+        "robinson", "theorem2", "pyth_M", "lt6", "le7", "succ", "accum",
+        "theorem6_def", "theorem7_sentence", "theorem7_def",
+    )
+
+
+@pytest.mark.parametrize("name", schemas.SCHEMA_NAMES)
+def test_each_template_takes_only_params_fields(name):
+    # emit reads a template's parameters off its own arguments
+    template = getattr(schemas, name)
+    assert inspect.isfunction(template) and template.__module__ == schemas.__name__
+    fields = {f.name for f in dataclasses.fields(SchemaParams)}
+    for p in inspect.signature(template).parameters.values():
+        assert p.kind is p.POSITIONAL_OR_KEYWORD and p.name in fields, (name, p)
 
 
 @pytest.mark.parametrize("name", schemas.SCHEMA_NAMES)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,20 @@ def test_a_float_constant_is_refused():
     with pytest.raises(TypeError, match="float"):
         x + 0.1
     assert Term.constant(Fraction(1, 10)) == parse_term("1/10")
+
+
+@pytest.mark.parametrize("c", ["\u0663", "1_0", "3", Decimal("2.5")], ids=["digit", "underscore", "str", "decimal"])
+def test_a_constant_is_an_int_or_a_fraction(c):
+    # Fraction would read each of these: Unicode digits, `_`, Decimal
+    with pytest.raises(TypeError, match="give an int or a Fraction"):
+        Term.constant(c)
+    with pytest.raises(TypeError, match="give an int or a Fraction"):
+        x + c
+
+
+def test_subtraction_from_a_constant():
+    assert 3 - x == Term.constant(3) - x == -x + 3
+    assert Fraction(1, 2) - x * y == parse_term("1/2 - x*y")
 
 
 def test_ring_identities():

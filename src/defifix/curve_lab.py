@@ -10,6 +10,12 @@ plus the abscissa differences and their inverses assembles the candidate
 set.  Every arithmetic map on the result is then pinned on W(m), sends
 abscissas to abscissas injectively, and so fixes each t_k.
 
+The assembly stops once the set holds all of K, which most curves reach
+within their first point's grid-scaled monomials, so their 2^n - 1
+products are never built.  On such a closure, A = K, the arithmetic maps
+are the automorphisms of K (`neighbourhood.automorphisms`), read without
+a search; a smaller closure has its maps searched.
+
 The abscissa scan and the whole closure construction run on the element
 indices of the field's integer kernel (`fields.int_field`), with g
 compiled once (`Term.compile`). The on-curve check of `CurveData` runs in
@@ -20,13 +26,20 @@ FieldElements only in `CurveData` and `ClosureRecipe`.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, chain, combinations
 from math import prod
 
 from .errors import CapExceededError, InfiniteFieldError
 from .fields import FieldDescriptor, FieldElement, element_str, int_field, ring
 from .formulas import Equal, Exists, Formula, Not, conj
-from .neighbourhood import DEFAULT_MAP_CAP, Neighbourhood, enumerate_arithmetic_maps
+from .neighbourhood import (
+    DEFAULT_MAP_CAP,
+    Neighbourhood,
+    _capped,
+    automorphisms,
+    enumerate_arithmetic_maps,
+)
 from .terms import Term
 
 DEFAULT_CLOSURE_CAP = 10**6
@@ -198,6 +211,29 @@ class ClosureRecipe:
         }
 
 
+def _first_distinct(rows, q: int) -> list[int]:
+    """The values of rows in order, first occurrences only, reading rows
+    only until q distinct values are found: in a field of q elements no
+    later value can be new."""
+    seen: dict[int, None] = {}
+    for row in rows:
+        seen.update(dict.fromkeys(row))
+        if len(seen) == q:
+            break
+    return list(seen)
+
+
+def _subset_sums(block: list[int], add):
+    """The sums of the non-empty subsets of block in mask order (bit i
+    stands for block[i]), as one row per block value: the masks with top
+    bit i are those below 2^i with block[i] added."""
+    sums = [0]
+    for b in block:
+        row = [add(s, b) for s in sums]
+        yield row
+        sums += row
+
+
 def build_closure(
     c: CurveData, mode: str = "prefix", cap: int = DEFAULT_CLOSURE_CAP
 ) -> ClosureRecipe:
@@ -210,9 +246,14 @@ def build_closure(
     forcing: each prefix chain pins the next partial sum by induction, and
     any superset of a neighbourhood is one.  Both modes take the 2^n - 1
     products of distinct abscissas, so n must stay within log2(cap) too;
-    that is checked before any product is built.  All of it runs on the
-    element indices of `int_field`; only the recipe's elements, targets and
-    grid image are made FieldElements.
+    that is checked before any product is built.
+
+    The candidates are read as one stream, first occurrence winning, and
+    the stream stops once the closure holds all of K: nothing after that
+    can change the set or its order.  So a curve whose grid-scaled
+    monomials already fill K never builds its products or subset sums.
+    All of it runs on the element indices of `int_field`; only the
+    recipe's elements, targets and grid image are made FieldElements.
     """
     if mode not in ("paper", "prefix"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -224,62 +265,57 @@ def build_closure(
     u = [T.index(a) for a in c.abscissas]
     z = [T.index(a) for a in c.witnesses]
     w_image = list(dict.fromkeys(map(T.coeff, w_set(c.m))))
+    span = range(c.m + 1)
 
-    # u_k^i * z_k^j by point, then i, then j
-    powers = [
-        [[mul(power(u[kk], i), power(z[kk], j)) for j in range(c.m + 1)] for i in range(c.m + 1)]
-        for kk in range(n)
-    ]
-    scaled = dict.fromkeys(
-        mul(b, pw) for point in powers for row in point for pw in row for b in w_image
-    )
-    # M_1, ..., M_n: the products of k distinct abscissas; the product over
-    # a mask is its lowest abscissa times the product over the rest
-    by_mask = [1] * (1 << n)
-    for mask in range(1, len(by_mask)):
-        low = mask & -mask
-        by_mask[mask] = mul(by_mask[mask ^ low], u[low.bit_length() - 1])
-    products = [
-        [by_mask[sum(1 << i for i in combo)] for combo in combinations(range(n), kk + 1)]
-        for kk in range(n)
-    ]
+    @cache
+    def monomials(kk: int) -> list[list[int]]:
+        # u_k^i * z_k^j by i, then j
+        return [[mul(power(u[kk], i), power(z[kk], j)) for j in span] for i in span]
 
-    block = list(dict.fromkeys([*scaled, *(a for row in products for a in row)]))
+    @cache
+    def products() -> list[list[int]]:
+        # M_1, ..., M_n: the products of k distinct abscissas; the product
+        # over a mask is its lowest abscissa times the product over the rest
+        by_mask = [1] * (1 << n)
+        for mask in range(1, len(by_mask)):
+            low = mask & -mask
+            by_mask[mask] = mul(by_mask[mask ^ low], u[low.bit_length() - 1])
+        return [
+            [by_mask[sum(1 << i for i in combo)] for combo in combinations(range(n), kk + 1)]
+            for kk in range(n)
+        ]
+
+    def block_rows():
+        # the grid-scaled monomials of each point, then M_1, ..., M_n
+        for kk in range(n):
+            yield [mul(b, pw) for row in monomials(kk) for pw in row for b in w_image]
+        yield from products()
+
+    def prefix_sums():
+        # of each point's monomial sequence under g's coefficients, then
+        # of each M_k
+        terms = [(i, j, T.coeff(c.h[(i, j)])) for i in span for j in span if c.h[(i, j)] != 0]
+        for kk in range(n):
+            point = monomials(kk)
+            yield accumulate((mul(h, point[i][j]) for i, j, h in terms), add)
+        for row in products():
+            yield accumulate(row, add)
+
+    def differences():
+        d = [add(u[i], T.neg[u[j]]) for i in range(n) for j in range(n) if i != j]
+        yield d
+        yield [T.inv(a) for a in d]
+
     if mode == "paper":
+        block = _first_distinct(block_rows(), T.q)
         if 2 ** len(block) - 1 > cap:
             raise CapExceededError(
                 f"{len(block)} block values give more than {cap} subset sums"
             )
-        # the sum over a mask is its lowest block value plus the sum over the rest
-        sums = [0] * (1 << len(block))
-        for mask in range(1, len(sums)):
-            low = mask & -mask
-            sums[mask] = add(sums[mask ^ low], block[low.bit_length() - 1])
-        closure = sums[1:]
+        rows = chain(_subset_sums(block, add), differences())
     else:
-        closure = []
-        for kk in range(n):
-            running = 0
-            for i in range(c.m + 1):
-                for j in range(c.m + 1):
-                    coeff = c.h[(i, j)]
-                    if coeff == 0:
-                        continue
-                    running = add(running, mul(T.coeff(coeff), powers[kk][i][j]))
-                    closure.append(running)
-        for row in products:
-            running = 0
-            for a in row:
-                running = add(running, a)
-                closure.append(running)
-
-    differences = [add(u[i], T.neg[u[j]]) for i in range(n) for j in range(n) if i != j]
-    differences += [T.inv(d) for d in differences]
-
-    if mode == "paper":
-        assembled = dict.fromkeys(closure + differences)
-    else:
-        assembled = dict.fromkeys(w_image + block + closure + differences)
+        rows = chain([w_image], block_rows(), prefix_sums(), differences())
+    assembled = _first_distinct(rows, T.q)
     if len(assembled) > cap:
         raise CapExceededError(f"closure size {len(assembled)} exceeds cap {cap}")
 
@@ -295,26 +331,43 @@ def build_closure(
 def verify_closure(
     c: CurveData, recipe: ClosureRecipe, cap: int = DEFAULT_MAP_CAP
 ) -> dict:
-    """Check the recipe end to end by full map enumeration.
+    """Check the recipe end to end against every arithmetic map on it.
 
     Reports, per k, whether t_k lies in the closure and is fixed by every
     arithmetic map, plus the three intermediate claims: maps restrict to
     the identity on W(m)'s image, send abscissas into the abscissa set, and
     are injective on it.
+
+    A closure that holds all of K reads its maps from
+    `automorphisms(K)`: on A = K the arithmetic maps are the field's
+    automorphisms, in the order the search would yield them.  A smaller
+    closure has its maps searched (`enumerate_arithmetic_maps`).  Either
+    way the cap counts the maps, and each map is read as element index to
+    image index in `int_field`, so the checks run on ints.
     """
-    maps = enumerate_arithmetic_maps(
-        Neighbourhood(c.field, recipe.elements, 0), cap=cap
-    )
-    u = c.abscissas
+    T = int_field(c.field)
+    closure = set(recipe.elements)
+    if len(closure) == T.q:
+        maps = list(_capped(automorphisms(c.field), cap))
+    else:
+        A = Neighbourhood(c.field, recipe.elements, 0)
+        domain = [T.index(a) for a in A.elements]
+        maps = [
+            dict(zip(domain, map(T.index, f.values)))
+            for f in enumerate_arithmetic_maps(A, cap=cap)
+        ]
+    w = [T.index(a) for a in recipe.w_image]
+    u = [T.index(a) for a in c.abscissas]
     in_p = set(u)
-    identity_on_w = all(f(a) == a for f in maps for a in recipe.w_image)
-    into_p = all(f(uk) in in_p for f in maps for uk in u)
-    injective = all(len({f(uk) for uk in u}) == len(u) for f in maps)
+    identity_on_w = all(f[a] == a for f in maps for a in w)
+    into_p = all(f[uk] in in_p for f in maps for uk in u)
+    injective = all(len({f[uk] for uk in u}) == len(u) for f in maps)
     per_k = []
     for k in range(1, c.n + 1):
         t = recipe.targets[k - 1]
-        present = t in recipe.elements
-        fixed = present and all(f(t) == t for f in maps)
+        present = t in closure
+        ti = T.index(t)
+        fixed = present and all(f[ti] == ti for f in maps)
         per_k.append(
             {
                 "k": k,

@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 from .errors import FieldMismatchError, FieldSpecError, InfiniteFieldError
 
@@ -427,17 +429,69 @@ def enumerate_elements(field: FieldDescriptor) -> list[FieldElement]:
     return [FieldElement(field, tuple(_digits(n, p, k))) for n in range(p**k)]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact for odd n < _MR_EXACT_BELOW with no prime factor up to 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho on
+    x -> x^2 + c from x = 2, trying c = 1, 2, ... in turn."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
+    """The distinct primes dividing n, ascending ([] for n < 2).
+
+    Primes below 2^10 come off by trial division, and so does every
+    prime while the cofactor is at least `_MR_EXACT_BELOW`, so that the
+    result stays exact. A smaller cofactor is split by Pollard's rho until
+    Miller-Rabin, exact there, calls each part prime."""
+    out = set()
+    d = 2
+    while d * d <= n and (d < 1 << 10 or n >= _MR_EXACT_BELOW):
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < d * d or _is_prime(m):
+            out.add(m)
+        else:
+            f = _rho_factor(m)
+            parts += [f, m // f]
+    return sorted(out)
 
 
 class IntField:

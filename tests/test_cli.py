@@ -476,6 +476,20 @@ def test_curve_lab_cap_reaches_map_enumeration(monkeypatch):
     assert caps == [50]
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("curve_lab_f37.json", ("--field", "F37", "--poly", "y^2 - x^3 - x")),
+    ("curve_lab_f7_paper.json", ("--field", "F7", "--poly", "y - x", "--mode", "paper")),
+    ("curve_lab_f103.json", ("--field", "F103", "--poly", "x^2 + y^2")),
+])
+def test_curve_lab_stdout_is_pinned(name, argv):
+    # two closures that fill their field and one (W(2)'s image in F103)
+    # whose maps are searched; the bytes were stored from the full
+    # construction and the full map search
+    code, out = invoke("curve-lab", *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / name).read_text()
+
+
 def test_schema_emit_with_polynomials():
     code, data = payload("schema", "emit", "--name", "robinson",
                          "--U", "y^2 - 2", "--V", "y")

@@ -369,6 +369,13 @@ def test_rational_roots_of_a_huge_smooth_constant_term():
     assert time.process_time() - start < 1.0
 
 
+def test_rational_roots_of_a_constant_term_with_large_prime_factors():
+    for c in ((10**7 + 19) * (10**7 + 79), 10**20 + 39):
+        start = time.process_time()
+        RootlessPolynomial(x**2 + c, Q)
+        assert time.process_time() - start < 1.0, c
+
+
 def test_homogenize_goldens():
     y = Term.variable("y")
     assert homogenize(RootlessPolynomial(x**2 + 1, Q)) == x**2 + y**2

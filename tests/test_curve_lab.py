@@ -1,11 +1,12 @@
 import operator
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, permutations
 
 import pytest
 
-from defifix import fields
+from defifix import curve_lab, fields
 from defifix.curve_lab import (
     ClosureRecipe,
     CurveData,
@@ -20,7 +21,7 @@ from defifix.curve_lab import (
 from defifix.errors import CapExceededError, InfiniteFieldError
 from defifix.fields import FieldElement, enumerate_elements, make_field
 from defifix.formulas import definable_set, free_variables, parse_term, print_formula
-from defifix.neighbourhood import is_neighbourhood
+from defifix.neighbourhood import Neighbourhood, enumerate_arithmetic_maps, is_neighbourhood
 from defifix.terms import Term
 
 Q = make_field("Q")
@@ -335,3 +336,110 @@ def test_closure_does_no_field_element_arithmetic(monkeypatch):
     for g, K in curves:
         CurveData.build(g, K)
     assert [(c, build_closure(c, mode=r.mode)) for c, r in want] == want
+
+
+# -- where verify_closure takes its maps ---------------------------------------
+
+
+def _searched_report(c, recipe):
+    """verify_closure's report from the maps the search finds on the
+    closure, read as FieldElement maps."""
+    maps = enumerate_arithmetic_maps(Neighbourhood(c.field, recipe.elements, 0))
+    u = c.abscissas
+    per_k = []
+    for k, t in enumerate(recipe.targets, start=1):
+        present = t in recipe.elements
+        per_k.append({"k": k, "target": str(t), "in_closure": present,
+                      "is_neighbourhood": present and all(f(t) == t for f in maps)})
+    return {
+        "mode": recipe.mode,
+        "size": len(recipe.elements),
+        "maps": len(maps),
+        "identity_on_w_image": all(f(a) == a for f in maps for a in recipe.w_image),
+        "abscissas_into_abscissas": all(f(a) in u for f in maps for a in u),
+        "injective_on_abscissas": all(len({f(a) for a in u}) == len(u) for f in maps),
+        "per_k": per_k,
+    }
+
+
+def _spy_on_the_search(monkeypatch):
+    calls = []
+
+    def spy(A, cap):
+        calls.append(A)
+        return enumerate_arithmetic_maps(A, cap=cap)
+
+    monkeypatch.setattr(curve_lab, "enumerate_arithmetic_maps", spy)
+    return calls
+
+
+def test_whole_field_closures_read_the_automorphisms(monkeypatch):
+    # a closure that holds all of K reports what the map search on it
+    # reports, with no search run; only the smaller ones are searched.
+    # F3^2 and F5^2 have two maps
+    polys = ["y^2 - x^3 - x", "y - x^2", "2*x - y + 1", "x^2 + y^2 - 1", "x^3 - 2*x"]
+    calls = _spy_on_the_search(monkeypatch)
+    whole, partial = set(), 0
+    for spec in ("F5", "F7", "F11", "F13", "F17", "F19", "F23", "F3^2", "F5^2"):
+        K = make_field(spec)
+        for text in polys:
+            g = parse_term(text)
+            if K.characteristic <= coefficient_table(g)[0]:
+                continue
+            c = CurveData.build(g, K)
+            for mode in ("prefix", "paper"):
+                try:
+                    recipe = build_closure(c, mode=mode)
+                except CapExceededError:
+                    continue  # a paper-mode block of more than 19 values
+                report = verify_closure(c, recipe)
+                if len(recipe.elements) == K.order:
+                    whole.add((spec, report["maps"]))
+                else:
+                    partial += 1
+                assert len(calls) == partial
+                assert report == _searched_report(c, recipe), (spec, text, mode)
+    assert {spec for spec, _ in whole} == {"F5", "F7", "F11", "F13", "F17", "F19", "F23", "F3^2", "F5^2"}
+    assert ("F3^2", 2) in whole and ("F5^2", 2) in whole
+
+
+def test_a_partial_closure_has_its_maps_searched(monkeypatch):
+    # (0, 0) is the one point of x^2 + y^2 over F103, and the closure is
+    # W(2)'s image: 0, +-1, +-2, +-1/2
+    K = make_field("F103")
+    c = CurveData.build(parse_term("x^2 + y^2"), K)
+    recipe = build_closure(c)
+    assert [str(a) for a in recipe.elements] == ["[101]", "[102]", "[51]", "[0]", "[52]", "[1]", "[2]"]
+    calls = _spy_on_the_search(monkeypatch)
+    report = verify_closure(c, recipe)
+    assert len(calls) == 1
+    assert report == _searched_report(c, recipe) == {
+        "mode": "prefix",
+        "size": 7,
+        "maps": 1,
+        "identity_on_w_image": True,
+        "abscissas_into_abscissas": True,
+        "injective_on_abscissas": True,
+        "per_k": [{"k": 1, "target": "[0]", "in_closure": True, "is_neighbourhood": True}],
+    }
+
+
+def test_the_cap_counts_the_automorphisms():
+    K = make_field("F5^2")
+    c = CurveData.build(CURVE, K)
+    recipe = build_closure(c)
+    assert len(recipe.elements) == 25
+    with pytest.raises(CapExceededError, match="^more than 1 arithmetic maps$"):
+        verify_closure(c, recipe, cap=1)
+    assert verify_closure(c, recipe, cap=2)["maps"] == 2
+
+
+def test_a_closure_that_fills_its_field_is_quick():
+    # 19 abscissas over F37: the grid-scaled monomials fill the field
+    # before any of the 2^19 - 1 products is needed
+    c = CurveData.build(CURVE, make_field("F37"))
+    assert c.n == 19
+    start = time.process_time()
+    report = verify_closure(c, build_closure(c))
+    assert time.process_time() - start < 0.2
+    assert report["size"] == 37 and report["maps"] == 1

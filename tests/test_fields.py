@@ -112,6 +112,43 @@ def test_make_field_accepts_exactly_the_primes():
                 make_field(f"F{n}")
 
 
+def _trial_division_factors(n, primes):
+    out = []
+    for d in primes:
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    return out + [n] * (n > 1)
+
+
+def test_prime_factors_match_trial_division():
+    # every n < 10^12 has its prime factors below 10^6 but one
+    sieve = bytearray([1]) * 10**6
+    sieve[:2] = b"\0\0"
+    for i in range(2, 1000):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 10**6, i)))
+    primes = [i for i in range(10**6) if sieve[i]]
+    rng = random.Random(24)
+    cases = [rng.randrange(10 ** rng.randint(1, 12)) for _ in range(300)]
+    big = primes[-400:]
+    cases += [rng.choice(big) * rng.choice(big) for _ in range(20)]  # semiprimes
+    cases += [p**2 for p in big[:5]] + [1031**3, 2**39, 3 * 1031 * 999983]
+    for n in cases:
+        assert fields._prime_factors(n) == _trial_division_factors(n, primes), n
+
+
+def test_prime_factors_of_large_primes_are_quick():
+    start = time.process_time()
+    assert fields._prime_factors((10**7 + 19) * (10**7 + 79)) == [10**7 + 19, 10**7 + 79]
+    assert fields._prime_factors(10**20 + 39) == [10**20 + 39]
+    assert fields._prime_factors(2**64 - 1) == [3, 5, 17, 257, 641, 65537, 6700417]
+    assert time.process_time() - start < 1.0
+
+
 def test_a_float_is_refused_not_read_as_a_binary_fraction():
     # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
     for K in (make_field("Q"), make_field("F7")):

@@ -11,8 +11,10 @@ of the components the atoms join the unset variables into, so one
 variable's component is split off once (`split`): one search sets the
 other components to their first solution, and only that component is
 searched from there, so a component with no solution that the variable
-is not in is exhausted once, not once per value. `forced_variables` is
-the root propagation read without values, valid over any field.
+is not in is exhausted once, not once per value. Propagation solves an
+atom once two places are known, and an atom x + x = c or x * x = c once c
+is, as far as the characteristic decides x. `forced_variables` is the
+part of the root propagation that reads no values, valid over any field.
 """
 
 from __future__ import annotations
@@ -115,7 +117,14 @@ class ConstraintSearch:
     atoms force alone (`_incidence_and_forced`). From there Plus and Times
     atoms propagate: once two of an atom's three places are known the
     third is computed or checked (a product with a known zero factor
-    forces nothing on the other factor).
+    forces nothing on the other factor). An atom whose two operands are
+    one variable x is solved from c alone where that has one answer:
+    x + x = c gives x = c/2 when p is odd, and in characteristic 2 holds
+    for every x if c = 0 and for none otherwise; x * x = c gives x = 0 when
+    c = 0, the one square root of c when p = 2, and no x when q is odd and
+    c is not a square. Only values no solution has are removed, so the
+    solutions and their order are those of plain branching.
+
     Branching takes the first unassigned variable of the table and tries
     its values in enumeration order, so solutions come out in
     lexicographic order of their value tuples whatever the propagation
@@ -164,7 +173,9 @@ class ConstraintSearch:
                             return False
                         continue
                     dest = k
-                elif c >= 0 and (a >= 0 or b >= 0):
+                elif c < 0:
+                    continue
+                elif a >= 0 or b >= 0:
                     # solve for the unknown place, given the other two
                     if a >= 0:
                         known, dest = a, j
@@ -185,6 +196,24 @@ class ConstraintSearch:
                         else:
                             z = zech[log[known] - log[c]]
                             r = 0 if z < 0 else exp[log[c] + z]
+                elif i == j:
+                    # x + x = c or x * x = c: solved by the characteristic
+                    dest = i
+                    if c == 0:
+                        if not is_product and T.p == 2:
+                            continue  # x + x = 0 for every x
+                        r = 0
+                    elif not is_product:
+                        if T.p == 2:
+                            return False
+                        r = exp[log[c] - log[2]]
+                    elif T.p == 2:
+                        # the one square root: squaring is a bijection
+                        r = exp[(log[c] + (log[c] & 1) * T.m) >> 1]
+                    elif log[c] & 1:
+                        return False  # c is not a square
+                    else:
+                        continue  # two square roots
                 else:
                     continue
                 vals[dest] = r
@@ -315,11 +344,14 @@ def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, Fiel
 
 
 def forced_variables(s: ConstraintSystem) -> set[int]:
-    """The variables the root of `ConstraintSearch` sets, found without
-    values and so over any field: from the root-forced variables, an atom
-    with exactly one place unset, counting repeats (x*x = 1 sets no x),
-    sets that place. It may hold more than the root on a system with no
-    solution, or with a product whose factor the root sets to 0."""
+    """The variables the root of `ConstraintSearch` sets without reading a
+    value, and so over any field: from the root-forced variables, an atom
+    with exactly one place unset, counting repeats (x + x = 1 and x * x = 1
+    set no x), sets that place. The root also solves those repeated places
+    where the characteristic allows (x + x = c when p is odd, x * x = c
+    when p = 2), so on a finite field it may set more. It may hold more
+    than the root on a system with no solution, or with a product whose
+    factor the root sets to 0."""
     incidence, forced = _incidence_and_forced(s)
     known = {i for i, _ in forced}
     queue = list(known)

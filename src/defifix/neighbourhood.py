@@ -17,7 +17,8 @@ maps; the compiler writes the same atoms as formulas. Maps, decisions
 and certificates are runs of the engine (`engine`) on that system: the
 maps are its solutions, the decision enumerates only the target's
 component (`ConstraintSearch.split`), and over any field the one-sided
-certificate is its root propagation without values (`forced_variables`).
+certificate is the part of its root propagation that reads no values
+(`forced_variables`), so a certified target is set at the root.
 Over Q, `facts` narrows the pairs it tests by their residues modulo a
 prime, so a large set costs one C-level pass per element, not exact
 arithmetic per pair. The fixed subfield of a finite field K is read off
@@ -285,10 +286,12 @@ def certify_by_propagation(A: Neighbourhood) -> bool:
     """Sound one-sided check valid over any field: True (Certified) only
     when the facts force f(r)=r. False means Unknown, not refuted.
 
-    This is `forced_variables(fact_system(A))`, the engine's root
-    propagation read without values, and there it is exact: the identity
-    on A is an arithmetic map, so every forced value is the element
-    itself, and the fact system has no product with a factor 0."""
+    This is `forced_variables(fact_system(A))`, the part of the engine's
+    root propagation that reads no values. It is sound: the identity on A
+    is an arithmetic map, so every forced value is the element itself, and
+    the fact system has no product with a factor 0. Over a finite field
+    the root can set more, since the characteristic solves a + a = k or
+    a * a = k there (1/2 + 1/2 = 1 stays Unknown over Q)."""
     return A.target_index in forced_variables(fact_system(A))
 
 

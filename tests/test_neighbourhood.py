@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import operator
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import defifix.neighbourhood
 from defifix import fields
 from defifix.compiler import neighbourhood_to_formula
+from defifix.engine import forced_variables
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from defifix.fields import (
     FieldElement,
@@ -301,11 +303,13 @@ def test_is_neighbourhood_f4_generator_refuted_by_frobenius():
 @pytest.mark.parametrize(
     "spec, elements, target, component, maps",
     [
-        # 3 + 3 = 1 leaves 3 unset at the root, joined to 4 by 4 + 4 = 3
-        ("F5", [4, 1, 3], 3, {0, 2}, 1),
-        # 4 + 4 = 1 alone holds 4; 6 * 6 = 1 lets 6 go to 1 or 6, and the
-        # decision pins it to its first value
-        ("F7", [1, 6, 4], 4, {2}, 2),
+        # 3 + 5 = 1 and 3 * 5 = 1 join 3 and 5, and 5 + 5 = 3 halves
+        # nothing while 3 is unset
+        ("F7", [1, 3, 5], 3, {1, 2}, 1),
+        # 7 + 7 = 1 sets 7 at the root, and 12 * 12 = 1 leaves 12 two roots;
+        # 5 + 7 = 12 and 5 * 5 = 12 join 5 and 12; 3 is in no fact, so it
+        # goes to any of 13 values, and the decision pins it to its first
+        ("F13", [1, 3, 5, 7, 12], 5, {2, 4}, 13),
     ],
 )
 def test_decision_yes_found_by_search(spec, elements, target, component, maps):
@@ -407,13 +411,32 @@ def test_certify_does_no_field_arithmetic(monkeypatch):
     assert certify_by_propagation(A) is True
 
 
+def _root_closure(s, p):
+    """The variables the engine's root sets on a fact system, found without
+    values: `forced_variables`, grown by the rule the characteristic p
+    adds: a + a = k (p odd) or a * a = k (p = 2) sets a once k is set."""
+    solved = Times if p == 2 else Plus
+    known = forced_variables(s)
+    while True:
+        new = {a.i for a in s.atoms if type(a) is solved and a.i == a.j and a.k in known}
+        if new <= known:
+            return known
+        s = dataclasses.replace(s, atoms=s.atoms + tuple(One(x) for x in new - known))
+        known = forced_variables(s)
+
+
 def test_certify_matches_engine_root_propagation():
-    # over a finite field, certification is exactly the engine's root state
+    # over a finite field the engine's root state is certification's closure
+    # plus what the characteristic solves, so a certificate is set there
     rng = random.Random(414)
     for spec, max_size in [("F5", 5), ("F7", 6), ("F11", 7), ("F2^2", 4), ("F2^3", 6), ("F3^2", 7)]:
         for A in _random_subsets(rng, make_field(spec), max_size, 60):
-            root = ConstraintSearch(fact_system(A), A.field).root
-            assert certify_by_propagation(A) == (root[A.target_index] >= 0), A.to_json()
+            s = fact_system(A)
+            root = ConstraintSearch(s, A.field).root
+            set_at_root = {x for x, v in enumerate(root) if v >= 0}
+            assert set_at_root == _root_closure(s, A.field.p), A.to_json()
+            if certify_by_propagation(A):
+                assert root[A.target_index] >= 0, A.to_json()
 
 
 def test_certify_rational_construction():

@@ -485,9 +485,9 @@ def _system(names, atoms):
     return ConstraintSystem(tuple(names.split()), tuple(atoms), 0)
 
 
-# x in no atom beside a component with no solution over F3: o = 1, z = 0,
-# c = -1 are forced at the root, and a * a = c has no root a
-_DEAD_BESIDE_FREE = _system("x o z c a", [One(1), Plus(2, 2, 2), Plus(3, 1, 2), Times(4, 4, 3)])
+# x in no atom beside a component with no solution over F3 that only the
+# search finds: o = 1 is forced at the root, and a * a = o + a has no root a
+_DEAD_BESIDE_FREE = _system("x o a b", [One(1), Times(2, 2, 3), Plus(1, 2, 3)])
 
 
 @settings(max_examples=150, deadline=None)

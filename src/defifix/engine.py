@@ -59,7 +59,7 @@ class ConstraintSystem:
         if not 0 <= self.free_index < n:
             raise NormalizationError("distinguished variable missing from table")
         for a in self.atoms:
-            if any(not 0 <= i < n for i in atom_indices(a)):
+            if not 0 <= a.i < n or (type(a) is not One and not (0 <= a.j < n and 0 <= a.k < n)):
                 raise NormalizationError(f"atom {a} indexes outside the variable table")
 
     @property
@@ -99,14 +99,20 @@ def _incidence_and_forced(
     incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in s.variables]
     forced = []
     for a in s.atoms:
-        if isinstance(a, One):
-            forced.append((a.i, 1))
+        i = a.i
+        if type(a) is One:
+            forced.append((i, 1))
             continue
-        if isinstance(a, Plus) and a.k in (a.i, a.j):
-            forced.append((a.j if a.k == a.i else a.i, 0))
-        entry = (isinstance(a, Times), a.i, a.j, a.k)
-        for i in {a.i, a.j, a.k}:
-            incidence[i].append(entry)
+        j, k = a.j, a.k
+        is_product = type(a) is Times
+        if not is_product and (k == i or k == j):
+            forced.append((j if k == i else i, 0))
+        entry = (is_product, i, j, k)
+        incidence[i].append(entry)
+        if j != i:
+            incidence[j].append(entry)
+        if k != i and k != j:
+            incidence[k].append(entry)
     return incidence, forced
 
 

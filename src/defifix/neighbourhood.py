@@ -6,14 +6,17 @@ and f(a*b)=f(a)*f(b) likewise. A is an arithmetic neighbourhood of r in A
 when every arithmetic map on A fixes r.
 
 Over a finite field the decision is exact. The relation triples holding
-inside A (`facts`) are tested in the ring `fields.ring` picks for the
-|A|^2 pairs: the field's integer kernel when its tables are built (the
-decision builds them first, since its search needs them) or no larger,
-else the field's own FieldElements, so certifying or compiling a few
-elements of a large field builds no O(q) tables. `fact_system` is the one
-place that decides which facts are written down, as a constraint system
-with one variable per element whose solutions are exactly the arithmetic
-maps; the compiler writes the same atoms as formulas. Maps, decisions
+inside A are found by one scan (`_scan`) that tests each unordered pair
+once, in the ring `fields.ring` picks for the |A|^2 pairs: the field's
+integer kernel when its tables are built (the decision builds them
+first, since its search needs them) or no larger, else the field's own
+FieldElements, so certifying or compiling a few elements of a large
+field builds no O(q) tables. `fact_system` is the one place that decides
+which facts are written down, as a constraint system with one variable
+per element whose solutions are exactly the arithmetic maps; the
+compiler writes the same atoms as formulas. Its scan never tests a pair
+whose fact f(1) = 1 and f(0) = 0 imply; `facts`, the complete table in
+both orders, is the same scan with nothing skipped. Maps, decisions
 and certificates are runs of the engine (`engine`) on that system: the
 maps are its solutions, the decision enumerates only the target's
 component (`ConstraintSearch.split`), and over any field the one-sided
@@ -31,9 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import starmap
+from typing import Container, Iterator, Sequence
 
-from .engine import ConstraintSearch, ConstraintSystem, One, Plus, Times, forced_variables
+from .engine import (
+    ConstraintSearch,
+    ConstraintSystem,
+    One,
+    Plus,
+    ThreeAddressAtom,
+    Times,
+    forced_variables,
+)
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from .fields import (
     FieldDescriptor,
@@ -110,19 +122,34 @@ class FactSet:
 _RESIDUE_PRIME = (1 << 30) - 35
 
 
-def _pair_candidates(A: Neighbourhood):
-    """For each index i in turn, the indices j >= i to test as a_i + a_j and
-    as a_i * a_j (both commute, so (j, i) gives the same triple): every
-    one over a finite field.  Over Q only the j whose residue modulo a
-    30-bit prime makes the sum or product land on some element's residue,
-    found by C-level map and set intersection over the rest of the row of
-    residues; a collision only costs one exact test.  An element whose
-    denominator the prime divides sends Q to the full scan."""
+def _tails(n: int, skip: Container[int]) -> Iterator[Sequence[int]]:
+    """For each i < n in turn, the j >= i outside skip; none for i in skip."""
+    kept = [j for j in range(n) if j not in skip]
+    t = 0
+    for i in range(n):
+        if i in skip:
+            yield ()
+        else:
+            yield kept[t:]
+            t += 1
+
+
+def _pair_candidates(
+    A: Neighbourhood, no_sum: Container[int], no_product: Container[int]
+) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+    """For each index i in turn, i with the indices j >= i to test as
+    a_i + a_j and as a_i * a_j (both commute, so (j, i) gives the same
+    triple), leaving out every pair with a place in no_sum, respectively
+    no_product: every other one over a finite field.  Over Q only the j
+    whose residue modulo a 30-bit prime makes the sum or product land on
+    some element's residue, found by C-level map and set intersection over
+    the rest of the row of residues; a collision only costs one exact
+    test.  An element whose denominator the prime divides sends Q to the
+    full scan."""
     n = len(A.elements)
     P = _RESIDUE_PRIME
     if A.field.is_finite or any(a.value.denominator % P == 0 for a in A.elements):
-        for i in range(n):
-            yield range(i, n), range(i, n)
+        yield from zip(range(n), _tails(n, no_sum), _tails(n, no_product))
         return
     res = [a.value.numerator * pow(a.value.denominator, -1, P) % P for a in A.elements]
     by_res: dict[int, list[int]] = {}
@@ -132,39 +159,70 @@ def _pair_candidates(A: Neighbourhood):
     sum_landing = landing | {r + P for r in landing}  # a sum of residues is below 2P
     for i, ri in enumerate(res):
         row = res[i:]
-        sums = sum_landing.intersection(map(ri.__add__, row))
-        sum_js = [j for s in sums for j in by_res[(s - ri) % P] if j >= i]
-        if not ri:
-            yield sum_js, range(i, n)
-            continue
-        inv = pow(ri, -1, P)
-        products = landing.intersection(map(P.__rmod__, map(ri.__mul__, row)))
-        yield sum_js, [j for h in products for j in by_res[h * inv % P] if j >= i]
+        sum_js: Sequence[int] = ()
+        if i not in no_sum:
+            sums = sum_landing.intersection(map(ri.__add__, row))
+            sum_js = [j for s in sums for j in by_res[(s - ri) % P] if j >= i and j not in no_sum]
+        if i in no_product:
+            yield i, sum_js, ()
+        elif not ri:
+            yield i, sum_js, [j for j in range(i, n) if j not in no_product]
+        else:
+            inv = pow(ri, -1, P)
+            products = landing.intersection(map(P.__rmod__, map(ri.__mul__, row)))
+            yield i, sum_js, [
+                j for h in products for j in by_res[h * inv % P] if j >= i and j not in no_product
+            ]
 
 
-def facts(A: Neighbourhood) -> FactSet:
-    """Every sum and product triple inside A, each tested exactly on the
-    pairs `_pair_candidates` offers, in the ring `ring(K, |A|^2)`: the
-    integer kernel when its tables are built or cost no more than the
-    |A|^2 pairs, else K's own FieldElements (always so over Q), so a
-    small set in a large field never pays for the whole field's tables."""
+def _scan(
+    A: Neighbourhood, pruned: bool
+) -> tuple[int | None, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """The one pass over the pairs of A: the index of 1 (None when 1 is not
+    in A) and the sum and product triples (i, j, k), i <= j, each tested
+    exactly on the pairs `_pair_candidates` offers, in the ring
+    `ring(K, |A|^2)`: the integer kernel when its tables are built or cost
+    no more than the |A|^2 pairs, else K's own FieldElements (always so
+    over Q), so a small set in a large field never pays for the whole
+    field's tables.  When pruned, no pair is tested whose fact f(1) = 1 and
+    f(0) = 0 imply: no sum with a summand 0, no product with a factor 0 or
+    1; 0 + 0 = 0, which pins f(0) = 0, is written without a test."""
     R = ring(A.field, len(A.elements) ** 2)
     values = [R.index(a) for a in A.elements]
-    add, mul, one = R.add, R.mul, R.coeff(1)
+    add, mul = R.add, R.mul
     index = {a: i for i, a in enumerate(values)}
-    ones = frozenset(i for i, a in enumerate(values) if a == one)
-    sums = set()
-    products = set()
-    for (i, a), (sum_js, product_js) in zip(enumerate(values), _pair_candidates(A)):
+    zero, one = index.get(R.coeff(0)), index.get(R.coeff(1))
+    sums: list[tuple[int, int, int]] = []
+    products: list[tuple[int, int, int]] = []
+    no_sum: Container[int] = ()
+    no_product: Container[int] = ()
+    if pruned:
+        no_sum, no_product = {zero}, {zero, one}
+        if zero is not None:
+            sums.append((zero, zero, zero))
+    for i, sum_js, product_js in _pair_candidates(A, no_sum, no_product):
+        a = values[i]
         for j in sum_js:
             k = index.get(add(a, values[j]))
             if k is not None:
-                sums.update(((i, j, k), (j, i, k)))
+                sums.append((i, j, k))
         for j in product_js:
             k = index.get(mul(a, values[j]))
             if k is not None:
-                products.update(((i, j, k), (j, i, k)))
-    return FactSet(ones, frozenset(sums), frozenset(products))
+                products.append((i, j, k))
+    return one, sums, products
+
+
+def facts(A: Neighbourhood) -> FactSet:
+    """Every sum and product triple inside A, in both orders: the unpruned
+    `_scan`, the same pass over the pairs that `fact_system` makes, with
+    no pair skipped."""
+    one, sums, products = _scan(A, pruned=False)
+    return FactSet(
+        frozenset(() if one is None else (one,)),
+        frozenset(sums + [(j, i, k) for i, j, k in sums]),
+        frozenset(products + [(j, i, k) for i, j, k in products]),
+    )
 
 
 @dataclass(frozen=True)
@@ -194,21 +252,15 @@ def fact_system(A: Neighbourhood) -> ConstraintSystem:
     f(1) = 1 and f(0) = 0 already imply it: a sum with a summand 0 (other
     than 0 + 0 = 0, which is what pins f(0) = 0) and a product with a
     factor 0 or 1.  The pruned atoms hold under every map the kept ones
-    force, so the solutions are those of the full fact list."""
-    fs = facts(A)
-    zero = {i for i, j, k in fs.sums if i == j == k}  # a + a = a only for a = 0
-    constants = zero | fs.ones
-    atoms = [One(i) for i in sorted(fs.ones)]
-    atoms += [
-        Plus(i, j, k)
-        for i, j, k in sorted(fs.sums)
-        if i <= j and (i == j == k or zero.isdisjoint((i, j)))
-    ]
-    atoms += [
-        Times(i, j, k)
-        for i, j, k in sorted(fs.products)
-        if i <= j and constants.isdisjoint((i, j))
-    ]
+    force, so the solutions are those of the full fact list.  The pruned
+    `_scan` never tests the pairs it leaves out; `facts` is the same scan
+    with nothing skipped."""
+    one, sums, products = _scan(A, pruned=True)
+    sums.sort()
+    products.sort()
+    atoms: list[ThreeAddressAtom] = [] if one is None else [One(one)]
+    atoms += starmap(Plus, sums)
+    atoms += starmap(Times, products)
     names = tuple(element_str(a) for a in A.elements)
     return ConstraintSystem(names, tuple(atoms), A.target_index)
 

@@ -1,6 +1,7 @@
-"""The engine's propagation of atoms whose two operand places are one
-variable, x + x = c and x * x = c, and a differential check of the search
-against full enumeration."""
+"""The validation of constraint systems and the incidence lists the
+search reads, the engine's propagation of atoms whose two operand places
+are one variable, x + x = c and x * x = c, and a differential check of the
+search against full enumeration."""
 
 import itertools
 
@@ -8,12 +9,51 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defifix.engine import ConstraintSearch, ConstraintSystem, One, Plus, Times
+from defifix.engine import (
+    ConstraintSearch,
+    ConstraintSystem,
+    One,
+    Plus,
+    Times,
+    _incidence_and_forced,
+)
+from defifix.errors import NormalizationError
 from defifix.fields import enumerate_elements, int_field, make_field
 
 
 def _system(names, atoms, free=0):
     return ConstraintSystem(tuple(names.split()), tuple(atoms), free)
+
+
+@pytest.mark.parametrize("free", [-1, 3])
+def test_system_rejects_a_free_index_outside_the_table(free):
+    with pytest.raises(NormalizationError, match="^distinguished variable missing from table$"):
+        _system("a b c", [], free)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [One(-1), One(3), Plus(-1, 0, 1), Plus(0, 3, 1), Plus(0, 1, 3), Times(3, 0, 1),
+     Times(0, -1, 1), Times(0, 1, -1)],
+)
+def test_system_names_the_first_atom_outside_the_table(bad):
+    later = Times(0, 4, 1)
+    with pytest.raises(NormalizationError) as raised:
+        _system("a b c", [One(0), Plus(0, 0, 1), bad, later])
+    assert str(raised.value) == f"atom {bad} indexes outside the variable table"
+
+
+def test_incidence_lists_each_atom_once_per_distinct_place():
+    s = _system("z o x y", [Plus(0, 0, 0), One(1), Times(2, 2, 1), Plus(3, 2, 3), Times(2, 3, 2)])
+    incidence, forced = _incidence_and_forced(s)
+    assert incidence == [
+        [(False, 0, 0, 0)],
+        [(True, 2, 2, 1)],
+        [(True, 2, 2, 1), (False, 3, 2, 3), (True, 2, 3, 2)],
+        [(False, 3, 2, 3), (True, 2, 3, 2)],
+    ]
+    # 1 for a One atom, 0 for the other summand of x + y = y and of 0 + 0 = 0
+    assert forced == [(0, 0), (1, 1), (2, 0)]
 
 
 def _pinned(search, var, v):

@@ -345,37 +345,110 @@ def test_monotone_under_superset():
         assert is_neighbourhood(B).yes
 
 
+def _pruned_facts(A):
+    """The atoms `fact_system` writes, read off the full `facts` table:
+    each (i, j) once with i <= j, no sum with a summand 0 but 0 + 0 = 0, no
+    product with a factor 0 or 1."""
+    fs = facts(A)
+    e = A.elements
+    zero, one = A.field.zero(), A.field.one()
+    return (
+        [One(i) for i in sorted(fs.ones)]
+        + [
+            Plus(i, j, k)
+            for i, j, k in sorted(fs.sums)
+            if i <= j and (i == j == k or zero not in (e[i], e[j]))
+        ]
+        + [
+            Times(i, j, k)
+            for i, j, k in sorted(fs.products)
+            if i <= j and not {e[i], e[j]} & {zero, one}
+        ]
+    )
+
+
+def _assert_pruned_facts(A):
+    s = fact_system(A)
+    assert list(s.atoms) == _pruned_facts(A), A.to_json()
+    pairs = [(type(a), a.i, a.j) for a in s.atoms if not isinstance(a, One)]
+    assert all(i <= j for _, i, j in pairs) and len(set(pairs)) == len(pairs)
+    return s
+
+
 def test_fact_system_writes_each_pair_once_and_prunes_implied_facts():
-    # over the full `facts` table: each (i, j) once with i <= j, no sum with
-    # a summand 0 but 0 + 0 = 0, no product with a factor 0 or 1; and the
-    # same solutions, in the same order, as the naive filter of all maps
+    # the pruning rule over the full `facts` table, and the same solutions,
+    # in the same order, as the naive filter of all maps
     rng = random.Random(415)
     for spec, max_size in [("F5", 5), ("F7", 4), ("F2^2", 4), ("F3^2", 4)]:
         K = make_field(spec)
-        zero, one = K.zero(), K.one()
         for A in _random_subsets(rng, K, max_size, 25):
-            fs = facts(A)
-            e = A.elements
-            want = (
-                [One(i) for i in sorted(fs.ones)]
-                + [
-                    Plus(i, j, k)
-                    for i, j, k in sorted(fs.sums)
-                    if i <= j and (i == j == k or zero not in (e[i], e[j]))
-                ]
-                + [
-                    Times(i, j, k)
-                    for i, j, k in sorted(fs.products)
-                    if i <= j and not {e[i], e[j]} & {zero, one}
-                ]
-            )
-            s = fact_system(A)
-            assert list(s.atoms) == want, A.to_json()
-            pairs = [(type(a), a.i, a.j) for a in s.atoms if not isinstance(a, One)]
-            assert all(i <= j for _, i, j in pairs) and len(set(pairs)) == len(pairs)
+            s = _assert_pruned_facts(A)
             T = int_field(K)
             got = [tuple(map(T.element, v)) for v in ConstraintSearch(s, K).solutions()]
             assert got == naive_maps(A), A.to_json()
+    # larger fields, on the kernel, the whole field among the sets
+    for spec in ("F13", "F17", "F2^4", "F3^3", "F5^2"):
+        K = make_field(spec)
+        int_field(K)
+        for A in _random_subsets(rng, K, 12, 20):
+            _assert_pruned_facts(A)
+        _assert_pruned_facts(Neighbourhood(K, tuple(enumerate_elements(K)), 1))
+    # Q: random rationals, rational neighbourhoods, and a denominator the
+    # residue prime divides, which takes the full scan
+    P = 2**30 - 35
+    pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(12)] + [0, 1, -1, P]
+    for _ in range(60):
+        values = dict.fromkeys(rng.sample(pool, rng.randint(1, 9)))
+        _assert_pruned_facts(Neighbourhood(Q, tuple(Q.element(v) for v in values), 0))
+    for c, d in ((5, 3), (-7, 12), (1000001, 999), (1, 2), (-1, 1)):
+        _assert_pruned_facts(nbhd_rational(Fraction(c, d), Q))
+    _assert_pruned_facts(
+        neighbourhood(Q, [1, 2, Fraction(1, P), Fraction(2, P), Fraction(3, P), 3, P, 0], Fraction(1, P))
+    )
+    # a small set of a large field is scanned on FieldElements
+    K = make_field("F1000003")
+    _assert_pruned_facts(neighbourhood(K, [0, 1, 2, 3, 6, K.p - 1, (K.p + 1) // 2], 6))
+    assert K not in fields._INT_FIELDS
+
+
+def _counting(monkeypatch):
+    """Wrap the kernel's add and mul in counters of their calls."""
+    calls = {"add": 0, "mul": 0}
+    for name in calls:
+        op = getattr(fields.IntField, name)
+
+        def counted(T, a, b, op=op, name=name):
+            calls[name] += 1
+            return op(T, a, b)
+
+        monkeypatch.setattr(fields.IntField, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F7", "F2^2", "F3^2", "F13"])
+def test_fact_system_tests_no_pair_whose_fact_it_prunes(monkeypatch, spec):
+    # each pair is tested at most once, as a sum only when neither summand
+    # is 0 and as a product only when neither factor is 0 or 1
+    K = make_field(spec)
+    elems = enumerate_elements(K)
+    int_field(K)
+    calls = _counting(monkeypatch)
+    for A in [Neighbourhood(K, tuple(elems), 0), *_random_subsets(random.Random(416), K, len(elems), 10)]:
+        calls.update(add=0, mul=0)
+        fact_system(A)
+        m = sum(a != K.zero() for a in A.elements)
+        m1 = sum(a not in (K.zero(), K.one()) for a in A.elements)
+        assert calls["add"] <= m * (m + 1) // 2, A.to_json()
+        assert calls["mul"] <= m1 * (m1 + 1) // 2, A.to_json()
+
+
+def test_fact_system_on_all_of_f7_tests_21_sums_and_15_products(monkeypatch):
+    # the 6 * 7 / 2 pairs of nonzero elements and the 5 * 6 / 2 pairs of
+    # elements other than 0 and 1
+    int_field(F7)
+    calls = _counting(monkeypatch)
+    fact_system(Neighbourhood(F7, tuple(enumerate_elements(F7)), 0))
+    assert calls == {"add": 21, "mul": 15}
 
 
 def test_certify_chain():
@@ -399,9 +472,10 @@ def test_certify_stays_unknown_without_a_single_unknown_place():
 
 
 def test_certify_does_no_field_arithmetic(monkeypatch):
+    # once the facts are found, certification computes nothing in the field
     A = nbhd_rational(Fraction(5, 3), Q)
-    fs = facts(A)
-    monkeypatch.setattr(defifix.neighbourhood, "facts", lambda B: fs)
+    found = defifix.neighbourhood._scan(A, pruned=True)
+    monkeypatch.setattr(defifix.neighbourhood, "_scan", lambda B, pruned: found)
 
     def refuse(*args):
         raise AssertionError("field arithmetic during certification")

@@ -197,7 +197,8 @@ def _cmd_nbhd_check(args):
 def _cmd_nbhd_maps(args):
     K = defifix.make_field(args.field)
     elements = _parse_elements(K, args.elements)
-    A = defifix.Neighbourhood(K, tuple(elements), 0)
+    # duplicates merge, first occurrence winning, as in every other subcommand
+    A = defifix.neighbourhood.neighbourhood(K, elements, elements[0])
     maps = defifix.enumerate_arithmetic_maps(A, _cap(args, defifix.neighbourhood.DEFAULT_MAP_CAP))
     return 0, {
         "field": K.spec(),
@@ -392,26 +393,19 @@ def run(args) -> tuple[int, dict]:
         return 2, {"error": {"code": "io", "message": str(e)}}
 
 
-def _render_text(payload, indent: int = 0) -> list[str]:
+def _render_text(payload, indent: int = 0):
+    """Indented lines: `key:` heads for a mapping, `-` heads for a list."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(value)}")
-        return lines
-    if isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(value)}")
-        return lines
-    return [f"{pad}{_scalar(payload)}"]
+        heads = ((f"{pad}{key}:", value) for key, value in payload.items())
+    else:
+        heads = ((f"{pad}-", value) for value in payload)
+    for head, value in heads:
+        if isinstance(value, (dict, list)):
+            yield head
+            yield from _render_text(value, indent + 1)
+        else:
+            yield f"{head} {_scalar(value)}"
 
 
 def _scalar(value) -> str:

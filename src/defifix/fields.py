@@ -41,6 +41,16 @@ def _read_int(text: str) -> int:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(body)
 
+
+def _read_coefficients(text: str) -> list[int]:
+    """The integers of a comma list such as "1,0,1", in at most one pair of
+    enclosing brackets: any other bracket is part of an entry, which
+    `_read_int` refuses ("[1", "[[1]]"), as it refuses the empty "[]"."""
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    return [_read_int(c) for c in body.split(",")]
+
 # `_poly_is_irreducible` is one gcd for degrees up to 5; raising this past
 # 5 needs one gcd per divisor degree of the modulus
 MAX_EXTENSION_DEGREE = 4
@@ -387,8 +397,9 @@ def make_field(spec: str) -> FieldDescriptor:
     """Build a field descriptor from a specification string.
 
     Accepted forms: "Q", "F<p>", "F<p>^<k>", and "F<p>^<k>:<c0,c1,...,ck>"
-    with an explicit monic modulus (ascending coefficients). When the
-    modulus is omitted the canonical (smallest) irreducible one is chosen.
+    with an explicit monic modulus (ascending coefficients, `_read_coefficients`).
+    When the modulus is omitted the canonical (smallest) irreducible one is
+    chosen. p must be below `_MR_EXACT_BELOW`, where primality is exact.
     """
     spec = spec.strip()
     if spec == "Q":
@@ -397,15 +408,16 @@ def make_field(spec: str) -> FieldDescriptor:
     if not m:
         raise FieldSpecError(f"malformed field spec {spec!r}")
     p = int(m.group(1))
+    if p >= _MR_EXACT_BELOW:
+        raise FieldSpecError(f"characteristic {p} is too large; it must be below {_MR_EXACT_BELOW}")
     if _prime_factors(p) != [p]:
         raise FieldSpecError(f"{p} is not prime; use extension syntax F<p>^<k> for prime powers")
     k = int(m.group(2)) if m.group(2) else 1
     if k < 1 or k > MAX_EXTENSION_DEGREE:
         raise FieldSpecError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}, got {k}")
     if m.group(3) is not None:
-        raw = m.group(3).strip().strip("[]")
         try:
-            coeffs = tuple(_read_int(c) % p for c in raw.split(","))
+            coeffs = tuple(c % p for c in _read_coefficients(m.group(3)))
         except ValueError:
             raise FieldSpecError(f"malformed modulus {m.group(3)!r}") from None
         if len(coeffs) != k + 1 or coeffs[-1] != 1:
@@ -655,13 +667,13 @@ def element_str(a: FieldElement) -> str:
 
 def parse_element(text: str, field: FieldDescriptor) -> FieldElement:
     """Parse the canonical element forms; bare integers and "c/d" embed into
-    finite fields through the characteristic map."""
+    finite fields through the characteristic map. A coefficient vector is
+    read by `_read_coefficients`, except that the exact text "[]" is 0."""
     text = text.strip()
     if text.startswith("["):
         if not field.is_finite:
             raise FieldSpecError("coefficient-vector syntax is only for finite fields")
-        body = text.strip("[]")
-        coeffs = [_read_int(c) for c in body.split(",")] if body else [0]
+        coeffs = [0] if text == "[]" else _read_coefficients(text)
         if len(coeffs) > field.degree:
             raise FieldSpecError(
                 f"vector of length {len(coeffs)} too long for degree {field.degree}"

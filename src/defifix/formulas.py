@@ -15,8 +15,10 @@ Grammar (precedence from loosest to tightest):
                and division by nonzero integer constants (rationals)
     NAME    := ASCII letter or "_", then ASCII letters, digits and "_"
 
-Tokens carry their offset in the text; a syntax error reports the line
-and column it falls on, both from 1, where only "\n" starts a line.
+The lexer is one token table, `_TOKEN_RE`: after whitespace, a NAME (the
+pattern `is_name` matches), an integer of ASCII digits, punctuation, or any
+other character, an error. Tokens carry their offset in the text; a syntax
+error reports its line and column, both from 1, where only "\n" starts a line.
 
 "a != b" is sugar for "~(a = b)" and the printer emits it back in that
 form. Conjunction and disjunction chains are stored as n-ary nodes in
@@ -27,6 +29,7 @@ structural identity.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -104,20 +107,24 @@ def disj(parts) -> Formula:
 # -- tokenizer ---------------------------------------------------------------
 
 _KEYWORDS = {"exists", "forall"}
-_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_DIGITS = frozenset("0123456789")
-_NAME_PART = _NAME_START | _DIGITS
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# Each match skips whitespace and takes the first entry that fits; OTHER
+# takes any other character, so only trailing whitespace goes unmatched.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    rf"(?P<NAME>{_NAME})"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<PUNCT><->|->|!=|[()+\-*^=,.|&~/])"
+    r"|(?P<OTHER>\S))"
+)
 # the tokens that can follow a parenthesized term inside an atom
 _AFTER_TERM = frozenset(("^", "*", "/", "+", "-", "=", "!="))
 
 
 def is_name(text: str) -> bool:
     """Whether text reads as one variable or predicate name."""
-    return (
-        text[:1] in _NAME_START
-        and all(c in _NAME_PART for c in text[1:])
-        and text not in _KEYWORDS
-    )
+    # compiled on first use, through re's cache: only schemas ask
+    return re.fullmatch(_NAME, text) is not None and text not in _KEYWORDS
 
 
 @dataclass
@@ -134,31 +141,14 @@ def _position(text: str, pos: int) -> tuple[int, int]:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _NAME_PART:
-            kind, part = ("NAME", _NAME_PART) if c in _NAME_START else ("INT", _DIGITS)
-            j = i + 1
-            while j < n and text[j] in part:
-                j += 1
-            tokens.append(_Token(kind, text[i:j], i))
-            i = j
-            continue
-        if text[i : i + 3] == "<->":
-            j = i + 3
-        elif text[i : i + 2] in ("->", "!="):
-            j = i + 2
-        elif c in "()+-*^=,.|&~/":
-            j = i + 1
-        else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", *_position(text, i))
-        tokens.append(_Token("PUNCT", text[i:j], i))
-        i = j
-    tokens.append(_Token("END", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "OTHER":
+            raise FormulaSyntaxError(
+                f"unexpected character {m.group(kind)!r}", *_position(text, m.start(kind))
+            )
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
@@ -290,12 +280,12 @@ class _Parser:
     # -- term levels ---------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.product()
+        parts = [self.product()]
         while self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self.product()
-            t = t + rhs if op == "+" else t - rhs
-        return t
+            parts.append(rhs if op == "+" else -rhs)
+        return parts[0] if len(parts) == 1 else Term.sum(parts)
 
     def product(self) -> Term:
         t = self.factor()

@@ -291,6 +291,17 @@ def test_eval_over_a_quartic_extension_of_a_large_prime_is_quick():
     assert data["value"] is True
 
 
+def test_a_characteristic_past_the_exact_primality_bound_is_a_field_spec_error():
+    # 2^89 - 1 is prime, but deciding it by trial division would never end
+    start = time.process_time()
+    code, data = payload("nbhd", "certify", "--field", f"F{2**89 - 1}",
+                         "--elements", "1,2", "--target", "2")
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert data["error"]["code"] == "field-spec"
+    assert str(fields._MR_EXACT_BELOW) in data["error"]["message"]
+
+
 def test_nbhd_rational_huge_integer():
     q = str(10**400)
     start = time.process_time()
@@ -514,6 +525,14 @@ def test_identical_invocations_byte_identical():
     assert invoke(*argv) == invoke(*argv)
     argv = ("nbhd", "rational", "--q", "5/3", "--seed", "9")
     assert invoke(*argv) == invoke(*argv)
+
+
+def test_nbhd_maps_merges_duplicate_elements_like_the_other_subcommands():
+    # first occurrence wins, as in nbhd check, nbhd certify and compile
+    assert invoke("nbhd", "maps", "--field", "F7", "--elements", "1,1,2") == \
+        invoke("nbhd", "maps", "--field", "F7", "--elements", "1,2")
+    assert invoke("nbhd", "maps", "--field", "F2^2", "--elements", "[0,1],[1],[0,1]") == \
+        invoke("nbhd", "maps", "--field", "F2^2", "--elements", "[0,1],[1]")
 
 
 def test_cap_env_override(monkeypatch):

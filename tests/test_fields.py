@@ -288,6 +288,35 @@ def test_numbers_are_ascii_digits():
     assert parse_element("[ 1, -2 ]", make_field("F7^2")) == make_field("F7^2").element([1, 5])
 
 
+def test_a_coefficient_list_takes_at_most_one_pair_of_brackets():
+    K = make_field("F7^2")
+    for bad in ["[", "[1", "[[1]]", "[1,2]]"]:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_element(bad, K)
+    for bad in ["F7^2:[1,0,1", "F7^2:1,0,1]", "F7^2:[[1,0,1]]"]:
+        with pytest.raises(FieldSpecError, match=re.escape(f"malformed modulus {bad[5:]!r}")):
+            make_field(bad)
+    # one pair of brackets, or none, reads as before (`[ 1, -2 ]`, `[٣]` and
+    # "F7^2: 1 , 0 , 1 " are in test_numbers_are_ascii_digits)
+    assert parse_element("[]", K) == K.zero()
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        parse_element("[ ]", K)
+    assert make_field("F7^2:[1,0,1]") == make_field("F7^2:1,0,1")
+
+
+def test_a_characteristic_past_the_exact_primality_bound_is_refused_at_once():
+    start = time.process_time()
+    with pytest.raises(FieldSpecError, match=f"must be below {fields._MR_EXACT_BELOW}$"):
+        make_field(f"F{2**89 - 1}")
+    with pytest.raises(FieldSpecError, match="too large"):
+        make_field(f"F{fields._MR_EXACT_BELOW}^2")
+    # below the bound a prime still builds, and a composite keeps its message
+    assert make_field(f"F{2**61 - 1}").p == 2**61 - 1
+    with pytest.raises(FieldSpecError, match=f"^{fields._MR_EXACT_BELOW - 2} is not prime"):
+        make_field(f"F{fields._MR_EXACT_BELOW - 2}")
+    assert time.process_time() - start < 1.0
+
+
 def test_field_axioms_sampled():
     rng = random.Random(402)
     fields = [make_field(s) for s in ["Q", "F7", "F2^2", "F3^2", "F2^3"]]

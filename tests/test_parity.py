@@ -1,0 +1,32 @@
+"""Pinned digests of the parity corpus (`tests/_parity.py`).
+
+A change meant to keep every output byte-identical keeps every digest.
+A change that moves outputs on purpose names each moved family in
+CHANGES.md and pins its new digest here.
+"""
+
+import pytest
+
+from _parity import FAMILIES, digest
+
+DIGESTS = {
+    "decide": "f905f2603026163ab9a1b545ea2d1cfe628e7176447984d91f602c6e77ec5c6a",
+    "maps": "596909a53b4bf01f81144a2bb946675c5248972c51115d5ee9d3de2b03f77235",
+    "certify": "9a05dc7aaeab5db0793cf97d3ea9b50c3783bd53d1dd103d3a43fdfe87b28800",
+    "automorphisms": "3102af26f856e4102403c87c5699fc588dca8cd3b053e23f0f3243313dfea28c",
+    "normalize": "3e03429d9df509e390aaa34bc25c53a2dd16a8f8596cd44902c808bd510f1f8d",
+    "compile": "ea2b340e8a608a69ac5a8c3d1ac0004ea1a9dfc800349d1c5a83520083426d9a",
+    "rational": "5886766d98c8dc1b3c7e5623abd5ffa4bfda586a9bc4aaff27d5065590e932ca",
+    "curve": "85bb221ccf9b5cc5aaf60543814cbd4e94dfab898ffa4e681dafd3f6f52266ee",
+    "text": "64b312e5c11125c512862c8ba8af5538e6ea3546a0896e615f0577fbb702e14e",
+    "cli": "5c063ccb06175a45809654ae8614caee3b0d6a1e41bc0c849886bb98e5b1236a",
+}
+
+
+def test_every_family_is_pinned():
+    assert set(DIGESTS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(DIGESTS))
+def test_parity_digest(family):
+    assert digest(family) == DIGESTS[family]

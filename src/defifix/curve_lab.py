@@ -12,16 +12,21 @@ abscissas to abscissas injectively, and so fixes each t_k.
 
 The assembly stops once the set holds all of K, which most curves reach
 within their first point's grid-scaled monomials, so their 2^n - 1
-products are never built.  On such a closure, A = K, the arithmetic maps
-are the automorphisms of K (`neighbourhood.automorphisms`), read without
-a search; a smaller closure has its maps searched.
+products are never built, and the products cap is never consulted.  On
+such a closure, A = K, the arithmetic maps are the automorphisms of K
+(`neighbourhood.automorphisms`), read without a search; a smaller closure
+has its maps searched.
 
-The abscissa scan and the whole closure construction run on the element
-indices of the field's integer kernel (`fields.int_field`), with g
-compiled once (`Term.compile`). The on-curve check of `CurveData` runs in
-`fields.ring(K, n)`, so n points given by hand in a large field do not
-tabulate it. Points, closure elements, targets and the grid image become
-FieldElements only in `CurveData` and `ClosureRecipe`.
+Each abscissa is paired with its first partner in O(q) evaluations when
+g separates as a(y) + b(x), from a table of a's values; a g with a
+monomial in both x and y is scanned at up to q^2 points.  W(m) is built
+once per height.  The partner search and the whole closure construction
+run on the element indices of the field's integer kernel
+(`fields.int_field`), with g compiled once (`Term.compile`). The on-curve
+check of `CurveData` runs in `fields.ring(K, n)`, so n points given by
+hand in a large field do not tabulate it. Points, closure elements,
+targets and the grid image become FieldElements only in `CurveData` and
+`ClosureRecipe`.
 """
 
 from dataclasses import dataclass
@@ -48,14 +53,39 @@ DEFAULT_CLOSURE_CAP = 10**6
 def _first_partners(g: Term, K: FieldDescriptor) -> list[tuple[int, int]]:
     """(u, s) as element indices of `int_field(K)`, s the first partner of u
     in enumeration order, for every abscissa u of g = 0 in enumeration
-    order."""
+    order.
+
+    A g with no monomial in both x and y is a(y) + b(x), and g(u, s) = 0
+    exactly when a(s) = -b(u). So a is evaluated once at every s, keeping
+    the first s for each value, and each u costs one evaluation of b and
+    one lookup: 2q evaluations. Any other g is scanned at up to q^2
+    points. g is first evaluated at (0, 0), the scan's first point, so an
+    undefined coefficient or a variable besides x and y raises the same
+    `EvaluationError` on either path."""
     if not K.is_finite:
         raise InfiniteFieldError("abscissa scan needs a finite field")
     T = int_field(K)
     g_at = g.compile(T)
+    g_at({"x": 0, "y": 0})
+    in_y, in_x = [], []
+    for mono, c in g.coeffs:
+        names = {v for v, _ in mono}
+        if names == {"x", "y"}:
+            return _scanned_partners(g_at, T.q)
+        (in_x if "x" in names else in_y).append((mono, c))
+    a_at, b_at = Term(tuple(in_y)).compile(T), Term(tuple(in_x)).compile(T)
+    first: dict[int, int] = {}
+    for s in range(T.q):
+        first.setdefault(a_at({"y": s}), s)
+    neg = T.neg
+    return [(u, first[v]) for u in range(T.q) if (v := neg[b_at({"x": u})]) in first]
+
+
+def _scanned_partners(g_at, q: int) -> list[tuple[int, int]]:
+    """`_first_partners` by evaluating the compiled g at up to q^2 points."""
     out = []
-    for u in range(T.q):
-        for s in range(T.q):
+    for u in range(q):
+        for s in range(q):
             if g_at({"x": u, "y": s}) == 0:
                 out.append((u, s))
                 break
@@ -90,14 +120,16 @@ def coefficient_table(g: Term) -> tuple[int, dict]:
     return m, h
 
 
-def w_set(m: int) -> list[Fraction]:
-    """0 together with all c/d for c,d in +-{1..m}, ascending."""
+@cache
+def w_set(m: int) -> tuple[Fraction, ...]:
+    """0 together with all c/d for c,d in +-{1..m}, ascending; built once
+    per m."""
     out = {Fraction(0)}
     for c in range(1, m + 1):
         for d in range(1, m + 1):
             out.add(Fraction(c, d))
             out.add(Fraction(-c, d))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def elementary_symmetric(k: int, values) -> FieldElement:
@@ -244,22 +276,22 @@ def build_closure(
     log2(cap)).  mode="prefix" keeps only the prefix sums of each point's
     monomial sequence and of each product list M_k — linear-size, and still
     forcing: each prefix chain pins the next partial sum by induction, and
-    any superset of a neighbourhood is one.  Both modes take the 2^n - 1
-    products of distinct abscissas, so n must stay within log2(cap) too;
-    that is checked before any product is built.
+    any superset of a neighbourhood is one.  Both modes read the 2^n - 1
+    products of distinct abscissas, so n must stay within log2(cap) too
+    when the closure needs them; that is checked before any product is
+    built.
 
     The candidates are read as one stream, first occurrence winning, and
     the stream stops once the closure holds all of K: nothing after that
     can change the set or its order.  So a curve whose grid-scaled
-    monomials already fill K never builds its products or subset sums.
+    monomials already fill K never builds its products or subset sums,
+    and no number of abscissas makes it exceed the products cap.
     All of it runs on the element indices of `int_field`; only the
     recipe's elements, targets and grid image are made FieldElements.
     """
     if mode not in ("paper", "prefix"):
         raise ValueError(f"unknown mode {mode!r}")
     n = c.n
-    if 2**n - 1 > cap:
-        raise CapExceededError(f"{n} abscissas give more than {cap} products")
     T = int_field(c.field)
     add, mul, power = T.add, T.mul, T.pow
     u = [T.index(a) for a in c.abscissas]
@@ -276,6 +308,8 @@ def build_closure(
     def products() -> list[list[int]]:
         # M_1, ..., M_n: the products of k distinct abscissas; the product
         # over a mask is its lowest abscissa times the product over the rest
+        if 2**n - 1 > cap:
+            raise CapExceededError(f"{n} abscissas give more than {cap} products")
         by_mask = [1] * (1 << n)
         for mask in range(1, len(by_mask)):
             low = mask & -mask

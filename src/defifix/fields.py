@@ -410,7 +410,7 @@ def make_field(spec: str) -> FieldDescriptor:
     p = int(m.group(1))
     if p >= _MR_EXACT_BELOW:
         raise FieldSpecError(f"characteristic {p} is too large; it must be below {_MR_EXACT_BELOW}")
-    if _prime_factors(p) != [p]:
+    if not _is_small_prime(p):
         raise FieldSpecError(f"{p} is not prime; use extension syntax F<p>^<k> for prime powers")
     k = int(m.group(2)) if m.group(2) else 1
     if k < 1 or k > MAX_EXTENSION_DEGREE:
@@ -463,6 +463,14 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_small_prime(n: int) -> bool:
+    """Whether n < _MR_EXACT_BELOW is prime: trial division by the bases,
+    then Miller-Rabin, exact there. No factor is searched for."""
+    if n in _MR_BASES:
+        return True
+    return n > 1 and all(n % b for b in _MR_BASES) and _is_prime(n)
 
 
 def _rho_factor(n: int) -> int:

@@ -382,10 +382,15 @@ def combine(kind: str, *inputs: Neighbourhood, field: FieldDescriptor | None = N
 
 def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     """A neighbourhood of the image of the rational q in K, built from the
-    closure combinators with binary doubling (O(log) size), the doubling
-    chains of the integers done in one pass each. In characteristic p the
-    denominator must be invertible. A string is an ASCII fraction such as
-    "5/3" or "1.5", without `_`."""
+    closure combinators with binary doubling (O(log) size). In
+    characteristic p the denominator must be invertible. A string is an
+    ASCII fraction such as "5/3" or "1.5", without `_`.
+
+    Each combinator step puts its new values first and keeps the first
+    occurrence of each value, so the set is the list of values the steps
+    produce, newest first, first occurrence winning, and it is built by
+    one call of `neighbourhood`: `combine` applied step by step gives the
+    same set."""
     if isinstance(q, float):
         raise TypeError(f"{q!r} is a float; give an int, a Fraction or a string")
     if isinstance(q, str) and (not q.isascii() or "_" in q):
@@ -399,28 +404,31 @@ def nbhd_rational(q, K: FieldDescriptor) -> Neighbourhood:
     if K.is_finite and d % K.p == 0:
         raise ZeroDivisionError(f"denominator {d} vanishes in {K.spec()}")
     if c == 0:
-        return combine("zero", field=K)
+        return neighbourhood(K, [0], 0)
 
-    def ints(n: int) -> Neighbourhood:
-        # n >= 1 by doubling along the bits of n from the top: k -> 2k, then
-        # 2k + 1 on a set bit.  Each step of add(A(k), A(k)) and
-        # add(A(2k), A(1)) puts its new value first, so the set is the
-        # produced values newest first, first occurrence winning.
+    def ints(n: int) -> list:
+        # n >= 1 by doubling along the bits of n from the top: k -> 2k by
+        # add(A(k), A(k)), then 2k + 1 by add(A(2k), A(1)) on a set bit
         values = [1]
         for bit in bin(n)[3:]:
             values.append(2 * values[-1])
             if bit == "1":
                 values.append(values[-1] + 1)
-        return neighbourhood(K, reversed(values), values[-1])
+        return values[::-1]
 
-    if c == 1 and d > 1:
-        return combine("inv", ints(d))
-    num = ints(abs(c))
+    # neg(A) is 0, -r, then A; inv(A) is 1, 1/r, then A; mul(A, B) is the
+    # product, then A, then B
+    values = ints(abs(c))
     if c < 0:
-        num = combine("neg", num)
+        values = [0, c, *values]
     if d == 1:
-        return num
-    return combine("mul", num, combine("inv", ints(d)))
+        return neighbourhood(K, values, c)
+    inverse = K.element(d).inverse()
+    reciprocal = [1, inverse, *ints(d)]
+    if c == 1:
+        return neighbourhood(K, reciprocal, inverse)
+    r = K.element(c) * inverse
+    return neighbourhood(K, [r, *values, *reciprocal], r)
 
 
 def automorphisms(K: FieldDescriptor) -> Iterator[list[int]]:

@@ -466,11 +466,24 @@ def test_curve_lab_all_claims_hold():
 
 
 def test_curve_lab_cap_bounds_abscissa_products():
-    # three abscissas over F5 give seven products
-    code, data = payload("curve-lab", "--field", "F5",
-                         "--poly", "y^2 - x^3 - x", "--cap", "6")
+    # two abscissas over F5^2 give three products, which the 9-element
+    # closure reads
+    code, data = payload("curve-lab", "--field", "F5^2",
+                         "--poly", "x^2 - 2", "--cap", "2")
     assert code == 1
     assert data["error"]["code"] == "cap-exceeded"
+    assert data["error"]["message"] == "2 abscissas give more than 2 products"
+
+
+def test_curve_lab_over_f1009_is_quick():
+    # 521 abscissas: the partners come from a table of y^2, and the
+    # grid-scaled monomials fill the field before the products cap is read
+    start = time.process_time()
+    code, data = payload("curve-lab", "--field", "F1009", "--poly", "y^2 - x^3 - x")
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert len(data["curve"]["abscissas"]) == 521
+    assert data["closure"]["size"] == 1009
 
 
 def test_curve_lab_cap_reaches_map_enumeration(monkeypatch):

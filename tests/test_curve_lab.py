@@ -2,9 +2,11 @@ import operator
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defifix import curve_lab, fields
 from defifix.curve_lab import (
@@ -18,7 +20,7 @@ from defifix.curve_lab import (
     verify_closure,
     w_set,
 )
-from defifix.errors import CapExceededError, InfiniteFieldError
+from defifix.errors import CapExceededError, EvaluationError, InfiniteFieldError
 from defifix.fields import FieldElement, enumerate_elements, make_field
 from defifix.formulas import definable_set, free_variables, parse_term, print_formula
 from defifix.neighbourhood import Neighbourhood, enumerate_arithmetic_maps, is_neighbourhood
@@ -62,10 +64,11 @@ def test_coefficient_table_heights():
 
 
 def test_w_set():
-    assert w_set(1) == [Fraction(-1), Fraction(0), Fraction(1)]
+    assert w_set(1) == (Fraction(-1), Fraction(0), Fraction(1))
     w2 = w_set(2)
     assert Fraction(1, 2) in w2 and Fraction(-2) in w2
     assert len(w2) == 7  # 0, +-1, +-2, +-1/2; duplicates like 2/2 merge
+    assert w_set(2) is w2  # built once per height
 
 
 def test_elementary_symmetric():
@@ -171,11 +174,13 @@ def test_closure_caps_and_modes():
 
 
 def test_closure_cap_bounds_abscissa_products():
-    # y = x has 13 abscissas over F13: the 8191 products are refused unbuilt
-    c = CurveData.build(y - x, make_field("F13"))
-    assert c.n == 13
-    with pytest.raises(CapExceededError, match="13 abscissas"):
-        build_closure(c, cap=100)
+    # x^2 = 2 has 2 abscissas over F5^2 and a 9-element closure, so its
+    # closure reads the 3 products, which are refused unbuilt at cap 2
+    c = CurveData.build(x**2 - 2, make_field("F5^2"))
+    assert c.n == 2
+    assert len(build_closure(c).elements) == 9
+    with pytest.raises(CapExceededError, match="^2 abscissas give more than 2 products$"):
+        build_closure(c, cap=2)
 
 
 def test_closure_cap_bounds_the_assembled_closure():
@@ -211,6 +216,87 @@ def test_symmetric_formula_distinctness_matters():
     assert definable_set(f, F3, "v") == {F3.element(0)}
 
 
+# -- tabulated partners against the q^2 scan ----------------------------------
+
+
+def _scanned_partners(g, K):
+    """(u, s) as element indices for every abscissa u and its first
+    partner s, by evaluating g at up to q^2 points."""
+    T = fields.int_field(K)
+    g_at = g.compile(T)
+    points = []
+    for u in range(T.q):
+        for s in range(T.q):
+            if g_at({"x": u, "y": s}) == 0:
+                points.append((u, s))
+                break
+    return points
+
+
+def _outcome(find, g, K):
+    try:
+        return find(g, K)
+    except Exception as e:
+        return type(e), str(e)
+
+
+PARTNER_FIELDS = ("F2", "F3", "F5", "F7", "F13", "F2^3", "F3^2", "F5^2")
+# separable curves, curves with no x or no y, constants, curves with a
+# monomial in both x and y, and undefined coefficients and variables
+PARTNER_CURVES = ("y^2 - x^3 - x", "y - x", "y^2 + 1", "x^2 - 2", "x^3 - 2*x", "y^4 - 3",
+                  "1/2*x - y^2", "2/3*y^3 + x^5 - 1/7", "7", "0", "x*y - 1",
+                  "x^2*y + y^2 - x", "1/5*x + y", "1/3*x^2 + 2/3*y", "x + z", "z*y - 1",
+                  "x*y + 1/5")
+
+
+def test_tabulated_partners_match_the_scan():
+    errors = set()
+    for spec in PARTNER_FIELDS:
+        K = make_field(spec)
+        for text in PARTNER_CURVES:
+            g = parse_term(text)
+            got = _outcome(curve_lab._first_partners, g, K)
+            assert got == _outcome(_scanned_partners, g, K), (spec, text)
+            if isinstance(got, tuple):
+                errors.add(got)
+    assert (EvaluationError, "variable 'z' has no value") in errors
+    assert (EvaluationError, "coefficient 1/5 undefined in F5") in errors
+    # the first undefined coefficient in g's own order is the one named,
+    # though its monomial is in x and the y part is tabulated first
+    assert (EvaluationError, "coefficient 1/3 undefined in F3") in errors
+    with pytest.raises(EvaluationError, match="^variable 'z' has no value$"):
+        abscissa_set(parse_term("y - z"), F5)
+
+
+def test_only_a_curve_with_a_mixed_monomial_is_scanned(monkeypatch):
+    scanned = []
+    scan = curve_lab._scanned_partners
+
+    def spy(g_at, q):
+        scanned.append(q)
+        return scan(g_at, q)
+
+    monkeypatch.setattr(curve_lab, "_scanned_partners", spy)
+    K = make_field("F13")
+    for text in ("y^2 - x^3 - x", "1/2*x - y^2", "x^2 - 2", "y^4 - 3", "7"):
+        curve_lab._first_partners(parse_term(text), K)
+    assert scanned == []
+    for text in ("x*y - 1", "x^2*y + y^2 - x"):
+        curve_lab._first_partners(parse_term(text), K)
+    assert scanned == [13, 13]
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.fractions(-6, 6, max_denominator=6).filter(bool), max_size=5),
+       st.booleans(), st.sampled_from(PARTNER_FIELDS))
+def test_tabulated_partners_match_the_scan_on_random_curves(coefficients, separable, spec):
+    K = make_field(spec)
+    g = Term.sum(Term.constant(c) * x**i * y**j for (i, j), c in coefficients.items()
+                 if not (separable and i and j))
+    assert _outcome(curve_lab._first_partners, g, K) == _outcome(_scanned_partners, g, K)
+
+
 # -- the kernel construction against a FieldElement reference ----------------
 
 
@@ -229,23 +315,28 @@ def _reference_curve(g, K):
 
 def _reference_closure(c, mode, cap):
     """build_closure's construction in FieldElement arithmetic: (elements,
-    targets, w_image), or CapExceededError where build_closure raises it."""
+    targets, w_image), or the CapExceededError build_closure raises. The
+    products of distinct abscissas are read, and their cap checked, only
+    when the grid-scaled monomials, which come first, leave out some
+    element of K."""
     K, n, m = c.field, c.n, c.m
     u, z = c.abscissas, c.witnesses
-    if 2**n - 1 > cap:
-        raise CapExceededError("abscissa products")
     w_image = list(dict.fromkeys(K.element(q) for q in w_set(m)))
     powers = [[[u[kk] ** i * z[kk] ** j for j in range(m + 1)] for i in range(m + 1)] for kk in range(n)]
     scaled = [b * pw for point in powers for row in point for pw in row for b in w_image]
-    products = [
-        [reduce(operator.mul, (u[i] for i in combo), K.one()) for combo in combinations(range(n), kk + 1)]
-        for kk in range(n)
-    ]
+    products = []
+    if len(set(scaled)) < K.order:
+        if 2**n - 1 > cap:
+            raise CapExceededError(f"{n} abscissas give more than {cap} products")
+        products = [
+            [reduce(operator.mul, (u[i] for i in combo), K.one()) for combo in combinations(range(n), kk + 1)]
+            for kk in range(n)
+        ]
     block = list(dict.fromkeys(scaled + [a for row in products for a in row]))
     closure = []
     if mode == "paper":
         if 2 ** len(block) - 1 > cap:
-            raise CapExceededError("subset sums")
+            raise CapExceededError(f"{len(block)} block values give more than {cap} subset sums")
         # the sum over mask is at index mask: bit i stands for block[i]
         sums = [K.zero()]
         for b in block:
@@ -262,15 +353,18 @@ def _reference_closure(c, mode, cap):
     head = [] if mode == "paper" else w_image + block
     elements = tuple(dict.fromkeys(head + closure + differences))
     if len(elements) > cap:
-        raise CapExceededError("closure size")
+        raise CapExceededError(f"closure size {len(elements)} exceeds cap {cap}")
     targets = tuple(elementary_symmetric(k, u) for k in range(1, n + 1))
     return elements, targets, tuple(w_image)
 
 
 def test_kernel_closure_matches_field_element_reference():
+    # at cap 2 x^2 - 2 over F5^2 reads its 3 products (its closure has 9
+    # elements), so each of the three caps is met: the products, the
+    # subset sums and the closure size
     polys = ["y^2 - x^3 - x", "y - x^2", "2*x - y + 1", "x^2 + y^2 - 1", "1/2*x - y^2",
              "x^2 - 2", "x^3 - 2*x", "x^2 + 1 - y^4"]
-    cap = 2**12
+    refused = set()
     for spec in ("F5", "F7", "F11", "F13", "F17", "F3^2", "F5^2"):
         K = make_field(spec)
         for text in polys:
@@ -281,18 +375,20 @@ def test_kernel_closure_matches_field_element_reference():
                 assert K.characteristic <= coefficient_table(g)[0] or not _reference_curve(g, K)[0]
                 continue
             assert (c.abscissas, c.witnesses) == _reference_curve(g, K)
-            for mode in ("prefix", "paper"):
+            for mode, cap in product(("prefix", "paper"), (2**12, 2)):
                 try:
                     want = _reference_closure(c, mode, cap)
-                except CapExceededError:
-                    with pytest.raises(CapExceededError):
+                except CapExceededError as e:
+                    with pytest.raises(CapExceededError, match=f"^{e}$"):
                         build_closure(c, mode=mode, cap=cap)
+                    refused.add(str(e).split()[1])
                     continue
                 recipe = build_closure(c, mode=mode, cap=cap)
                 assert (recipe.elements, recipe.targets, recipe.w_image) == want, (spec, text, mode)
                 if len(recipe.elements) <= 60:
                     reference = ClosureRecipe(mode, *want)
                     assert verify_closure(c, recipe) == verify_closure(c, reference)
+    assert refused == {"abscissas", "block", "size"}
 
 
 def test_curve_data_rejects_points_off_the_curve():
@@ -436,10 +532,12 @@ def test_the_cap_counts_the_automorphisms():
 
 def test_a_closure_that_fills_its_field_is_quick():
     # 19 abscissas over F37: the grid-scaled monomials fill the field
-    # before any of the 2^19 - 1 products is needed
+    # before any of the 2^19 - 1 products is needed, so a cap that admits
+    # the closure admits the curve
     c = CurveData.build(CURVE, make_field("F37"))
     assert c.n == 19
     start = time.process_time()
     report = verify_closure(c, build_closure(c))
     assert time.process_time() - start < 0.2
     assert report["size"] == 37 and report["maps"] == 1
+    assert build_closure(c, cap=37) == build_closure(c)

@@ -149,6 +149,25 @@ def test_prime_factors_of_large_primes_are_quick():
     assert time.process_time() - start < 1.0
 
 
+def test_primality_of_a_characteristic_matches_the_factors():
+    rng = random.Random(28)
+    cases = list(range(3000)) + [rng.randrange(10**12) for _ in range(300)]
+    cases += [561, 1105, 1729, 2047, 3215031751, 3825123056546413051]  # pseudoprimes
+    cases += [(10**7 + 19) * (10**7 + 79), 10**20 + 39, 1031**3, 41**2, 43 * 47]
+    for n in cases:
+        assert fields._is_small_prime(n) == (fields._prime_factors(n) == [n]), n
+
+
+def test_a_large_semiprime_characteristic_is_refused_without_factoring():
+    # the product of two primes near 1.8e12: splitting it takes Pollard
+    # rho about a second, and saying it is not prime needs no factor
+    n = 3240000180100800004700423
+    start = time.process_time()
+    with pytest.raises(FieldSpecError, match=f"^{n} is not prime; use extension syntax"):
+        make_field(f"F{n}")
+    assert time.process_time() - start < 0.05
+
+
 def test_a_float_is_refused_not_read_as_a_binary_fraction():
     # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
     for K in (make_field("Q"), make_field("F7")):

@@ -3,6 +3,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -644,11 +645,14 @@ def _recursive_rational(q, K):
 
 
 def test_nbhd_rational_matches_recursive_reference():
-    for K in (Q, F7, make_field("F3^2")):
+    for K in (Q, F7, make_field("F3^2"), make_field("F2"), make_field("F13"), make_field("F2^2")):
         for c in range(-45, 46):
             for d in range(1, 25):
                 q = Fraction(c, d)
                 if K.is_finite and q.denominator % K.p == 0:
+                    with pytest.raises(ZeroDivisionError, match=re.escape(
+                            f"denominator {q.denominator} vanishes in {K.spec()}")):
+                        nbhd_rational(q, K)
                     continue
                 want = _recursive_rational(q, K)
                 got = nbhd_rational(q, K)

@@ -1,15 +1,18 @@
 """Between neighbourhoods and existential formulas, in both directions.
 
 A neighbourhood's fact system (`neighbourhood.fact_system`) written out
-atom by atom as a conjunction pins its distinguished element; conversely
-a defining formula's witness values, found by one engine search per
-system of its normal form (`normalize`), assemble back into a
-neighbourhood.  The single-equation encoder turns the emitted equation
-system into one polynomial that vanishes exactly where every equation
-does: a lone equation is itself, over Q more are the sum of their
-squares, over a finite field a balanced fold through a two-variable form
-that vanishes only at the origin, so k equations cost a nesting depth of
-ceil(log2 k) rather than k - 1.  Over F_{p^n} that form homogenizes the
+atom by atom as a conjunction pins its distinguished element.  When
+propagation certifies it, only the atoms that force it are written: the
+atom that set it, then those that set the places that atom read
+(`engine.forcing_cone`), in the fact system's order; they pin it over
+any field.  Otherwise every atom is.  Conversely a defining formula's
+witness values, found by one engine search per system of its normal form
+(`normalize`), assemble back into a neighbourhood.  The single-equation
+encoder turns the same equations into one polynomial that vanishes
+exactly where every equation does: a lone equation is itself, over Q
+more are the sum of their squares, over a finite field a balanced fold
+through a two-variable form that vanishes only at the origin, so k
+equations cost a nesting depth of ceil(log2 k) rather than k - 1.  Over F_{p^n} that form homogenizes the
 canonical modulus of degree d = 2 over F_p when n is odd and d = 3
 otherwise: an irreducible polynomial of degree d has its roots in
 F_{p^d}, which F_{p^n} does not contain (`find_rootless`).
@@ -17,9 +20,9 @@ F_{p^d}, which F_{p^n} does not contain (`find_rootless`).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
-from .engine import One, Plus, atom_indices
+from .engine import One, Plus, atom_indices, forcing_cone
 from .errors import CapExceededError, InfiniteFieldError, NotDefiningError, NotSingletonError
 from .fields import FieldDescriptor, _canonical_modulus, _has_root, _prime_factors, int_field
 from .formulas import Equal, Exists, Formula, conj, free_variables
@@ -35,20 +38,25 @@ DEFAULT_TERM_CAP = 10**6
 
 
 def _fact_equations(A: Neighbourhood, free_name: str) -> list[tuple[Term, Term]]:
-    """The atoms of `fact_system(A)` as (lhs, rhs) term pairs, in order:
-    A.r is named `free_name`, the other elements x2, x3, ... in stored
-    order."""
+    """The facts that define A.r as (lhs, rhs) term pairs, in the order of
+    `fact_system(A)`: the atoms that force A.r (`forcing_cone`) when
+    propagation certifies it, and every atom otherwise. A.r is named
+    `free_name`, the other elements x2, x3, ... in stored order, so a cone
+    that leaves elements out leaves gaps in the numbering."""
     s = fact_system(A)
-    if not any(s.free_index in atom_indices(a) for a in s.atoms):
-        raise NotDefiningError(
-            "the distinguished element participates in no fact; "
-            "any map moving it alone is arithmetic"
-        )
+    atoms = forcing_cone(s, s.free_index)
+    if atoms is None:
+        atoms = s.atoms
+        if not any(s.free_index in atom_indices(a) for a in atoms):
+            raise NotDefiningError(
+                "the distinguished element participates in no fact; "
+                "any map moving it alone is arithmetic"
+            )
     others = (i for i in range(len(A.elements)) if i != A.target_index)
     v = {i: Term.variable(f"x{n}") for n, i in enumerate(others, 2)}
     v[A.target_index] = Term.variable(free_name)
     out = []
-    for a in s.atoms:
+    for a in atoms:
         if isinstance(a, One):
             out.append((v[a.i], Term.constant(1)))
         elif isinstance(a, Plus):
@@ -68,7 +76,10 @@ def _close_existentially(body: Formula, free_name: str) -> Formula:
 
 def neighbourhood_to_formula(A: Neighbourhood) -> Formula:
     """Existential formula with free variable x1 whose sole solution is A.r,
-    provided A really is a neighbourhood of it."""
+    provided A really is a neighbourhood of it: the conjunction of the
+    facts `_fact_equations` keeps, which are the atoms that force A.r when
+    propagation certifies it (`certify_by_propagation`), and every fact of
+    A otherwise."""
     parts = [Equal(lhs, rhs) for lhs, rhs in _fact_equations(A, "x1")]
     return _close_existentially(conj(parts), "x1")
 
@@ -105,10 +116,16 @@ def formula_to_neighbourhood(
 # -- single-equation encoding ----------------------------------------------
 
 
+# trial division bound of the rational-root scan: an end coefficient whose
+# cofactor is still at least `fields._MR_EXACT_BELOW` here is not factored
+_TRIAL_LIMIT = 1 << 16
+
+
 def _divisors(n: int) -> list[int]:
-    """The positive divisors of n, ascending, from its prime factorization."""
+    """The positive divisors of n, ascending, from its prime factorization;
+    ValueError when that cannot be found exactly (`_TRIAL_LIMIT`)."""
     n, out = abs(n), [1]
-    for p in _prime_factors(n):
+    for p in _prime_factors(n, _TRIAL_LIMIT):
         powers = [1]
         while n % (powers[-1] * p) == 0:
             powers.append(powers[-1] * p)
@@ -132,11 +149,26 @@ def _find_root(poly: Term, var: str, field: FieldDescriptor) -> str | None:
     if field.is_finite:
         return "a root" if _has_root(coeffs, field.p, field.order) else None
     # over Q every root of an integer polynomial is +-(divisor of the
-    # constant term)/(divisor of the leading term)
+    # constant term)/(divisor of the leading term); the scan names the
+    # root of least numerator, then least denominator, positive first
     if coeffs[0] == 0:
         return "root 0"
-    for num in _divisors(coeffs[0]):
-        for den in _divisors(coeffs[-1]):
+    if len(coeffs) == 3:
+        # a quadratic's roots come from its discriminant, with no factoring
+        c, b, a = coeffs
+        d = b * b - 4 * a * c
+        s = isqrt(max(d, 0))
+        if s * s != d:
+            return None
+        roots = (Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a))
+        first = min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        return f"root {field.element(first)}"
+    try:
+        nums, dens = _divisors(coeffs[0]), _divisors(coeffs[-1])
+    except ValueError as e:
+        raise ValueError(f"cannot decide whether {poly} has a rational root: {e}") from None
+    for num in nums:
+        for den in dens:
             for sign in (1, -1):
                 a = field.element(Fraction(sign * num, den))
                 if poly.evaluate({var: a}, field).is_zero:
@@ -267,9 +299,11 @@ def compile_singleton(
 ) -> Formula:
     """One-equation defining formula: exists x2 ... xm (T(x, x2, ..., xm) = 0).
 
-    The facts of A become polynomials e_i (xi + xj - xk, xi*xj - xk,
-    xi - 1); a lone one is T itself.  Over Q, T is the sum of the e_i^2,
-    which in an ordered field is zero only when every e_i is.  A finite
+    The facts of A that `neighbourhood_to_formula` writes, the atoms that
+    force x when propagation certifies it and every fact otherwise, become
+    polynomials e_i (xi + xj - xk, xi*xj - xk, xi - 1); a lone one is T
+    itself.  Over Q, T is the sum of the e_i^2, which in an ordered field
+    is zero only when every e_i is.  A finite
     field has no such flat combiner: by Chevalley-Warning every form in
     more variables than its degree has a nontrivial zero there, so T is
     the balanced fold of `combine_equations` through the field's rootless

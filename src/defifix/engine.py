@@ -14,7 +14,9 @@ searched from there, so a component with no solution that the variable
 is not in is exhausted once, not once per value. Propagation solves an
 atom once two places are known, and an atom x + x = c or x * x = c once c
 is, as far as the characteristic decides x. `forced_variables` is the
-part of the root propagation that reads no values, valid over any field.
+part of the root propagation that reads no values, valid over any field;
+the same closure records the atom that set each variable, so
+`forcing_cone` reads off the atoms that force a given one.
 """
 
 from __future__ import annotations
@@ -91,23 +93,25 @@ def atom_indices(a: ThreeAddressAtom) -> tuple[int, ...]:
 
 def _incidence_and_forced(
     s: ConstraintSystem,
-) -> tuple[list[list[tuple[bool, int, int, int]]], list[tuple[int, int]]]:
+) -> tuple[list[list[tuple[bool, int, int, int]]], list[tuple[int, int, object]]]:
     """Per variable, the Plus and Times atoms it occurs in as (is_product,
-    i, j, k); and the (variable, value) pairs the atoms force alone: 1 for
-    a One atom, and 0 for the variable an atom with a repeated place pins
-    (x + y = x gives y = 0, x + y = y gives x = 0)."""
+    i, j, k); and the (variable, value, atom) triples the atoms force
+    alone: 1 for a One atom, and 0 for the variable an atom with a
+    repeated place pins (x + y = x gives y = 0, x + y = y gives x = 0).
+    The atom of a triple is the One atom itself, or the sum's incidence
+    entry."""
     incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in s.variables]
     forced = []
     for a in s.atoms:
         i = a.i
         if type(a) is One:
-            forced.append((i, 1))
+            forced.append((i, 1, a))
             continue
         j, k = a.j, a.k
         is_product = type(a) is Times
-        if not is_product and (k == i or k == j):
-            forced.append((j if k == i else i, 0))
         entry = (is_product, i, j, k)
+        if not is_product and (k == i or k == j):
+            forced.append((j if k == i else i, 0, entry))
         incidence[i].append(entry)
         if j != i:
             incidence[j].append(entry)
@@ -144,7 +148,7 @@ class ConstraintSearch:
         self.kernel = int_field(K)
         self.incidence, forced = _incidence_and_forced(s)
         root: list[int] | None = [-1] * len(s.variables)
-        for var, v in forced:
+        for var, v, _ in forced:
             if not self._assign(root, [], var, v):
                 root = None
                 break
@@ -349,22 +353,70 @@ def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, Fiel
     ]
 
 
+def _forcing_chain(s: ConstraintSystem) -> dict[int, tuple[object, tuple[int, ...]]]:
+    """The closure that the root of `ConstraintSearch` makes without
+    reading a value, and so over any field: each variable it sets, in the
+    order set, with the atom that set it and the variables that atom read.
+
+    The root-forced variables come first, each from its first One atom or
+    sum with a repeated place, which read nothing. From there an atom with
+    exactly one place unset, counting repeats (x + x = 1 and x * x = 1 set
+    no x), sets that place from its other two. An atom is a One atom
+    itself, or the incidence entry (is_product, i, j, k) of a sum or
+    product."""
+    incidence, forced = _incidence_and_forced(s)
+    chain: dict[int, tuple[object, tuple[int, ...]]] = {}
+    for var, _, atom in forced:
+        if var not in chain:
+            chain[var] = (atom, ())
+    queue = list(chain)
+    while queue:
+        for entry in incidence[queue.pop()]:
+            _, i, j, k = entry
+            known_i, known_j = i in chain, j in chain
+            if known_i + known_j + (k in chain) != 2:
+                continue
+            if not known_i:
+                var, read = i, (j, k)
+            elif not known_j:
+                var, read = j, (i, k)
+            else:
+                var, read = k, (i, j)
+            chain[var] = (entry, read)
+            queue.append(var)
+    return chain
+
+
 def forced_variables(s: ConstraintSystem) -> set[int]:
     """The variables the root of `ConstraintSearch` sets without reading a
-    value, and so over any field: from the root-forced variables, an atom
-    with exactly one place unset, counting repeats (x + x = 1 and x * x = 1
-    set no x), sets that place. The root also solves those repeated places
-    where the characteristic allows (x + x = c when p is odd, x * x = c
-    when p = 2), so on a finite field it may set more. It may hold more
-    than the root on a system with no solution, or with a product whose
-    factor the root sets to 0."""
-    incidence, forced = _incidence_and_forced(s)
-    known = {i for i, _ in forced}
-    queue = list(known)
-    while queue:
-        for _, *places in incidence[queue.pop()]:
-            unknown = [x for x in places if x not in known]
-            if len(unknown) == 1:
-                known.add(unknown[0])
-                queue.append(unknown[0])
-    return known
+    value, and so over any field (`_forcing_chain`). The root also solves
+    atoms with repeated places where the characteristic allows (x + x = c
+    when p is odd, x * x = c when p = 2), so on a finite field it may set
+    more. It may hold more than the root on a system with no solution, or
+    with a product whose factor the root sets to 0."""
+    return set(_forcing_chain(s))
+
+
+def forcing_cone(s: ConstraintSystem, var: int) -> list[ThreeAddressAtom] | None:
+    """The atoms that force var over any field, in the system's order: the
+    atom that set it in `_forcing_chain`, then, recursively, the atoms
+    that set the variables it read. None when the chain does not set var.
+
+    Each atom of the cone fixes the place it set once the places it read
+    are fixed, except a product whose known factor is 0. A fact system has
+    no product with a factor 0 and has the identity among its solutions,
+    so there the cone alone has exactly one solution on the variables it
+    mentions, and pins var as the whole system does."""
+    chain = _forcing_chain(s)
+    if var not in chain:
+        return None
+    cone = set()
+    stack = [var]
+    while stack:
+        atom, read = chain[stack.pop()]
+        if atom not in cone:
+            cone.add(atom)
+            stack += read
+    return [
+        a for a in s.atoms if (a if type(a) is One else (type(a) is Times, a.i, a.j, a.k)) in cone
+    ]

@@ -180,8 +180,15 @@ def _poly_is_irreducible(m, p):
 def _canonical_modulus(p: int, k: int):
     """Smallest monic irreducible of degree k over F_p, in base-p counting
     order of the non-leading coefficient vector (constant term least
-    significant)."""
-    for n in range(p**k):
+    significant).
+
+    The first p candidates are the binomials x^k + c. None of them is
+    irreducible when k = 3 and p = 2 (mod 3), or when k = 4 and p = 3
+    (mod 4) (Lidl and Niederreiter, Theorem 3.75: x^k - a needs each prime
+    dividing k to divide the order of a, which divides p - 1, and needs
+    q = 1 (mod 4) when 4 divides k), so there the scan starts after them."""
+    skip = (k == 3 and p % 3 == 2) or (k == 4 and p % 4 == 3)
+    for n in range(p if skip else 0, p**k):
         c = _digits(n, p, k) + [1]
         if _poly_is_irreducible(c, p):
             return tuple(c)
@@ -488,16 +495,20 @@ def _rho_factor(n: int) -> int:
             return d
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int, trial_limit: int | None = None) -> list[int]:
     """The distinct primes dividing n, ascending ([] for n < 2).
 
     Primes below 2^10 come off by trial division, and so does every
     prime while the cofactor is at least `_MR_EXACT_BELOW`, so that the
     result stays exact. A smaller cofactor is split by Pollard's rho until
-    Miller-Rabin, exact there, calls each part prime."""
+    Miller-Rabin, exact there, calls each part prime. Trial division of a
+    cofactor that large can run to its square root; with a `trial_limit`
+    (at least 2^10) it stops there instead, with ValueError."""
     out = set()
     d = 2
     while d * d <= n and (d < 1 << 10 or n >= _MR_EXACT_BELOW):
+        if d == trial_limit:
+            raise ValueError(f"cannot factor exactly: a cofactor {n} has no prime factor below {d}")
         if n % d == 0:
             out.add(d)
             while n % d == 0:

@@ -14,9 +14,10 @@ FieldElements, so certifying or compiling a few elements of a large
 field builds no O(q) tables. `fact_system` is the one place that decides
 which facts are written down, as a constraint system with one variable
 per element whose solutions are exactly the arithmetic maps; the
-compiler writes the same atoms as formulas. Its scan never tests a pair
-whose fact f(1) = 1 and f(0) = 0 imply; `facts`, the complete table in
-both orders, is the same scan with nothing skipped. Maps, decisions
+compiler writes its atoms as formulas, only those that force the target
+when propagation certifies it. Its scan never tests a pair whose fact
+f(1) = 1 and f(0) = 0 imply; `facts`, the complete table in both
+orders, is the same scan with nothing skipped. Maps, decisions
 and certificates are runs of the engine (`engine`) on that system: the
 maps are its solutions, the decision enumerates only the target's
 component (`ConstraintSearch.split`), and over any field the one-sided
@@ -339,11 +340,13 @@ def certify_by_propagation(A: Neighbourhood) -> bool:
     when the facts force f(r)=r. False means Unknown, not refuted.
 
     This is `forced_variables(fact_system(A))`, the part of the engine's
-    root propagation that reads no values. It is sound: the identity on A
-    is an arithmetic map, so every forced value is the element itself, and
-    the fact system has no product with a factor 0. Over a finite field
-    the root can set more, since the characteristic solves a + a = k or
-    a * a = k there (1/2 + 1/2 = 1 stays Unknown over Q)."""
+    root propagation that reads no values; the compiler reads the atoms
+    that set the target off the same closure (`forcing_cone`). It is
+    sound: the identity on A is an arithmetic map, so every forced value is
+    the element itself, and the fact system has no product with a factor
+    0. Over a finite field the root can set more, since the characteristic
+    solves a + a = k or a * a = k there (1/2 + 1/2 = 1 stays Unknown over
+    Q)."""
     return A.target_index in forced_variables(fact_system(A))
 
 

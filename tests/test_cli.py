@@ -423,11 +423,12 @@ def test_compile_single_eq_prefer_linear_outside_prime_image_folds():
 
 
 def test_compile_single_eq_cap_exceeded():
-    # nbhd_rational(10, F7): 19 kept facts, whose fold would expand to
-    # about 5 * 10^7 monomials; the default cap stops it before the last step
+    # {1, 3, 4, 5, 6} is a neighbourhood of 3 that propagation does not
+    # certify, so all 18 facts are folded; the default cap stops the fold
+    # before a step that would expand past 10^6 monomials
     start = time.process_time()
     code, data = payload("compile", "single-eq", "--field", "F7",
-                         "--elements", "3,5,4,2,1", "--target", "3")
+                         "--elements", "1,3,4,5,6", "--target", "3")
     assert time.process_time() - start < 2.0
     assert code == 1
     assert data["error"]["code"] == "cap-exceeded"
@@ -601,7 +602,7 @@ def test_usage_error_exit_2():
 
 
 def test_run_returns_schema_version_constant():
-    assert OUTPUT_SCHEMA_VERSION == 1
+    assert OUTPUT_SCHEMA_VERSION == 2
     parser = build_parser()
     args = parser.parse_args(["fixed-field", "--field", "F2"])
     code, data = run(args)

@@ -18,7 +18,7 @@ from defifix.compiler import (
     homogenize,
     neighbourhood_to_formula,
 )
-from defifix.engine import atom_indices, solve_system
+from defifix.engine import Times, atom_indices, forcing_cone, solve_system
 from defifix.errors import (
     CapExceededError,
     InfiniteFieldError,
@@ -29,6 +29,7 @@ from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import And, Exists, definable_set, free_variables, parse, print_formula
 from defifix.neighbourhood import (
     Neighbourhood,
+    certify_by_propagation,
     fact_system,
     is_neighbourhood,
     nbhd_rational,
@@ -204,18 +205,90 @@ def test_formula_conjuncts_are_the_fact_system_atoms():
             body = neighbourhood_to_formula(A)
             while isinstance(body, Exists):
                 body = body.body
-            parts = body.parts if isinstance(body, And) else (body,)
+            parts = [(eq.lhs, eq.rhs) for eq in (body.parts if isinstance(body, And) else (body,))]
             others = [i for i in range(len(A.elements)) if i != A.target_index]
             name = {i: f"x{n}" for n, i in enumerate(others, 2)} | {A.target_index: "x1"}
             v = {i: Term.variable(n) for i, n in name.items()}
-            assert len(parts) == len(atoms)
-            for eq, a in zip(parts, atoms):
+            written = []
+            for a in atoms:
                 if isinstance(a, One):
-                    assert (eq.lhs, eq.rhs) == (v[a.i], Term.constant(1))
+                    written.append((v[a.i], Term.constant(1)))
                 elif isinstance(a, Plus):
-                    assert (eq.lhs, eq.rhs) == (v[a.i] + v[a.j], v[a.k])
+                    written.append((v[a.i] + v[a.j], v[a.k]))
                 else:
-                    assert (eq.lhs, eq.rhs) == (v[a.i] * v[a.j], v[a.k])
+                    written.append((v[a.i] * v[a.j], v[a.k]))
+            # the conjuncts are atoms in order; all of them unless certified
+            kept = iter(written)
+            assert all(part in kept for part in parts), A.to_json()
+            if not certify_by_propagation(A):
+                assert parts == written, A.to_json()
+
+
+def _bound_and_body(f):
+    n = 0
+    while isinstance(f, Exists):
+        n, f = n + 1, f.body
+    return n, f
+
+
+def _defines(f, K, free, r):
+    """Whether f defines {r}: the brute-force oracle where |K|^(bound + 1)
+    <= 10^5, the normal form's definable set elsewhere."""
+    bound, _ = _bound_and_body(f)
+    if K.order ** (bound + 1) <= 10**5:
+        return definable_set(f, K, free) == {r}
+    return normalized_definable_set(normalize(f), K) == {r}
+
+
+def test_compiled_chains_define_their_targets():
+    # every conjunction (x1) and single equation (x) defines exactly {r}.
+    # A single equation small enough is evaluated at every point; every
+    # one is the fold of its conjunction through a form whose only zero is
+    # the origin, so it vanishes where every conjunct does
+    for spec in ("F5", "F7", "F11", "F13", "F2^2", "F3^2"):
+        K = make_field(spec)
+        B = homogenize(find_rootless(K))
+        elems = enumerate_elements(K)
+        assert [(a, b) for a in elems for b in elems
+                if B.evaluate({"x": a, "y": b}, K).is_zero] == [(K.zero(), K.zero())]
+        for q in [*range(40), 100, 1000]:  # integers: no denominator vanishes
+            A = nbhd_rational(q, K)
+            joined = neighbourhood_to_formula(A)
+            assert _defines(joined, K, "x1", A.r), (spec, q)
+            folded = compile_singleton(A)
+            eqs = _conjunction_polys(A)
+            T = eqs[0] if len(eqs) == 1 else combine_equations(eqs, B)
+            assert _equation(folded) == T, (spec, q)
+            bound, _ = _bound_and_body(folded)
+            if K.order ** (bound + 1) <= 500:
+                assert definable_set(folded, K, "x") == {A.r}, (spec, q)
+
+
+def test_the_chain_leaves_out_facts_that_do_not_force_the_target():
+    # in {4, 2, 1} over F5, 1 = 1, then 2 = 1 + 1, then 4 = 1 - 2 force 4;
+    # the square 4 * 4 = 1 holds but is not kept
+    A = nbhd_rational(4, F5)
+    assert [str(a) for a in A.elements] == ["[4]", "[2]", "[1]"]
+    s = fact_system(A)
+    square = Times(0, 0, 2)
+    assert square in s.atoms
+    assert square not in forcing_cone(s, s.free_index)
+    f = neighbourhood_to_formula(A)
+    assert print_formula(f) == "exists x2. exists x3. (x3 = 1 & x1 + x2 = x3 & 2*x3 = x2)"
+    assert definable_set(f, F5, "x1") == {F5.element(4)}
+    assert definable_set(compile_singleton(A), F5, "x") == {F5.element(4)}
+
+
+def test_an_uncertified_target_keeps_every_fact():
+    # in {1, 4} over F5 only 4 * 4 = 1 reaches 4, and a square sets
+    # nothing, so nothing is left out
+    A = neighbourhood(F5, [1, 4], 4)
+    assert not certify_by_propagation(A)
+    assert forcing_cone(fact_system(A), A.target_index) is None
+    assert print_formula(neighbourhood_to_formula(A)) == "exists x2. (x2 = 1 & x1^2 = x2)"
+    assert print_formula(compile_singleton(A)) == (
+        "exists x2. 2*x^4 - 4*x^2*x2 + 3*x2^2 - 2*x2 + 1 = 0"
+    )
 
 
 def test_round_trip_extension_fields():
@@ -376,6 +449,56 @@ def test_rational_roots_of_a_constant_term_with_large_prime_factors():
         assert time.process_time() - start < 1.0, c
 
 
+def _first_rational_root_by_scan(coeffs):
+    """Reference: the divisor scan, numerator, then denominator, then sign."""
+    poly = Term.sum(c * x**i for i, c in enumerate(coeffs) if c)
+    if coeffs[0] == 0:
+        return "root 0"
+    for num in compiler._divisors(coeffs[0]):
+        for den in compiler._divisors(coeffs[-1]):
+            for sign in (1, -1):
+                a = Q.element(Fraction(sign * num, den))
+                if poly.evaluate({"x": a}, Q).is_zero:
+                    return f"root {a}"
+    return None
+
+
+def test_quadratic_roots_from_the_discriminant_are_the_scanned_ones():
+    rng = random.Random(2989)
+    cases = list(itertools.product(range(-4, 5), repeat=3))
+    for _ in range(200):
+        # (p x + q)(r x + s), so that both roots are rational
+        p, q, r, s = (rng.randint(-30, 30) for _ in range(4))
+        cases.append((q * s, p * s + q * r, p * r))
+    for c, b, a in cases:
+        if a == 0:
+            continue
+        poly = Term.sum(k * x**i for i, k in enumerate((c, b, a)) if k)
+        got = compiler._find_root(poly, "x", Q)
+        assert got == _first_rational_root_by_scan([c, b, a]), (c, b, a)
+
+
+def test_quadratic_with_a_large_prime_constant_term_is_quick():
+    # 2^89 - 1 is prime and above the bound where Miller-Rabin is exact, so
+    # factoring it would trial-divide to its square root
+    m = 2**89 - 1
+    start = time.process_time()
+    RootlessPolynomial(x**2 + m, Q)
+    with pytest.raises(ValueError, match=f"has root {m} in Q"):
+        RootlessPolynomial(x**2 - m * m, Q)
+    assert time.process_time() - start < 1.0
+
+
+def test_higher_degree_with_an_unfactorable_end_coefficient_is_refused():
+    m = 2**89 - 1
+    start = time.process_time()
+    for poly in (x**3 + m, m * x**3 + 1):
+        with pytest.raises(ValueError, match="cannot decide whether .* has a rational root"):
+            RootlessPolynomial(poly, Q)
+    RootlessPolynomial(x**3 + 2**100, Q)  # as large, but smooth: factored, no root
+    assert time.process_time() - start < 1.0
+
+
 def test_homogenize_goldens():
     y = Term.variable("y")
     assert homogenize(RootlessPolynomial(x**2 + 1, Q)) == x**2 + y**2
@@ -515,6 +638,22 @@ def _conjunction_polys(A):
     return [eq.lhs.substitute(x1) - eq.rhs.substitute(x1) for eq in parts]
 
 
+def _fact_polys(A):
+    """Every atom of fact_system(A) as a polynomial in v0, v1, ...: the
+    equations compile_singleton folds when propagation does not certify
+    A's target."""
+    v = [Term.variable(f"v{i}") for i in range(len(A.elements))]
+    out = []
+    for a in fact_system(A).atoms:
+        if isinstance(a, One):
+            out.append(v[a.i] - 1)
+        elif isinstance(a, Plus):
+            out.append(v[a.i] + v[a.j] - v[a.k])
+        else:
+            out.append(v[a.i] * v[a.j] - v[a.k])
+    return out
+
+
 def _left_fold(eqs, B):
     T = eqs[0]
     for e in eqs[1:]:
@@ -535,7 +674,7 @@ def test_compile_definable_sets_match_conjunction():
     counts = set()
     for A in cases:
         K = A.field
-        counts.add(len(_conjunction_polys(A)))
+        counts.add(len(fact_system(A).atoms))
         folded = definable_set(compile_singleton(A), K, "x")
         joined = definable_set(neighbourhood_to_formula(A), K, "x1")
         assert folded == joined == {A.r}, (K.spec(), A.elements)
@@ -598,23 +737,26 @@ def test_compiled_degree_follows_the_fold_depth():
 
 def test_compile_stays_small_on_seven_or_more_facts():
     for A in (nbhd_rational(4, F7), nbhd_rational(Fraction(5, 3), Q)):
-        assert len(_conjunction_polys(A)) >= 7
+        assert len(fact_system(A).atoms) >= 7
         start = time.process_time()
         text = print_formula(compile_singleton(A))
         assert time.process_time() - start < 1.0
         assert len(text) < 10_000
 
 
+_PINNED_SINGLE_EQUATIONS = [
+    (4, "F7", 178, "220113c23f68a6fc01a81cc926fd9066bea8bada40ce4eab8f0bb95cd6c5b5ed"),
+    (5, "F11", 483, "30eba92e41bdb155853235c9fe4228af141cde47df220d82081ce6bae8b3bfa0"),
+    (6, "F13", 581, "76b05683fc821520d175ed0e490fce2a5f0a67210c2f8c08f14ba470acc6696e"),
+    (3, "F7", 321, "4efcba6bb7cee0c5cc8db1ae81d5da9b4800c2af5adeb52b514eac2c6bc1c900"),
+    (Fraction(5, 3), "Q", 155, "67a3ec49e535dacf97adc15f0d8d4f9a809c4b273a42d09e8c4866bd5ecda2ec"),
+    (5, "F7", 613, "eab0f78a9d3d7a044d02cb4beedf715e83cee632cfc76b5cdcc692ecdd2a540c"),
+]
+
+
 @pytest.mark.parametrize(
-    "q, spec, chars, sha256",
-    [
-        (4, "F7", 3636, "e724cf58a576f486ff6e863cf75b6952066eaf6167371d938c6e729367074864"),
-        (5, "F11", 5077, "d1772e3a0f67dcfd4e575ac72950d06d453bd3f20a519890b5a572c0a67c29d4"),
-        (6, "F13", 2622, "b53be9b575f327f6c35481be2287714469ab4d9f9765d696c1bcd10ca1d7324a"),
-        (3, "F7", 440, "81696a026afa369da7009411abb70989d724e57745f8c058dad0d7b4f17695ea"),
-        (Fraction(5, 3), "Q", 327, "230e45efdb102f8a5af240205e97bb954a0a4c59c7c4bc0979cd55419a8d21a2"),
-        (5, "F7", 105142, "0fd36b7bf197e12516abfb6c7456521424bbcf9c3e8569a1627797a6eef40200"),
-    ],
+    "q, spec, chars, sha256", _PINNED_SINGLE_EQUATIONS,
+    ids=[f"{q}-{spec}" for q, spec, _, _ in _PINNED_SINGLE_EQUATIONS],
 )
 def test_single_equation_text_is_pinned(q, spec, chars, sha256):
     # larger than any compile-roundtrip item of the benchmark, so only this
@@ -631,14 +773,21 @@ def test_combine_equations_cap_bounds_the_expansion():
     assert combine_equations(eqs, B, cap=13) == B.substitute({"x": eqs[0], "y": eqs[1]})
     with pytest.raises(CapExceededError, match="up to 13 monomials, over the cap 12"):
         combine_equations(eqs, B, cap=12)
-    # nbhd_rational(10, F7) keeps 19 facts; the default cap refuses the fold
-    # at its last step, whose estimate is about 5 * 10^7, before expanding it
-    A = nbhd_rational(10, F7)
+    # nbhd_rational(10, F7) keeps 19 facts; the default cap refuses their
+    # fold at its last step, whose estimate is about 5 * 10^7, before
+    # expanding it
     start = time.process_time()
     with pytest.raises(CapExceededError):
-        compile_singleton(A)
+        combine_equations(_fact_polys(nbhd_rational(10, F7)), B)
     assert time.process_time() - start < 2.0
-    f = compile_singleton(nbhd_rational(4, F7))
     with pytest.raises(CapExceededError):
-        compile_singleton(nbhd_rational(4, F7), cap=100)
+        combine_equations(_fact_polys(nbhd_rational(4, F7)), B, cap=100)
+    # {0, 1, 4, 6} is a neighbourhood of 4 that propagation does not
+    # certify, so its single equation folds all 5 facts
+    A = neighbourhood(F7, [0, 1, 4, 6], 4)
+    assert not certify_by_propagation(A) and is_neighbourhood(A).yes
+    assert len(fact_system(A).atoms) == 5
+    f = compile_singleton(A)
+    with pytest.raises(CapExceededError):
+        compile_singleton(A, cap=100)
     assert definable_set(f, F7, "x") == {F7.element(4)}

@@ -52,8 +52,9 @@ def test_incidence_lists_each_atom_once_per_distinct_place():
         [(True, 2, 2, 1), (False, 3, 2, 3), (True, 2, 3, 2)],
         [(False, 3, 2, 3), (True, 2, 3, 2)],
     ]
-    # 1 for a One atom, 0 for the other summand of x + y = y and of 0 + 0 = 0
-    assert forced == [(0, 0), (1, 1), (2, 0)]
+    # 1 for a One atom, 0 for the other summand of x + y = y and of 0 + 0 = 0,
+    # each with the atom that forces it
+    assert forced == [(0, 0, (False, 0, 0, 0)), (1, 1, One(1)), (2, 0, (False, 3, 2, 3))]
 
 
 def _pinned(search, var, v):

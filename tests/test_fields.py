@@ -49,6 +49,31 @@ def test_make_field_extension_canonical_modulus():
     assert K9.modulus == (1, 0, 1)
 
 
+def _first_irreducible_by_full_scan(p, k):
+    """Reference: every candidate in counting order, the binomials first."""
+    for n in range(p**k):
+        m = fields._digits(n, p, k) + [1]
+        if fields._poly_is_irreducible(m, p):
+            return tuple(m)
+    raise AssertionError(f"no irreducible of degree {k} over F_{p}")
+
+
+def test_canonical_modulus_skips_only_binomials_that_cannot_be_irreducible():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for k in (2, 3, 4):
+            assert fields._canonical_modulus(p, k) == _first_irreducible_by_full_scan(p, k), (p, k)
+
+
+@pytest.mark.parametrize("spec, modulus", [("F1000037^3", (1, 1, 0, 1)), ("F1000003^4", (1, 1, 0, 0, 1))])
+def test_a_large_field_without_irreducible_binomials_builds_quickly(spec, modulus):
+    # 1000037 = 2 (mod 3) and 1000003 = 3 (mod 4): none of the p binomials
+    # x^k + c is irreducible, and the scan starts after them
+    start = time.process_time()
+    assert make_field(spec).modulus == modulus
+    assert time.process_time() - start < 1.0
+
+
 def _divisor_search_is_irreducible(m, p):
     """Reference oracle: m is irreducible when no monic polynomial of degree
     1..k//2 over F_p divides it, every one of them tried."""

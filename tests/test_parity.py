@@ -15,11 +15,11 @@ DIGESTS = {
     "certify": "9a05dc7aaeab5db0793cf97d3ea9b50c3783bd53d1dd103d3a43fdfe87b28800",
     "automorphisms": "3102af26f856e4102403c87c5699fc588dca8cd3b053e23f0f3243313dfea28c",
     "normalize": "3e03429d9df509e390aaa34bc25c53a2dd16a8f8596cd44902c808bd510f1f8d",
-    "compile": "ea2b340e8a608a69ac5a8c3d1ac0004ea1a9dfc800349d1c5a83520083426d9a",
+    "compile": "0fd2c99430053f7e593aa46452fec9c100a2ea28e939bdab69371f0ac8f3e766",
     "rational": "5886766d98c8dc1b3c7e5623abd5ffa4bfda586a9bc4aaff27d5065590e932ca",
     "curve": "85bb221ccf9b5cc5aaf60543814cbd4e94dfab898ffa4e681dafd3f6f52266ee",
     "text": "64b312e5c11125c512862c8ba8af5538e6ea3546a0896e615f0577fbb702e14e",
-    "cli": "5c063ccb06175a45809654ae8614caee3b0d6a1e41bc0c849886bb98e5b1236a",
+    "cli": "3e2445110a3bc60c19c0e159c369024822b094c7910a2dbd4fdfd353dbcdb0f3",
 }
 
 

@@ -35,7 +35,7 @@ import defifix
 
 from .errors import CapExceededError, DefifixError, NotDefiningError, NotSingletonError
 
-OUTPUT_SCHEMA_VERSION = 2
+OUTPUT_SCHEMA_VERSION = 3
 
 _SEMANTIC_ERRORS = (
     CapExceededError,

@@ -255,12 +255,16 @@ def _first_distinct(rows, q: int) -> list[int]:
     return list(seen)
 
 
-def _subset_sums(block: list[int], add):
+def _subset_sums(block: list[int], add, cap: int):
     """The sums of the non-empty subsets of block in mask order (bit i
     stands for block[i]), as one row per block value: the masks with top
-    bit i are those below 2^i with block[i] added."""
+    bit i are those below 2^i with block[i] added. A row that would take
+    the count of sums built past cap raises instead, so a reader that
+    stops early (once the closure holds all of K) never meets the cap."""
     sums = [0]
     for b in block:
+        if 2 * len(sums) - 1 > cap:
+            raise CapExceededError(f"{len(block)} block values give more than {cap} subset sums")
         row = [add(s, b) for s in sums]
         yield row
         sums += row
@@ -272,14 +276,14 @@ def build_closure(
     """Assemble the neighbourhood candidate for every symmetric value.
 
     mode="paper" keeps the literal construction: all non-empty subset sums
-    of the block values (exponential, so the block must stay within
-    log2(cap)).  mode="prefix" keeps only the prefix sums of each point's
-    monomial sequence and of each product list M_k — linear-size, and still
-    forcing: each prefix chain pins the next partial sum by induction, and
-    any superset of a neighbourhood is one.  Both modes read the 2^n - 1
-    products of distinct abscissas, so n must stay within log2(cap) too
-    when the closure needs them; that is checked before any product is
-    built.
+    of the block values (exponential, so the sums read before the closure
+    holds all of K must stay within cap).  mode="prefix" keeps only the
+    prefix sums of each point's monomial sequence and of each product list
+    M_k — linear-size, and still forcing: each prefix chain pins the next
+    partial sum by induction, and any superset of a neighbourhood is one.
+    Both modes read the 2^n - 1 products of distinct abscissas, so n must
+    stay within log2(cap) too when the closure needs them; that is checked
+    before any product is built.
 
     The candidates are read as one stream, first occurrence winning, and
     the stream stops once the closure holds all of K: nothing after that
@@ -342,11 +346,7 @@ def build_closure(
 
     if mode == "paper":
         block = _first_distinct(block_rows(), T.q)
-        if 2 ** len(block) - 1 > cap:
-            raise CapExceededError(
-                f"{len(block)} block values give more than {cap} subset sums"
-            )
-        rows = chain(_subset_sums(block, add), differences())
+        rows = chain(_subset_sums(block, add, cap), differences())
     else:
         rows = chain([w_image], block_rows(), prefix_sums(), differences())
     assembled = _first_distinct(rows, T.q)

@@ -4,10 +4,19 @@ atoms x_i+x_j=x_k, x_i*x_j=x_k, x_i=1.
 Pipeline: one walk to negation normal form (`_nnf`, which desugars,
 hoists existentials renaming on clash, and raises every quantifier
 error) -> the capped DNF -> negation elimination (each W != 0 becomes
-W*t-1 = 0 with a fresh t) -> atomization (each polynomial equation
-becomes a conjunction of three-address atoms over fresh temporaries).
-Fresh variables are named "_t<n>" from a single counter per run, so
-output is reproducible.
+the pair of W and a fresh inversion witness t) -> atomization (each
+polynomial equation becomes a conjunction of three-address atoms over
+fresh temporaries). Fresh variables are named "_t<n>" from a single
+counter per run, so output is reproducible.
+
+A pair (W, t) means W*t = 1. A W of two or more monomials is built as a
+value d, its positive side less its negative side, followed by the one
+atom d * t = 1, so t occurs nowhere else and comes after W's variables
+in the table: propagation sets t = 1/d once d is known, and d = 0 is a
+conflict, where expanding W*t - 1 would spread t over one product per
+monomial and leave the search to branch on it. A lone monomial W keeps
+W*t - 1 = 0, as W*t is then one monomial (`eliminate_negations` renders
+every pair that way).
 
 Atomization walks each equation's monomial summands in ascending degree
 order, accumulating a running sum. A constant c is c*1, a summand c*m is
@@ -178,31 +187,38 @@ def _literals(d: Formula) -> list[Formula]:
     return [d]
 
 
-def _eliminate(literals: Iterable[Formula], fresh: _FreshNames) -> tuple[list[Equal], int]:
-    eqs: list[Equal] = []
-    count = 0
+def _eliminate(
+    literals: Iterable[Formula], fresh: _FreshNames
+) -> list[Equal | tuple[Term, str]]:
+    """The literals in order, each negated equation lhs != rhs replaced by
+    the pair (W, t) of W = lhs - rhs and its fresh inversion witness t."""
+    out: list[Equal | tuple[Term, str]] = []
     for lit in literals:
         if isinstance(lit, Equal):
-            eqs.append(lit)
+            out.append(lit)
         elif isinstance(lit, Not) and isinstance(lit.body, Equal):
-            w = lit.body.lhs - lit.body.rhs
-            t = Term.variable(fresh())
-            eqs.append(Equal(w * t - 1, Term.zero()))
-            count += 1
+            out.append((lit.body.lhs - lit.body.rhs, fresh()))
         else:
             raise NormalizationError(
                 f"literal {type(lit).__name__} is not a ring (in)equation"
             )
-    return eqs, count
+    return out
+
+
+def _inversion(w: Term, t: str) -> Equal:
+    return Equal(w * Term.variable(t) - 1, Term.zero())
 
 
 def eliminate_negations(d: Formula) -> tuple[Formula, int]:
     """Replace every negated equation W != 0 in a conjunction of literals
     by W*t - 1 = 0 with a fresh variable t. Returns the rewritten
-    conjunction and the number of fresh variables introduced."""
+    conjunction and the number of fresh variables introduced. This is the
+    formula-level rendering of the (W, t) pairs that `normalize` atomizes
+    (`_Builder.nonzero`)."""
     fresh = _FreshNames(all_variables(d))
-    eqs, count = _eliminate(_literals(d), fresh)
-    return conj(eqs) if eqs else d, count
+    items = _eliminate(_literals(d), fresh)
+    eqs = [_inversion(*x) if isinstance(x, tuple) else x for x in items]
+    return conj(eqs) if eqs else d, sum(isinstance(x, tuple) for x in items)
 
 
 # -- atomization -----------------------------------------------------------------
@@ -233,6 +249,16 @@ def _one_atom(t: Term) -> tuple[type, str, str] | None:
             names = [v for v, e in m for _ in range(e)] * c
             return (Times if c == 1 else Plus, *names)
     return None
+
+
+def _sides(p: Term) -> tuple[list[tuple[Monomial, int]], list[tuple[Monomial, int]]]:
+    """The summands of p with positive coefficients, and those with
+    negative ones negated, each in ascending degree order. Only integer
+    coefficients are atomizable."""
+    if any(not isinstance(c, int) for _, c in p.coeffs):
+        raise NormalizationError("rational coefficients are not atomizable; scale first")
+    ascending = list(reversed(p.coeffs))
+    return [(m, c) for m, c in ascending if c > 0], [(m, -c) for m, c in ascending if c < 0]
 
 
 class _Builder:
@@ -356,11 +382,7 @@ class _Builder:
         p = lhs - rhs
         if p.is_zero:
             return
-        if any(not isinstance(c, int) for _, c in p.coeffs):
-            raise NormalizationError("rational coefficients are not atomizable; scale first")
-        ascending = list(reversed(p.coeffs))
-        pos = [(m, c) for m, c in ascending if c > 0]
-        neg = [(m, -c) for m, c in ascending if c < 0]
+        pos, neg = _sides(p)
         if not neg:
             self.assert_zero(self.side_value(pos))
             return
@@ -382,6 +404,25 @@ class _Builder:
             pos, neg = neg, pos
         a = self.side_value(pos)
         self.side_value(neg, target=a)
+
+    def nonzero(self, w: Term, t: str):
+        # W * t = 1 (module docstring): d * t = one on W's value d, or
+        # W*t - 1 = 0 for a lone monomial
+        if len(w.coeffs) < 2:
+            eq = _inversion(w, t)
+            self.equation(eq.lhs, eq.rhs)
+            return
+        pos, neg = _sides(w)
+        if not neg:
+            d = self.side_value(pos)
+        elif not pos:
+            d = self.side_value(neg)
+        else:
+            a, b = self.side_value(pos), self.side_value(neg)
+            d = self.temp()
+            self.emit(Plus(d, b, a))
+        one = self.one_var()
+        self.emit(Times(d, self.ensure(t), one))
 
     def finish(self, free_var: str) -> ConstraintSystem:
         idx = self.ensure(free_var)
@@ -426,11 +467,13 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
     systems = []
     negations = 0
     for d in disjuncts:
-        eqs, count = _eliminate(d, fresh)
-        negations += count
         builder = _Builder(fresh, free_var)
-        for eq in eqs:
-            builder.equation(eq.lhs, eq.rhs)
+        for item in _eliminate(d, fresh):
+            if isinstance(item, Equal):
+                builder.equation(item.lhs, item.rhs)
+            else:
+                builder.nonzero(*item)
+                negations += 1
         systems.append(builder.finish(free_var))
     return NormalizedFormula(tuple(systems), free_var, negations)
 
@@ -438,10 +481,15 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
 def normalized_witnesses(nf: NormalizedFormula, K: FieldDescriptor) -> dict[int, tuple[int, ...]]:
     """Union over disjuncts of the projection of each system's solutions
     onto the free variable, as element indices of `int_field(K)`, each
-    value with the first solution of the first system that reaches it."""
+    value with the first solution of the first system that reaches it.
+    Once every element has a witness the later systems are not searched:
+    they can add none."""
     found: dict[int, tuple[int, ...]] = {}
     for s in nf.systems:
-        found.update(ConstraintSearch(s, K).projection(found))
+        search = ConstraintSearch(s, K)
+        found.update(search.projection(found))
+        if len(found) == search.kernel.q:
+            break
     return found
 
 

@@ -487,6 +487,20 @@ def test_curve_lab_over_f1009_is_quick():
     assert data["closure"]["size"] == 1009
 
 
+def test_curve_lab_paper_mode_reads_sums_only_until_the_field_is_full():
+    # 37 block values would give 2^37 - 1 subset sums, but the first rows
+    # already hold all of F37, so the default cap is never met; a cap the
+    # rows reach before the field is full still refuses
+    argv = ("curve-lab", "--field", "F37", "--poly", "y^2 - x^3 - x", "--mode", "paper")
+    code, data = payload(*argv)
+    assert code == 0
+    assert data["closure"]["size"] == 37
+    assert all(row["is_neighbourhood"] for row in data["report"]["per_k"])
+    code, data = payload(*argv, "--cap", "20")
+    assert code == 1
+    assert data["error"]["message"] == "37 block values give more than 20 subset sums"
+
+
 def test_curve_lab_cap_reaches_map_enumeration(monkeypatch):
     caps = []
     verify = curve_lab.verify_closure
@@ -602,7 +616,7 @@ def test_usage_error_exit_2():
 
 
 def test_run_returns_schema_version_constant():
-    assert OUTPUT_SCHEMA_VERSION == 2
+    assert OUTPUT_SCHEMA_VERSION == 3
     parser = build_parser()
     args = parser.parse_args(["fixed-field", "--field", "F2"])
     code, data = run(args)

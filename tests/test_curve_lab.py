@@ -166,9 +166,12 @@ def test_single_abscissa_degenerate():
 
 
 def test_closure_caps_and_modes():
+    # 5 block values: the first 7 subset sums hold all of F5, so a cap of
+    # 10 is never met; a cap of 5 refuses the third row, which would make 7
     c = CurveData.build(CURVE, F5)
-    with pytest.raises(CapExceededError):
-        build_closure(c, mode="paper", cap=10)
+    assert len(build_closure(c, mode="paper", cap=10).elements) == 5
+    with pytest.raises(CapExceededError, match="^5 block values give more than 5 subset sums$"):
+        build_closure(c, mode="paper", cap=5)
     with pytest.raises(ValueError):
         build_closure(c, mode="subsets")
 
@@ -335,11 +338,15 @@ def _reference_closure(c, mode, cap):
     block = list(dict.fromkeys(scaled + [a for row in products for a in row]))
     closure = []
     if mode == "paper":
-        if 2 ** len(block) - 1 > cap:
-            raise CapExceededError(f"{len(block)} block values give more than {cap} subset sums")
-        # the sum over mask is at index mask: bit i stands for block[i]
+        # the sum over mask is at index mask: bit i stands for block[i];
+        # the sums stop once they hold all of K, and a row that would take
+        # their count past cap is refused
         sums = [K.zero()]
         for b in block:
+            if len(set(sums[1:])) == K.order:
+                break
+            if 2 * len(sums) - 1 > cap:
+                raise CapExceededError(f"{len(block)} block values give more than {cap} subset sums")
             sums += [s + b for s in sums]
         closure = sums[1:]
     else:

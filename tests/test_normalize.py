@@ -13,11 +13,13 @@ from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import (
     And,
     Equal,
+    Exists,
     Not,
     Or,
     definable_set,
     free_variables,
     parse,
+    print_formula,
 )
 from defifix.normalize import (
     ConstraintSearch,
@@ -82,6 +84,97 @@ def test_eliminate_negations_two_sided():
     assert count == 1
     w = Term.variable("x") - Term.variable("y")
     assert f == Equal(w * Term.variable("_t1") - 1, Term.zero())
+
+
+def test_eliminate_negations_prints_each_pair_as_w_times_t_minus_1():
+    # normalize atomizes this W as one atom d * t = 1; the formula-level
+    # rendering of the same pair stays W*t - 1 = 0
+    f, count = eliminate_negations(parse("x*y + y != 1 & y = x"))
+    assert count == 1
+    assert print_formula(f) == "_t1*x*y + _t1*y - _t1 - 1 = 0 & y = x"
+
+
+@pytest.mark.parametrize("text, witnesses", [
+    ("exists y. x*y + y != 1 & y*y = x + 1", {"_t1": "xy"}),
+    ("exists y. ~(x = 1) & ~(x^2 + 2*y = 0) & x*y = 1", {"_t1": "x", "_t2": "xy"}),
+    ("exists y. (x + y != 0 & -x - y^2 != 0) | x*x != 2 + y", {"_t1": "xy", "_t2": "xy", "_t7": "xy"}),
+])
+def test_a_negation_of_several_monomials_is_one_inversion_atom(text, witnesses, monkeypatch):
+    # `witnesses` maps each t to its W's variables. t occurs in one atom,
+    # d * t = one, after W's variables and d; the search never branches
+    # on it, since propagation sets t = 1/d
+    nf = normalize(parse(text))
+    inversions = set()
+    for s in nf.systems:
+        for name in set(s.variables) & set(witnesses):
+            t = s.variables.index(name)
+            (a,) = [a for a in s.atoms if t in atom_indices(a)]
+            assert type(a) is Times and a.j == t and One(a.k) in s.atoms
+            assert max(a.i, a.k, *map(s.variables.index, witnesses[name])) < t
+            inversions.add((id(s), t))
+    assert len(inversions) == nf.negations == len(witnesses)
+    assigned = set()
+    assign = ConstraintSearch._assign
+
+    def spy(self, vals, trail, var, v):
+        assigned.add((id(self.system), var))
+        return assign(self, vals, trail, var, v)
+
+    monkeypatch.setattr(ConstraintSearch, "_assign", spy)
+    for K in (F5, F7, F9):
+        assert normalized_definable_set(nf, K) == definable_set(parse(text), K, "x")
+    assert assigned and not inversions & assigned
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("exists y. ~(y=0) & x*y=1",
+     "  vars: x, _t1, _t2, y, _t3\n  _t1 * y = _t2\n  _t2 = 1\n  x * y = _t3\n  _t3 = 1"),
+    ("exists y. ~(2*x*y = 0) & y*y = x",
+     "  vars: x, _t1, _t2, _t3, y, _t4\n  _t1 * x = _t2\n  _t2 * y = _t3\n"
+     "  _t3 + _t3 = _t4\n  _t4 = 1\n  y * y = x"),
+])
+def test_a_negated_monomial_keeps_its_expanded_atoms(text, expected):
+    # W * t is one monomial, so nothing is spread: W*t - 1 = 0 as before
+    assert normalize(parse(text)).to_text() == "free: x\nsystem:\n" + expected
+
+
+_SUMMANDS = [(), ("x",), ("y",), ("x", "y"), ("x", "x"), ("y", "y")]
+
+
+@st.composite
+def _negated_sums(draw):
+    """A conjunction, or a disjunction of two, of literals among which one
+    or two are negations lhs != rhs whose difference W has two or more
+    monomials, W's summands put on either side at random; y, where it
+    occurs, is bound."""
+
+    def literal(negated: bool):
+        picks = draw(st.lists(st.sampled_from(_SUMMANDS), min_size=2, max_size=3, unique=True))
+        sides = [Term.zero(), Term.zero()]
+        for names in picks:
+            m = Term.constant(draw(st.sampled_from([1, 2, 3, -1, -2])))
+            for v in names:
+                m = m * Term.variable(v)
+            sides[draw(st.integers(0, 1))] += m
+        eq = Equal(*sides)
+        return Not(eq) if negated else eq
+
+    def conjunction():
+        lits = [literal(True) for _ in range(draw(st.integers(1, 2)))]
+        lits += [literal(False) for _ in range(draw(st.integers(0, 1)))]
+        return And(tuple(draw(st.permutations(lits)))) if len(lits) > 1 else lits[0]
+
+    body = conjunction() if draw(st.booleans()) else Or((conjunction(), conjunction()))
+    return Exists("y", body) if "y" in free_variables(body) else body
+
+
+@settings(max_examples=120, deadline=None)
+@given(_negated_sums(), st.sampled_from(["F2", "F3", "F5", "F7", "F2^2", "F2^3", "F3^2"]))
+def test_negated_sums_define_what_brute_force_defines(f, spec):
+    if free_variables(f) != {"x"}:
+        f = And((f, parse("x = x")))
+    K = make_field(spec)
+    assert normalized_definable_set(normalize(f), K) == definable_set(f, K, "x")
 
 
 def test_normalize_counts_negations_without_printing_them():
@@ -322,10 +415,10 @@ def test_normalize_renames_clashing_binders_in_walk_order():
         [
             "free: x",
             "system:",
-            "  vars: x, _t2, _t3, _t4, _t1, _t5",
-            "  _t2 * x = _t3",
-            "  _t4 = 1",
-            "  _t4 + _t2 = _t3",
+            "  vars: x, _t3, _t4, _t2, _t1, _t5",
+            "  _t3 = 1",
+            "  _t4 + _t3 = x",
+            "  _t4 * _t2 = _t3",
             "  _t1 * x = _t5",
             "  _t5 = 1",
             "system:",
@@ -533,14 +626,16 @@ def test_dead_component_is_searched_once_not_per_value(monkeypatch):
 
 
 # sha256 of normalize text and ordered witnesses of 100 random formulas
-# per field, as computed before the search was split
+# per field, as computed once a negation of two or more monomials became
+# one atom d * t = 1 on W's value
 @pytest.mark.parametrize(
     "spec, sha256",
     [
-        ("F5", "525f6f496b7f7c813e0e4120152df48aac8d4de5e20055e44f0431ce6481f812"),
-        ("F2^2", "38ba75b6d9136a0d3eb2d9b5d4e40c49f4370a5c96e029ca52b0ae15f819878b"),
-        ("F3^2", "d118e3b26ccd602b95c2748e41c3f2832d198c34fdc93f1ed977de621d840b69"),
+        ("F5", "62f716e91ca5d912e2312027368c2a9a8f33e84df8269c376113a5487c887619"),
+        ("F2^2", "cd3c62f7f19702d790effdf98c52ec1d1ba8a674cda9c785bff5854cefce5456"),
+        ("F3^2", "a2f4e60bf4c1b9967e3605de85c71b88fab50447647e9369d84eac17a214d627"),
     ],
+    ids=["F5", "F2^2", "F3^2"],
 )
 def test_normalized_witnesses_are_pinned(spec, sha256):
     K = make_field(spec)

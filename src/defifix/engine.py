@@ -17,11 +17,14 @@ is, as far as the characteristic decides x. `forced_variables` is the
 part of the root propagation that reads no values, valid over any field;
 the same closure records the atom that set each variable, so
 `forcing_cone` reads off the atoms that force a given one.
+A system holds ints: the search reads its atoms as the entries they are
+stored as, and names and atom objects are made only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container, Iterable, Iterator, Union
 
 from .errors import InfiniteFieldError, NormalizationError
@@ -50,23 +53,61 @@ class One:
 ThreeAddressAtom = Union[Plus, Times, One]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    variables: tuple[str, ...]
-    atoms: tuple[ThreeAddressAtom, ...]
-    free_index: int
+def _atom(entry: tuple) -> ThreeAddressAtom:
+    kind, i, j, k = entry
+    return One(i) if kind is None else Times(i, j, k) if kind else Plus(i, j, k)
 
-    def __post_init__(self):
-        n = len(self.variables)
-        if not 0 <= self.free_index < n:
+
+class ConstraintSystem:
+    """Three-address atoms held as the entries (kind, i, j, k) the search
+    reads: kind False for x_i + x_j = x_k, True for x_i * x_j = x_k, None
+    for x_i = 1 (j = k = i). The constructor takes names and atom objects
+    and checks every index; a builder's system (`_of`) is unchecked and
+    holds its names as items and a function that renders one. Names,
+    atoms and text are made when read."""
+
+    def __init__(self, variables, atoms, free_index: int):
+        n = len(variables)
+        if not 0 <= free_index < n:
             raise NormalizationError("distinguished variable missing from table")
-        for a in self.atoms:
-            if not 0 <= a.i < n or (type(a) is not One and not (0 <= a.j < n and 0 <= a.k < n)):
+        entries = []
+        for a in atoms:
+            one = type(a) is One
+            if not 0 <= a.i < n or not (one or 0 <= a.j < n and 0 <= a.k < n):
                 raise NormalizationError(f"atom {a} indexes outside the variable table")
+            entries.append((None, a.i, a.i, a.i) if one else (type(a) is Times, a.i, a.j, a.k))
+        self._set(entries, free_index, tuple(variables), str)
+
+    @classmethod
+    def _of(cls, entries, free_index: int, names, render) -> ConstraintSystem:
+        s = cls.__new__(cls)
+        s._set(entries, free_index, names, render)
+        return s
+
+    def _set(self, entries, free_index, names, render):
+        self.entries, self.free_index, self.size = tuple(entries), free_index, len(names)
+        self._names, self._render = names, render
+
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(map(self._render, self._names))
+
+    @property
+    def atoms(self) -> tuple[ThreeAddressAtom, ...]:
+        return tuple(map(_atom, self.entries))
 
     @property
     def free_var(self) -> str:
-        return self.variables[self.free_index]
+        return self._render(self._names[self.free_index])
+
+    def _key(self):
+        return self.variables, self.entries, self.free_index
+
+    def __eq__(self, other):
+        return isinstance(other, ConstraintSystem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def atom_text(self, a: ThreeAddressAtom) -> str:
         v = self.variables
@@ -91,25 +132,18 @@ def atom_indices(a: ThreeAddressAtom) -> tuple[int, ...]:
 # -- constraint search -----------------------------------------------------------------
 
 
-def _incidence_and_forced(
-    s: ConstraintSystem,
-) -> tuple[list[list[tuple[bool, int, int, int]]], list[tuple[int, int, object]]]:
-    """Per variable, the Plus and Times atoms it occurs in as (is_product,
-    i, j, k); and the (variable, value, atom) triples the atoms force
-    alone: 1 for a One atom, and 0 for the variable an atom with a
-    repeated place pins (x + y = x gives y = 0, x + y = y gives x = 0).
-    The atom of a triple is the One atom itself, or the sum's incidence
-    entry."""
-    incidence: list[list[tuple[bool, int, int, int]]] = [[] for _ in s.variables]
+def _incidence_and_forced(s: ConstraintSystem) -> tuple[list[list[tuple]], list[tuple]]:
+    """Per variable, the entries of the sums and products it occurs in;
+    and the (variable, value, entry) triples the atoms force alone: 1 for
+    a One atom, and 0 for the variable an atom with a repeated place pins
+    (x + y = x gives y = 0, x + y = y gives x = 0)."""
+    incidence: list[list[tuple]] = [[] for _ in range(s.size)]
     forced = []
-    for a in s.atoms:
-        i = a.i
-        if type(a) is One:
-            forced.append((i, 1, a))
+    for entry in s.entries:
+        is_product, i, j, k = entry
+        if is_product is None:
+            forced.append((i, 1, entry))
             continue
-        j, k = a.j, a.k
-        is_product = type(a) is Times
-        entry = (is_product, i, j, k)
         if not is_product and (k == i or k == j):
             forced.append((j if k == i else i, 0, entry))
         incidence[i].append(entry)
@@ -124,16 +158,16 @@ class ConstraintSearch:
     """The one search over a system of three-address atoms in a finite field.
 
     Elements are ints in `IntField` order. The root state holds what the
-    atoms force alone (`_incidence_and_forced`). From there Plus and Times
-    atoms propagate: once two of an atom's three places are known the
-    third is computed or checked (a product with a known zero factor
-    forces nothing on the other factor). An atom whose two operands are
-    one variable x is solved from c alone where that has one answer:
-    x + x = c gives x = c/2 when p is odd, and in characteristic 2 holds
-    for every x if c = 0 and for none otherwise; x * x = c gives x = 0 when
-    c = 0, the one square root of c when p = 2, and no x when q is odd and
-    c is not a square. Only values no solution has are removed, so the
-    solutions and their order are those of plain branching.
+    atoms force alone (`_incidence_and_forced`). From there sums and
+    products propagate: once two of an atom's three places are known the
+    third is computed or checked, and a product with a known zero factor
+    is 0 (it forces nothing on the other factor). An atom whose two
+    operands are one variable x is solved from c alone where that has one
+    answer: x + x = c gives x = c/2 when p is odd, and in characteristic 2
+    holds for every x if c = 0 and for none otherwise; x * x = c gives x =
+    0 when c = 0, the one square root of c when p = 2, and no x when q is
+    odd and c is not a square. Only values no solution has are removed, so
+    the solutions and their order are those of plain branching.
 
     Branching takes the first unassigned variable of the table and tries
     its values in enumeration order, so solutions come out in
@@ -147,7 +181,7 @@ class ConstraintSearch:
         self.system = s
         self.kernel = int_field(K)
         self.incidence, forced = _incidence_and_forced(s)
-        root: list[int] | None = [-1] * len(s.variables)
+        root: list[int] | None = [-1] * s.size
         for var, v, _ in forced:
             if not self._assign(root, [], var, v):
                 root = None
@@ -184,7 +218,9 @@ class ConstraintSearch:
                         continue
                     dest = k
                 elif c < 0:
-                    continue
+                    if not is_product or (a != 0 and b != 0):
+                        continue
+                    r, dest = 0, k  # a known factor 0
                 elif a >= 0 or b >= 0:
                     # solve for the unknown place, given the other two
                     if a >= 0:
@@ -353,19 +389,17 @@ def solve_system(s: ConstraintSystem, K: FieldDescriptor) -> list[dict[str, Fiel
     ]
 
 
-def _forcing_chain(s: ConstraintSystem) -> dict[int, tuple[object, tuple[int, ...]]]:
+def _forcing_chain(s: ConstraintSystem) -> dict[int, tuple[tuple, tuple[int, ...]]]:
     """The closure that the root of `ConstraintSearch` makes without
     reading a value, and so over any field: each variable it sets, in the
-    order set, with the atom that set it and the variables that atom read.
+    order set, with the entry that set it and the variables that entry read.
 
     The root-forced variables come first, each from its first One atom or
     sum with a repeated place, which read nothing. From there an atom with
     exactly one place unset, counting repeats (x + x = 1 and x * x = 1 set
-    no x), sets that place from its other two. An atom is a One atom
-    itself, or the incidence entry (is_product, i, j, k) of a sum or
-    product."""
+    no x), sets that place from its other two."""
     incidence, forced = _incidence_and_forced(s)
-    chain: dict[int, tuple[object, tuple[int, ...]]] = {}
+    chain: dict[int, tuple[tuple, tuple[int, ...]]] = {}
     for var, _, atom in forced:
         if var not in chain:
             chain[var] = (atom, ())
@@ -417,6 +451,4 @@ def forcing_cone(s: ConstraintSystem, var: int) -> list[ThreeAddressAtom] | None
         if atom not in cone:
             cone.add(atom)
             stack += read
-    return [
-        a for a in s.atoms if (a if type(a) is One else (type(a) is Times, a.i, a.j, a.k)) in cone
-    ]
+    return [_atom(e) for e in s.entries if e in cone]

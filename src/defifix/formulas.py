@@ -17,8 +17,10 @@ Grammar (precedence from loosest to tightest):
 
 The lexer is one token table, `_TOKEN_RE`: after whitespace, a NAME (the
 pattern `is_name` matches), an integer of ASCII digits, punctuation, or any
-other character, an error. Tokens carry their offset in the text; a syntax
-error reports its line and column, both from 1, where only "\n" starts a line.
+other character, an error. The parser reads token texts alone, from one
+`findall` after one `fullmatch`; only a syntax error scans again for its
+token's offset, to report its line and column, both from 1, where only
+"\n" starts a line.
 
 "a != b" is sugar for "~(a = b)" and the printer emits it back in that
 form. Conjunction and disjunction chains are stored as n-ary nodes in
@@ -36,7 +38,7 @@ from typing import Union
 
 from .errors import EvaluationError, FormulaSyntaxError, InfiniteFieldError
 from .fields import FieldDescriptor, FieldElement, IntField, int_field, ring
-from .terms import Term
+from .terms import Coefficient, Monomial, Term, _canon, _mono_mul
 
 Formula = Union[
     "Equal", "PredicateApp", "Not", "And", "Or", "Implies", "Iff", "Exists", "ForAll"
@@ -108,15 +110,21 @@ def disj(parts) -> Formula:
 
 _KEYWORDS = {"exists", "forall"}
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_PUNCT = r"<->|->|!=|[()+\-*^=,.|&~/]"
 # Each match skips whitespace and takes the first entry that fits; OTHER
 # takes any other character, so only trailing whitespace goes unmatched.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     rf"(?P<NAME>{_NAME})"
     r"|(?P<INT>[0-9]+)"
-    r"|(?P<PUNCT><->|->|!=|[()+\-*^=,.|&~/])"
+    rf"|(?P<PUNCT>{_PUNCT})"
     r"|(?P<OTHER>\S))"
 )
+# The same table without OTHER; a name or integer ends where the scan ends
+# it, so a text splits one way only and a bad one fails without backtracking.
+_TOKEN = rf"{_NAME}(?![A-Za-z0-9_])|[0-9]+(?![0-9])|{_PUNCT}"
+_TEXT_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+_TOKENS_RE = re.compile(rf"\s*({_TOKEN})")
 # the tokens that can follow a parenthesized term inside an atom
 _AFTER_TERM = frozenset(("^", "*", "/", "+", "-", "=", "!="))
 
@@ -127,208 +135,214 @@ def is_name(text: str) -> bool:
     return re.fullmatch(_NAME, text) is not None and text not in _KEYWORDS
 
 
-@dataclass
-class _Token:
-    kind: str  # NAME INT PUNCT END
-    text: str
-    pos: int  # offset in the source text
-
-
 def _position(text: str, pos: int) -> tuple[int, int]:
     """Line and column, both from 1, of offset pos in text."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Each token of text as (kind, text, offset), then END; any other character is an error."""
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "OTHER":
             raise FormulaSyntaxError(
                 f"unexpected character {m.group(kind)!r}", *_position(text, m.start(kind))
             )
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-    tokens.append(_Token("END", "", len(text)))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Reads token texts, "" at the end: a name is an identifier, an
+    integer is digits."""
+
     def __init__(self, text: str):
+        if _TEXT_RE.fullmatch(text) is None:
+            _tokenize(text)  # raises at the first character no token starts
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKENS_RE.findall(text) + [""]
         self.pos = 0
         # position of each "(" -> position just after its matching ")"
         self.after_group: dict[int, int] = {}
         opened = []
         for pos, tok in enumerate(self.tokens):
-            if tok.text == "(":
+            if tok == "(":
                 opened.append(pos)
-            elif tok.text == ")" and opened:
+            elif tok == ")" and opened:
                 self.after_group[opened.pop()] = pos + 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
+    def expect(self, text: str):
         tok = self.tokens[self.pos]
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
 
     def error(self, message: str):
-        raise FormulaSyntaxError(message, *_position(self.text, self.peek().pos))
+        offset = _tokenize(self.text)[self.pos][2]
+        raise FormulaSyntaxError(message, *_position(self.text, offset))
 
     def whole(self, result):
         """result, once the input is read to its end."""
-        tok = self.peek()
-        if tok.kind != "END":
-            self.error(f"unexpected trailing input {tok.text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            self.error(f"unexpected trailing input {tok!r}")
         return result
 
     # -- formula levels ----------------------------------------------------
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text in _KEYWORDS:
-            self.next()
-            var = self.peek()
-            if var.kind != "NAME" or var.text in _KEYWORDS:
+        tok = self.tokens[self.pos]
+        if tok in _KEYWORDS:
+            self.pos += 1
+            var = self.tokens[self.pos]
+            if not var.isidentifier() or var in _KEYWORDS:
                 self.error("expected a variable name after quantifier")
-            self.next()
+            self.pos += 1
             self.expect(".")
             body = self.formula()
-            return Exists(var.text, body) if tok.text == "exists" else ForAll(var.text, body)
+            return Exists(var, body) if tok == "exists" else ForAll(var, body)
         return self.disj()
 
     def disj(self) -> Formula:
         parts = [self.conj()]
-        while self.peek().text == "|":
-            self.next()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.conj())
         return disj(parts)
 
     def conj(self) -> Formula:
         parts = [self.impl()]
-        while self.peek().text == "&":
-            self.next()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.impl())
         return conj(parts)
 
     def impl(self) -> Formula:
         left = self.lit()
-        tok = self.peek()
-        if tok.text == "->":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok == "->":
+            self.pos += 1
             return Implies(left, self.lit())
-        if tok.text == "<->":
-            self.next()
+        if tok == "<->":
+            self.pos += 1
             return Iff(left, self.lit())
         return left
 
     def lit(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok == "~":
+            self.pos += 1
             return Not(self.lit())
-        if tok.text == "(":
+        if tok == "(":
             # Could open a parenthesized term ("(x+1)*y = 0") or a
             # parenthesized formula. An atom goes on after the group with
             # an operator, so only then is the atom reading tried first.
             after = self.after_group.get(self.pos)
-            if after is not None and self.tokens[after].text in _AFTER_TERM:
+            if after is not None and self.tokens[after] in _AFTER_TERM:
                 saved = self.pos
                 try:
                     return self.atom()
                 except FormulaSyntaxError:
                     self.pos = saved
-            self.next()
+            self.pos += 1
             inner = self.formula()
             self.expect(")")
             return inner
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if (
-            tok.kind == "NAME"
-            and tok.text not in _KEYWORDS
-            and self.tokens[self.pos + 1].text == "("
-        ):
-            name = self.next().text
-            self.expect("(")
+        tok = self.tokens[self.pos]
+        if tok.isidentifier() and tok not in _KEYWORDS and self.tokens[self.pos + 1] == "(":
+            self.pos += 2
             args = [self.term()]
-            while self.peek().text == ",":
-                self.next()
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
                 args.append(self.term())
             self.expect(")")
-            return PredicateApp(name, tuple(args))
+            return PredicateApp(tok, tuple(args))
         lhs = self.term()
-        op = self.peek()
-        if op.text == "=":
-            self.next()
+        op = self.tokens[self.pos]
+        if op == "=":
+            self.pos += 1
             return Equal(lhs, self.term())
-        if op.text == "!=":
-            self.next()
+        if op == "!=":
+            self.pos += 1
             return Not(Equal(lhs, self.term()))
         self.error("expected '=' or '!=' after term")
 
     # -- term levels ---------------------------------------------------------
 
     def term(self) -> Term:
-        parts = [self.product()]
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.product()
-            parts.append(rhs if op == "+" else -rhs)
-        return parts[0] if len(parts) == 1 else Term.sum(parts)
+        """A sum of products, added up in one {monomial: coefficient} dict
+        and put in canonical order once."""
+        acc: dict[Monomial, Coefficient] = {}
+        self.product(acc, 1)
+        while (op := self.tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            self.product(acc, 1 if op == "+" else -1)
+        return Term(_canon(acc))
 
-    def product(self) -> Term:
-        t = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            rhs = self.factor()
-            if op == "*":
-                t = t * rhs
-            else:
-                if not rhs.is_constant or rhs.is_zero:
+    def product(self, acc: dict, c: Coefficient):
+        """Add c times the next product into acc. Its factors multiply into
+        one coefficient and one exponent dict; only a parenthesized group is
+        multiplied out, as a Term."""
+        exps: dict[str, int] = {}
+        poly = None
+        op = "*"
+        while True:
+            into = exps if op == "*" else {}
+            f = self.factor(into)
+            if op == "/":
+                if type(f) is Term:
+                    f = f.constant_value() if f.is_constant else 0
+                if into or not f:
                     self.error("division only by nonzero integer constants")
-                t = t * Term.constant(Fraction(1, 1) / Fraction(rhs.constant_value()))
-        return t
+                f = Fraction(1) / f
+            if type(f) is Term:
+                poly = f if poly is None else poly * f
+            else:
+                c *= f
+            op = self.tokens[self.pos]
+            if op != "*" and op != "/":
+                break
+            self.pos += 1
+        m = tuple(sorted(exps.items()))
+        for pm, pc in ((((), 1),) if poly is None else poly.coeffs):
+            pm = _mono_mul(pm, m)
+            acc[pm] = acc.get(pm, 0) + pc * c
 
-    def factor(self) -> Term:
-        tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            return -self.factor()
-        base = self.base()
-        if self.peek().text == "^":
-            self.next()
-            exp = self.peek()
-            if exp.kind != "INT":
-                self.error("expected an integer exponent")
-            self.next()
-            return base ** int(exp.text)
-        return base
-
-    def base(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return Term.constant(int(tok.text))
-        if tok.kind == "NAME" and tok.text not in _KEYWORDS:
-            self.next()
-            return Term.variable(tok.text)
-        if tok.text == "(":
-            self.next()
-            inner = self.term()
+    def factor(self, exps: dict):
+        """The next factor: an integer, a parenthesized group as a Term, or
+        1 for a name, whose exponent is added into exps."""
+        tok = self.tokens[self.pos]
+        if tok == "-":
+            self.pos += 1
+            return -self.factor(exps)
+        self.pos += 1
+        if tok.isdigit():
+            c = int(tok)
+        elif tok == "(":
+            c = self.term()
             self.expect(")")
-            return inner
-        self.error("expected a term")
+        elif tok.isidentifier() and tok not in _KEYWORDS:
+            c = 1
+        else:
+            self.pos -= 1
+            self.error("expected a term")
+        n = 1
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            if not self.tokens[self.pos].isdigit():
+                self.error("expected an integer exponent")
+            n = int(self.tokens[self.pos])
+            self.pos += 1
+        if not tok.isidentifier():
+            return c if n == 1 else c**n
+        if n:
+            exps[tok] = exps.get(tok, 0) + n
+        return 1
 
 
 def parse(text: str) -> Formula:
@@ -423,24 +437,30 @@ def map_subformulas(f: Formula, fn) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _variables(f: Formula, keep_bound: bool) -> set[str]:
-    if isinstance(f, Equal):
-        return f.lhs.free_variables() | f.rhs.free_variables()
-    if isinstance(f, PredicateApp):
-        return set().union(*(a.free_variables() for a in f.args))
+def _variables(f: Formula) -> tuple[set[str], set[str]]:
+    """The free variables of f and all of them, bound ones too, in one walk."""
+    if isinstance(f, (Equal, PredicateApp)):
+        terms = (f.lhs, f.rhs) if isinstance(f, Equal) else f.args
+        free = set().union(*(t.free_variables() for t in terms))
+        return free, set(free)
+    free, every = set(), set()
+    for g in subformulas(f):
+        g_free, g_every = _variables(g)
+        free |= g_free
+        every |= g_every
     if isinstance(f, (Exists, ForAll)):
-        body = _variables(f.body, keep_bound)
-        return body | {f.var} if keep_bound else body - {f.var}
-    return set().union(*(_variables(g, keep_bound) for g in subformulas(f)))
+        free.discard(f.var)
+        every.add(f.var)
+    return free, every
 
 
 def free_variables(f: Formula) -> set[str]:
-    return _variables(f, keep_bound=False)
+    return _variables(f)[0]
 
 
 def all_variables(f: Formula) -> set[str]:
     """Free and bound variable names together."""
-    return _variables(f, keep_bound=True)
+    return _variables(f)[1]
 
 
 def desugar(f: Formula) -> Formula:

@@ -35,18 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from typing import Container, Iterator, Sequence
 
-from .engine import (
-    ConstraintSearch,
-    ConstraintSystem,
-    One,
-    Plus,
-    ThreeAddressAtom,
-    Times,
-    forced_variables,
-)
+from .engine import ConstraintSearch, ConstraintSystem, forced_variables
 from .errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from .fields import (
     FieldDescriptor,
@@ -244,8 +235,8 @@ class ArithmeticMap:
 
 def fact_system(A: Neighbourhood) -> ConstraintSystem:
     """A's facts as a constraint system with one variable per element of A
-    (named by its element string): its solutions are the arithmetic maps
-    on A, and its free variable is the distinguished element.
+    (named, when read, by its element string): its solutions are the
+    arithmetic maps on A, and its free variable is the distinguished element.
 
     This is the one place that decides which facts are written down: the
     ones, then the sums, then the products, each in sorted order.  A sum or
@@ -259,11 +250,10 @@ def fact_system(A: Neighbourhood) -> ConstraintSystem:
     one, sums, products = _scan(A, pruned=True)
     sums.sort()
     products.sort()
-    atoms: list[ThreeAddressAtom] = [] if one is None else [One(one)]
-    atoms += starmap(Plus, sums)
-    atoms += starmap(Times, products)
-    names = tuple(element_str(a) for a in A.elements)
-    return ConstraintSystem(names, tuple(atoms), A.target_index)
+    entries = [] if one is None else [(None, one, one, one)]
+    entries += [(False, i, j, k) for i, j, k in sums]
+    entries += [(True, i, j, k) for i, j, k in products]
+    return ConstraintSystem._of(entries, A.target_index, A.elements, element_str)
 
 
 def _map_search(A: Neighbourhood) -> ConstraintSearch:

@@ -7,7 +7,8 @@ error) -> the capped DNF -> negation elimination (each W != 0 becomes
 the pair of W and a fresh inversion witness t) -> atomization (each
 polynomial equation becomes a conjunction of three-address atoms over
 fresh temporaries). Fresh variables are named "_t<n>" from a single
-counter per run, so output is reproducible.
+counter per run, so output is reproducible; a temporary is held as its
+n, and named only when the system's names are read.
 
 A pair (W, t) means W*t = 1. A W of two or more monomials is built as a
 value d, its positive side less its negative side, followed by the one
@@ -36,9 +37,10 @@ values (`normalized_witnesses`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Iterator
 
-from .engine import ConstraintSearch, ConstraintSystem, One, Plus, ThreeAddressAtom, Times
+from .engine import ConstraintSearch, ConstraintSystem
 from .errors import CapExceededError, NormalizationError
 from .fields import FieldDescriptor, FieldElement, int_field
 from .formulas import (
@@ -52,11 +54,11 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
+    _variables,
     all_variables,
     conj,
     desugar,
     disj,
-    free_variables,
     substitute_terms,
 )
 from .terms import Monomial, Term
@@ -88,25 +90,27 @@ class NormalizedFormula:
 # -- fresh names ---------------------------------------------------------------
 
 
-class _FreshNames:
-    def __init__(self, used: set[str]):
-        self.used = set(used)
-        self.n = 0
+def _fresh_names(used: set[str]) -> Iterator[int]:
+    """The run's counter: the n >= 1 whose name "_t<n>" (`_name`) is not
+    among the names in use, which are known up front, in order."""
+    taken = {  # "_t" and a canonical int; a longer one is never reached
+        int(u[2:])
+        for u in used
+        if u[:2] == "_t" and u[2:].isascii() and u[2:].isdigit() and u[2] != "0" and len(u) < 20
+    }
+    return (n for n in count(1) if n not in taken)
 
-    def __call__(self) -> str:
-        while True:
-            self.n += 1
-            name = f"_t{self.n}"
-            if name not in self.used:
-                self.used.add(name)
-                return name
+
+def _name(v: str | int) -> str:
+    """A variable's name: a fresh temporary is held as its counter value."""
+    return v if type(v) is str else f"_t{v}"
 
 
 # -- negation normal form and DNF ----------------------------------------------
 
 
 def _nnf(
-    f: Formula, fresh: _FreshNames | None = None, claimed: set[str] | None = None, negated=False
+    f: Formula, fresh: Iterator[int] | None = None, claimed: set[str] | None = None, negated=False
 ) -> Formula:
     """Negation normal form of f (of ~f when `negated`) in one walk: a Not
     flips the parity and an Implies or Iff is desugared where it is met.
@@ -131,7 +135,7 @@ def _nnf(
     if isinstance(f, Exists) and fresh is not None:
         var, body = f.var, f.body
         if var in claimed:
-            renamed = fresh()
+            renamed = _name(next(fresh))
             body = substitute_terms(body, {var: Term.variable(renamed)})
             var = renamed
         claimed.add(var)
@@ -188,16 +192,16 @@ def _literals(d: Formula) -> list[Formula]:
 
 
 def _eliminate(
-    literals: Iterable[Formula], fresh: _FreshNames
-) -> list[Equal | tuple[Term, str]]:
+    literals: Iterable[Formula], fresh: Iterator[int]
+) -> list[Equal | tuple[Term, int]]:
     """The literals in order, each negated equation lhs != rhs replaced by
     the pair (W, t) of W = lhs - rhs and its fresh inversion witness t."""
-    out: list[Equal | tuple[Term, str]] = []
+    out: list[Equal | tuple[Term, int]] = []
     for lit in literals:
         if isinstance(lit, Equal):
             out.append(lit)
         elif isinstance(lit, Not) and isinstance(lit.body, Equal):
-            out.append((lit.body.lhs - lit.body.rhs, fresh()))
+            out.append((lit.body.lhs - lit.body.rhs, next(fresh)))
         else:
             raise NormalizationError(
                 f"literal {type(lit).__name__} is not a ring (in)equation"
@@ -205,8 +209,8 @@ def _eliminate(
     return out
 
 
-def _inversion(w: Term, t: str) -> Equal:
-    return Equal(w * Term.variable(t) - 1, Term.zero())
+def _inversion(w: Term, t: int) -> Equal:
+    return Equal(w * Term.variable(_name(t)) - 1, Term.zero())
 
 
 def eliminate_negations(d: Formula) -> tuple[Formula, int]:
@@ -215,7 +219,7 @@ def eliminate_negations(d: Formula) -> tuple[Formula, int]:
     conjunction and the number of fresh variables introduced. This is the
     formula-level rendering of the (W, t) pairs that `normalize` atomizes
     (`_Builder.nonzero`)."""
-    fresh = _FreshNames(all_variables(d))
+    fresh = _fresh_names(all_variables(d))
     items = _eliminate(_literals(d), fresh)
     eqs = [_inversion(*x) if isinstance(x, tuple) else x for x in items]
     return conj(eqs) if eqs else d, sum(isinstance(x, tuple) for x in items)
@@ -234,20 +238,20 @@ def _bare(entries) -> str | None:
     return None
 
 
-def _one_atom(t: Term) -> tuple[type, str, str] | None:
-    """(Plus, u, v) for u + v or 2*u, (Times, u, v) for u*v or u^2, and
+def _one_atom(t: Term) -> tuple[bool, str, str] | None:
+    """(False, u, v) for u + v or 2*u, (True, u, v) for u*v or u^2, and
     None for any other term. The coefficient c and the total degree 3 - c
     are checked before a monomial is spelled out as names."""
     entries = t.coeffs
     if len(entries) == 2:
         u, v = _bare(entries[:1]), _bare(entries[1:])
-        return (Plus, u, v) if u is not None and v is not None else None
+        return (False, u, v) if u is not None and v is not None else None
     if len(entries) == 1:
         m, c = entries[0]
         if c in (1, 2) and sum(e for _, e in m) == 3 - c:
             # u*v and u^2 spell two names; 2*u spells one, taken twice
             names = [v for v, e in m for _ in range(e)] * c
-            return (Times if c == 1 else Plus, *names)
+            return (c == 1, *names)
     return None
 
 
@@ -262,14 +266,15 @@ def _sides(p: Term) -> tuple[list[tuple[Monomial, int]], list[tuple[Monomial, in
 
 
 class _Builder:
-    """Accumulates one ConstraintSystem: variable table, atoms, and one
-    cache of built values, keyed (Plus, w, n) for n*w, (Times, w, n) for
-    w^n and (Times, m) for a whole monomial m."""
+    """Accumulates one ConstraintSystem: variable table (the free variable,
+    or else the first, at 0), the engine's entries (is_product, i, j, k),
+    and one cache of built values, keyed (False, w, n) for n*w, (True, w,
+    n) for w^n and (True, m) for a whole monomial m."""
 
-    def __init__(self, fresh: _FreshNames, free_var: str | None):
-        self.names: list[str] = []
+    def __init__(self, fresh: Iterator[int], free_var: str | None):
+        self.names: list[str | int] = []
         self.index: dict[str, int] = {}
-        self.atoms: list[ThreeAddressAtom] = []
+        self.entries: list[tuple] = []
         self.fresh = fresh
         self.cache: dict[tuple, int] = {}
         self.zero_idx: int | None = None
@@ -278,38 +283,38 @@ class _Builder:
             self.ensure(free_var)
 
     def ensure(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.names)
+        i = self.index.get(name)
+        if i is None:
+            i = self.index[name] = len(self.names)
             self.names.append(name)
-        return self.index[name]
+        return i
 
     def temp(self) -> int:
-        return self.ensure(self.fresh())
+        self.names.append(next(self.fresh))
+        return len(self.names) - 1
 
-    def emit(self, atom: ThreeAddressAtom):
-        self.atoms.append(atom)
+    def emit(self, kind: bool | None, i: int, j: int, k: int):
+        self.entries.append((kind, i, j, k))
 
     def zero_var(self) -> int:
         if self.zero_idx is None:
-            v = self.temp()
-            self.emit(Plus(v, v, v))
-            self.zero_idx = v
+            v = self.zero_idx = self.temp()
+            self.emit(False, v, v, v)
         return self.zero_idx
 
     def one_var(self) -> int:
         if self.one_idx is None:
-            v = self.temp()
-            self.emit(One(v))
-            self.one_idx = v
+            v = self.one_idx = self.temp()
+            self.emit(None, v, v, v)
         return self.one_idx
 
     def equate(self, i: int, j: int):
         if i != j:
-            self.emit(Plus(i, self.zero_var(), j))
+            self.emit(False, i, self.zero_var(), j)
 
-    def repeat(self, kind: type, w: int, n: int, target: int | None = None) -> int:
-        # w combined with itself n >= 1 times: n*w under Plus, w^n under
-        # Times. Doubling along the bits of n from the top takes the prefix
+    def repeat(self, kind: bool, w: int, n: int, target: int | None = None) -> int:
+        # w combined with itself n >= 1 times: n*w for kind False, w^n for
+        # True. Doubling along the bits of n from the top takes the prefix
         # k to 2k (kw + kw) and, on a set bit, to 2k+1 (2kw + w); prefixes
         # are cached, and the last step writes into `target` when given.
         # A target comes only with n >= 2: a side that is one bare variable
@@ -319,40 +324,40 @@ class _Builder:
             steps = [(cur, 2 * k), (w, 2 * k + 1)] if bit == "1" else [(cur, 2 * k)]
             for other, k in steps:
                 if k == n and target is not None:
-                    self.emit(kind(cur, other, target))
+                    self.emit(kind, cur, other, target)
                     return target
                 key = (kind, w, k)
                 if key not in self.cache:
                     self.cache[key] = self.temp()
-                    self.emit(kind(cur, other, self.cache[key]))
+                    self.emit(kind, cur, other, self.cache[key])
                 cur = self.cache[key]
         return cur
 
     def mono_value(self, m: Monomial, target: int | None = None) -> int:
         # left fold of the variables' powers; each step allocates its
         # destination before building the next power
-        if target is None and (Times, m) in self.cache:
-            return self.cache[(Times, m)]
+        if target is None and (True, m) in self.cache:
+            return self.cache[(True, m)]
         (v, e), *rest = m
-        cur = self.repeat(Times, self.ensure(v), e, None if rest else target)
+        cur = self.repeat(True, self.ensure(v), e, None if rest else target)
         for pos, (v, e) in enumerate(rest, start=1):
             dest = target if (target is not None and pos == len(rest)) else self.temp()
-            self.emit(Times(cur, self.repeat(Times, self.ensure(v), e), dest))
+            self.emit(True, cur, self.repeat(True, self.ensure(v), e), dest)
             cur = dest
         if target is None:
-            self.cache[(Times, m)] = cur
+            self.cache[(True, m)] = cur
         return cur
 
     def term_value(self, m: Monomial, c: int, target: int | None = None) -> int:
         # value of the summand c * m, c >= 1; a constant is c * 1
         if m == ():
             if c == 1 and target is not None:
-                self.emit(One(target))
+                self.emit(None, target, target, target)
                 return target
-            return self.repeat(Plus, self.one_var(), c, target)
+            return self.repeat(False, self.one_var(), c, target)
         if c == 1:
             return self.mono_value(m, target)
-        return self.repeat(Plus, self.mono_value(m), c, target)
+        return self.repeat(False, self.mono_value(m), c, target)
 
     def side_value(self, terms: list[tuple[Monomial, int]], target: int | None = None) -> int:
         # running sum over the summands, in the order given
@@ -364,12 +369,12 @@ class _Builder:
             v = self.term_value(m, c)
             last = pos == len(terms)
             dest = target if (target is not None and last) else self.temp()
-            self.emit(Plus(cur, v, dest))
+            self.emit(False, cur, v, dest)
             cur = dest
         return cur
 
     def assert_zero(self, i: int):
-        self.emit(Plus(i, i, i))
+        self.emit(False, i, i, i)
 
     def equation(self, lhs: Term, rhs: Term):
         for side, other in ((lhs, rhs), (rhs, lhs)):
@@ -377,17 +382,14 @@ class _Builder:
             shape = _one_atom(side) if target is not None else None
             if shape is not None:
                 kind, u, v = shape
-                self.emit(kind(self.ensure(u), self.ensure(v), self.ensure(target)))
+                self.emit(kind, self.ensure(u), self.ensure(v), self.ensure(target))
                 return
         p = lhs - rhs
         if p.is_zero:
             return
         pos, neg = _sides(p)
-        if not neg:
-            self.assert_zero(self.side_value(pos))
-            return
-        if not pos:
-            self.assert_zero(self.side_value(neg))
+        if not pos or not neg:
+            self.assert_zero(self.side_value(pos or neg))
             return
         bpos, bneg = _bare(pos), _bare(neg)
         if bpos is not None and bneg is not None:
@@ -405,7 +407,7 @@ class _Builder:
         a = self.side_value(pos)
         self.side_value(neg, target=a)
 
-    def nonzero(self, w: Term, t: str):
+    def nonzero(self, w: Term, t: int):
         # W * t = 1 (module docstring): d * t = one on W's value d, or
         # W*t - 1 = 0 for a lone monomial
         if len(w.coeffs) < 2:
@@ -413,20 +415,18 @@ class _Builder:
             self.equation(eq.lhs, eq.rhs)
             return
         pos, neg = _sides(w)
-        if not neg:
-            d = self.side_value(pos)
-        elif not pos:
-            d = self.side_value(neg)
+        if not pos or not neg:
+            d = self.side_value(pos or neg)
         else:
             a, b = self.side_value(pos), self.side_value(neg)
             d = self.temp()
-            self.emit(Plus(d, b, a))
+            self.emit(False, d, b, a)
         one = self.one_var()
-        self.emit(Times(d, self.ensure(t), one))
+        self.names.append(t)
+        self.emit(True, d, len(self.names) - 1, one)
 
-    def finish(self, free_var: str) -> ConstraintSystem:
-        idx = self.ensure(free_var)
-        return ConstraintSystem(tuple(self.names), tuple(self.atoms), idx)
+    def finish(self) -> ConstraintSystem:
+        return ConstraintSystem._of(self.entries, 0, self.names, _name)
 
 
 def atomize(c: Formula | Iterable[Equal], free_var: str | None = None) -> ConstraintSystem:
@@ -441,15 +441,13 @@ def atomize(c: Formula | Iterable[Equal], free_var: str | None = None) -> Constr
         if not isinstance(lit, Equal):
             raise NormalizationError("atomize expects a conjunction of equations")
         used |= lit.lhs.free_variables() | lit.rhs.free_variables()
-    fresh = _FreshNames(used | ({free_var} if free_var else set()))
+    fresh = _fresh_names(used | ({free_var} if free_var else set()))
     builder = _Builder(fresh, free_var)
     for lit in literals:
         builder.equation(lit.lhs, lit.rhs)
-    if free_var is None:
-        if not builder.names:
-            raise NormalizationError("no variables in system")
-        free_var = builder.names[0]
-    return builder.finish(free_var)
+    if not builder.names:
+        raise NormalizationError("no variables in system")
+    return builder.finish()
 
 
 def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
@@ -458,11 +456,11 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
     definable set over every finite field. The result also counts the
     negations eliminated, which equals the number of inversion witnesses
     introduced."""
-    fvs = free_variables(f)
+    fvs, every = _variables(f)
     if len(fvs) != 1:
         raise NormalizationError(f"expected exactly one free variable, found {sorted(fvs)}")
     free_var = fvs.pop()
-    fresh = _FreshNames(all_variables(f))
+    fresh = _fresh_names(every)
     disjuncts = _distribute(_nnf(f, fresh, {free_var}), cap)
     systems = []
     negations = 0
@@ -474,7 +472,7 @@ def normalize(f: Formula, cap: int = DEFAULT_DNF_CAP) -> NormalizedFormula:
             else:
                 builder.nonzero(*item)
                 negations += 1
-        systems.append(builder.finish(free_var))
+        systems.append(builder.finish())
     return NormalizedFormula(tuple(systems), free_var, negations)
 
 

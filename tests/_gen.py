@@ -1,6 +1,10 @@
-"""Random existential ring formulas for semantic-preservation tests."""
+"""Random existential ring formulas for semantic-preservation tests, and
+the benchmark's own inputs (`bench_module`)."""
 
+import importlib
 import random
+import sys
+from pathlib import Path
 
 from defifix.formulas import And, Equal, Exists, Formula, Not, Or, free_variables
 from defifix.terms import Term
@@ -47,3 +51,16 @@ def random_existential_formula(rng: random.Random, max_negations: int = 2) -> Fo
                 f = Exists(v, f)
         if free_variables(f) == {"x"}:
             return f
+
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def bench_module(name: str):
+    """A module of the benchmark (`bench/`), such as `gen` or `workloads`,
+    imported with bench/ on the path for the import only."""
+    sys.path.insert(0, BENCH)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(BENCH)

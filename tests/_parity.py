@@ -206,7 +206,7 @@ def family_curve():
 
 
 def _tokens(text: str):
-    return [(t.kind, t.text, t.pos) for t in formulas._tokenize(text)]
+    return [(kind, text, pos) for kind, text, pos in formulas._tokenize(text)]
 
 
 _FUZZ_ALPHABET = ("x", "y", "z", "_a1", "exists", "forall", "P", "0", "1", "12", " ", "\n",

@@ -30,6 +30,7 @@ from defifix.curve_lab import (
     symmetric_value_formula,
     verify_closure,
 )
+from defifix.engine import One
 from defifix.fields import enumerate_elements, frobenius, make_field
 from defifix.formulas import (
     And,
@@ -52,7 +53,6 @@ from defifix.neighbourhood import (
     neighbourhood,
 )
 from defifix.normalize import (
-    One,
     atomize,
     eliminate_negations,
     normalize,

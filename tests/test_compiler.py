@@ -18,7 +18,7 @@ from defifix.compiler import (
     homogenize,
     neighbourhood_to_formula,
 )
-from defifix.engine import Times, atom_indices, forcing_cone, solve_system
+from defifix.engine import One, Plus, Times, atom_indices, forcing_cone, solve_system
 from defifix.errors import (
     CapExceededError,
     InfiniteFieldError,
@@ -37,8 +37,6 @@ from defifix.neighbourhood import (
 )
 from defifix.normalize import (
     ConstraintSearch,
-    One,
-    Plus,
     normalize,
     normalized_definable_set,
 )

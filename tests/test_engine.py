@@ -1,7 +1,8 @@
 """The validation of constraint systems and the incidence lists the
 search reads, the engine's propagation of atoms whose two operand places
-are one variable, x + x = c and x * x = c, and a differential check of the
-search against full enumeration."""
+are one variable, x + x = c and x * x = c, and of a product with a known
+zero factor, and a differential check of the search against full
+enumeration."""
 
 import itertools
 
@@ -53,8 +54,8 @@ def test_incidence_lists_each_atom_once_per_distinct_place():
         [(False, 3, 2, 3), (True, 2, 3, 2)],
     ]
     # 1 for a One atom, 0 for the other summand of x + y = y and of 0 + 0 = 0,
-    # each with the atom that forces it
-    assert forced == [(0, 0, (False, 0, 0, 0)), (1, 1, One(1)), (2, 0, (False, 3, 2, 3))]
+    # each with the entry of the atom that forces it
+    assert forced == [(0, 0, (False, 0, 0, 0)), (1, 1, (None, 1, 1, 1)), (2, 0, (False, 3, 2, 3))]
 
 
 def _pinned(search, var, v):
@@ -122,6 +123,22 @@ def test_square_or_double_of_zero_sets_zero(spec):
     if K.p != 2:
         search = ConstraintSearch(_system("z x", [Plus(0, 0, 0), Plus(1, 1, 0)]), K)
         assert search.root == [0, 0]
+
+
+@pytest.mark.parametrize("spec", ["F5", "F2^2", "F3^2"])
+def test_a_known_zero_factor_sets_the_product_to_zero(spec):
+    K = make_field(spec)
+    # x + x = x sets x = 0 at the root, and then x * y = z and y * x = w
+    # set z and w to 0 with y unset
+    s = _system("x y z w", [Plus(0, 0, 0), Times(0, 1, 2), Times(1, 0, 3)])
+    search = ConstraintSearch(s, K)
+    assert search.root == [0, -1, 0, 0]
+    assert list(search.solutions()) == _enumerated(s, K)
+    # a zero factor met in the search: z is set on the branch y = 0 alone
+    s = _system("y x z", [Times(0, 1, 2)])
+    search = ConstraintSearch(s, K)
+    assert _pinned(search, 0, 0) == [0, -1, 0]
+    assert list(search.solutions()) == _enumerated(s, K)
 
 
 # -- differential check against full enumeration -----------------------------------

@@ -21,7 +21,8 @@ from defifix.fields import (
     parse_element,
     ring,
 )
-from defifix.normalize import ConstraintSearch, ConstraintSystem, Plus, Times
+from defifix.engine import Plus, Times
+from defifix.normalize import ConstraintSearch, ConstraintSystem
 
 
 def test_make_field_rationals():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _gen import bench_module
 from defifix import fields
 from defifix.errors import EvaluationError, FieldMismatchError, FormulaSyntaxError, InfiniteFieldError
 from defifix.fields import FieldElement, enumerate_elements, make_field
@@ -242,6 +245,81 @@ def test_round_trip_on_random_corpus():
     for _ in range(500):
         f = _random_formula(rng, pool, rng.randint(1, 4))
         assert parse(print_formula(f)) == f
+
+
+# -- the term grammar against Term arithmetic -----------------------------------
+
+
+@st.composite
+def _term_texts(draw, depth=2):
+    """A term text drawn from the term grammar, with random spacing, and
+    the Term that `Term` arithmetic builds from the same tree: sums and
+    differences of products, products and divisions by nonzero constants
+    of factors, unary minus, powers, and parenthesized groups."""
+    def sp():
+        return draw(st.sampled_from(("", "", " ", "  ", "\n")))
+
+    def base(depth):
+        kind = draw(st.sampled_from(("int", "name", "group") if depth else ("int", "name")))
+        if kind == "int":
+            n = draw(st.integers(0, 12))
+            return str(n), Term.constant(n)
+        if kind == "name":
+            name = draw(st.sampled_from(("x", "y", "z2", "_u")))
+            return name, Term.variable(name)
+        text, t = term(depth - 1)
+        return f"({sp()}{text}{sp()})", t
+
+    def factor(depth):
+        text, t = base(depth)
+        if draw(st.booleans()):
+            n = draw(st.integers(0, 3))
+            text, t = f"{text}{sp()}^{sp()}{n}", t**n
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            text, t = f"-{sp()}{text}", -t
+        return text, t
+
+    def product(depth):
+        text, t = factor(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.integers(0, 3)) == 0:
+                d = draw(st.integers(1, 9))
+                divisor = draw(st.sampled_from((str(d), f"({d})", f"-{d}", f"({d}^1)")))
+                text, t = f"{text}{sp()}/{sp()}{divisor}", t * Term.constant(
+                    Fraction(-1 if divisor[0] == "-" else 1, d)
+                )
+            else:
+                rtext, r = factor(depth)
+                text, t = f"{text}{sp()}*{sp()}{rtext}", t * r
+        return text, t
+
+    def term(depth):
+        text, t = product(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            rtext, r = product(depth)
+            if draw(st.booleans()):
+                text, t = f"{text}{sp()}+{sp()}{rtext}", t + r
+            else:
+                text, t = f"{text}{sp()}-{sp()}{rtext}", t - r
+        return text, t
+
+    text, t = term(depth)
+    return sp() + text + sp(), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_texts())
+def test_parsed_terms_equal_term_arithmetic(case):
+    text, expected = case
+    assert parse_term(text) == expected, text
+    assert parse(f"{text} = 1") == Equal(expected, Term.constant(1)), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_round_trip_on_benchmark_formulas(seed, bound):
+    f = bench_module("gen").random_formula(random.Random(seed), bound)
+    assert parse(print_formula(f)) == f
 
 
 def test_evaluate_square_membership():

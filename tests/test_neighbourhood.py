@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import operator
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 import defifix.neighbourhood
 from defifix import fields
 from defifix.compiler import neighbourhood_to_formula
-from defifix.engine import forced_variables
+from defifix.engine import ConstraintSystem, One, Plus, Times, forced_variables
 from defifix.errors import CapExceededError, FieldMismatchError, InfiniteFieldError
 from defifix.fields import (
     FieldElement,
@@ -36,7 +35,7 @@ from defifix.neighbourhood import (
     nbhd_rational,
     neighbourhood,
 )
-from defifix.normalize import ConstraintSearch, One, Plus, Times
+from defifix.normalize import ConstraintSearch
 
 Q = make_field("Q")
 F3 = make_field("F3")
@@ -496,7 +495,7 @@ def _root_closure(s, p):
         new = {a.i for a in s.atoms if type(a) is solved and a.i == a.j and a.k in known}
         if new <= known:
             return known
-        s = dataclasses.replace(s, atoms=s.atoms + tuple(One(x) for x in new - known))
+        s = ConstraintSystem(s.variables, s.atoms + tuple(One(x) for x in new - known), s.free_index)
         known = forced_variables(s)
 
 

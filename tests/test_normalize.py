@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _gen import random_existential_formula
-from defifix.engine import atom_indices, solve_system
+from _gen import bench_module, random_existential_formula
+from defifix.engine import One, Plus, Times, atom_indices, solve_system
 from defifix.errors import CapExceededError, InfiniteFieldError, NormalizationError
 from defifix.fields import enumerate_elements, make_field
 from defifix.formulas import (
@@ -21,13 +21,12 @@ from defifix.formulas import (
     parse,
     print_formula,
 )
+from defifix.neighbourhood import Neighbourhood, fact_system
 from defifix.normalize import (
     ConstraintSearch,
     ConstraintSystem,
     NormalizedFormula,
-    One,
-    Plus,
-    Times,
+    _fresh_names,
     atomize,
     eliminate_negations,
     normalize,
@@ -406,6 +405,58 @@ def test_rewrite_rejects_a_node_that_is_not_a_formula():
     for rewrite in (normalize, to_dnf):
         with pytest.raises(TypeError, match="not a formula"):
             rewrite(And((a_eq, "x = 1")))
+
+
+def test_temporaries_skip_only_the_exact_names_in_use():
+    fresh = _fresh_names({"_t1", "_t3", "_t03", "_t05", "_t", "x"})
+    assert [next(fresh) for _ in range(4)] == [2, 4, 5, 6]
+    # a renamed binder (_t2), a sum's inversion witness (_t4) and a lone
+    # monomial's (_t5): the names the counter gave before it held ints
+    f = parse(
+        "exists _t1. exists _t3. exists _t03. exists _t. (x = _t1*_t3 + 3*_t"
+        " & x*_t03 != _t + 1 & _t03 != 0 | (exists _t1. x = _t1^2))"
+    )
+    assert normalize(f).to_text() == "\n".join(
+        [
+            "free: x",
+            "system:",
+            "  vars: x, _t, _t6, _t7, _t1, _t8, _t3, _t03, _t9, _t10, _t11, _t12, _t4, _t13, _t5",
+            "  _t + _t = _t6",
+            "  _t6 + _t = _t7",
+            "  _t1 * _t3 = _t8",
+            "  _t7 + _t8 = x",
+            "  _t03 * x = _t9",
+            "  _t10 = 1",
+            "  _t10 + _t = _t11",
+            "  _t12 + _t11 = _t9",
+            "  _t12 * _t4 = _t10",
+            "  _t03 * _t5 = _t13",
+            "  _t13 = 1",
+            "system:",
+            "  vars: x, _t2",
+            "  _t2 * _t2 = x",
+        ]
+    )
+
+
+def test_public_constructor_rebuilds_builder_systems():
+    # the systems of the benchmark's seed-1 formula-solve items and the
+    # fact systems of random subsets, rebuilt from their names and atoms
+    workload = bench_module("workloads").FormulaSolve()
+    cases = [(workload.fields[spec], s) for spec, f in workload.items(1) for s in normalize(f).systems]
+    rng = random.Random(32)
+    for spec in ("F5", "F7", "F2^2", "F3^2"):
+        K = make_field(spec)
+        for _ in range(40):
+            elements = rng.sample(enumerate_elements(K), rng.randint(1, min(6, K.order)))
+            cases.append((K, fact_system(Neighbourhood(K, tuple(elements), rng.randrange(len(elements))))))
+    for K, s in cases:
+        rebuilt = ConstraintSystem(s.variables, s.atoms, s.free_index)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert (rebuilt.to_text(), rebuilt.free_var) == (s.to_text(), s.free_var)
+        search, again = ConstraintSearch(s, K), ConstraintSearch(rebuilt, K)
+        assert search.root == again.root
+        assert list(search.solutions()) == list(again.solutions())
 
 
 def test_normalize_renames_clashing_binders_in_walk_order():
